@@ -10,7 +10,6 @@ is bit-exact for a fixed (seed, n_samples, params).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,35 +23,18 @@ from .errors import (
 from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues, mode_numbers
 
 __all__ = [
-    "FieldSample",
     "MCEstimate",
-    "sample_free_field",
     "sample_free_fields",
-    "local_energy",
-    "hartree_energy",
+    "local_energy_batch",
+    "hartree_energy_batch",
     "classical_partition",
+    "partition_ratio",
     "classical_moment_matrix",
     "mass_density_charfn",
     "gns_check",
     "capped_partition",
     "subcritical_moment",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """A classical field as complex coefficients on modes |k| <= k_max."""
-
-    coeffs: np.ndarray
-    rng_tag: str = ""
-
-    @property
-    def k_max(self) -> int:
-        return (len(self.coeffs) - 1) // 2
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -65,9 +47,6 @@ class MCEstimate:
     n_samples: int
     seed: int
 
-    def within(self, other: float, k_sigma: float = 3.0) -> bool:
-        return abs(self.value - other) <= k_sigma * self.stderr
-
 
 def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw (n_samples, J) coefficient rows from the free Gaussian measure."""
@@ -76,12 +55,6 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator) -> 
     re = rng.standard_normal((n_samples, len(lam)))
     im = rng.standard_normal((n_samples, len(lam)))
     return (re + 1j * im) * sd
-
-
-def sample_free_field(k_max: int, rng: np.random.Generator) -> FieldSample:
-    """One draw from the free measure, with provenance tag."""
-    coeffs = sample_free_fields(k_max, 1, rng)[0]
-    return FieldSample(coeffs=coeffs, rng_tag=f"free:k_max={k_max}")
 
 
 # ------------------------------------------------------------------
@@ -136,15 +109,6 @@ def hartree_energy_batch(coeffs: np.ndarray, eps: float,
     return np.mean(conv**2 * rho, axis=1) / 6.0
 
 
-def local_energy(u: FieldSample, grid_size: int | None = None) -> float:
-    return float(local_energy_batch(u.coeffs[None, :], grid_size)[0])
-
-
-def hartree_energy(u: FieldSample, eps: float, kernel: KernelSpec | None = None,
-                   grid_size: int | None = None) -> float:
-    return float(hartree_energy_batch(u.coeffs[None, :], eps, kernel, grid_size)[0])
-
-
 # ------------------------------------------------------------------
 # importance-sampling machinery
 # ------------------------------------------------------------------
@@ -155,13 +119,6 @@ _SHARD = 1 << 16
 def _shard_sizes(n_samples: int) -> list[int]:
     full, rem = divmod(n_samples, _SHARD)
     return [_SHARD] * full + ([rem] if rem else [])
-
-
-def _mc_from_sums(total, total_sq, n, seed) -> MCEstimate:
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0)
-    return MCEstimate(value=float(mean), stderr=float(math.sqrt(var / n)),
-                      n_samples=n, seed=seed)
 
 
 def _iter_shard_rngs(seed: int, n_samples: int):
@@ -218,6 +175,45 @@ def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
     return w
 
 
+def _mc_ratio(seed: int, n_samples: int, draw, threads: int):
+    """The estimator core: derived-seed shards -> per-shard sums -> delta method.
+
+    draw(size, rng) returns (a, b) for `size` free-field rows: a is the
+    per-row numerator, shape (size,) or (size, J, J); b is the per-row
+    denominator, shape (size,), or None for b = 1.  Returns the ratio of
+    means E[a] / E[b], its delta-method standard error (entrywise for array
+    a), and the per-shard sums of a and of b for callers that jackknife.
+    Every second moment is the same elementwise product summed the same way,
+    so a == b gives a standard error of exactly 0.
+    """
+    def shard(size, rng):
+        a, b = draw(size, rng)
+        sa, saa = a.sum(axis=0), np.sum(np.abs(a) ** 2, axis=0)
+        if b is None:
+            return sa, saa, float(size), float(size), sa
+        b_rows = b.reshape(b.shape + (1,) * (a.ndim - 1))
+        return sa, saa, float(np.sum(b)), float(np.sum(b * b)), np.sum(a * b_rows, axis=0)
+
+    parts = _map_shards(seed, n_samples, shard, threads)
+    sa, saa, sb, sbb, sab = (sum(p[i] for p in parts) for i in range(5))
+    n = n_samples
+    ma, mb = sa / n, sb / n
+    r = ma / mb
+    var_a = np.maximum(saa / n - np.abs(ma) ** 2, 0.0)
+    var_b = max(sbb / n - mb * mb, 0.0)
+    cov_ab = sab / n - ma * mb
+    var_r = np.maximum(
+        var_a - 2.0 * (np.conj(r) * cov_ab).real + np.abs(r) ** 2 * var_b, 0.0
+    )
+    return r, np.sqrt(var_r / n) / mb, [p[0] for p in parts], [p[2] for p in parts]
+
+
+def _mc_estimate(seed: int, n_samples: int, draw, threads: int) -> MCEstimate:
+    value, stderr, _, _ = _mc_ratio(seed, n_samples, draw, threads)
+    return MCEstimate(value=float(value), stderr=float(stderr),
+                      n_samples=n_samples, seed=seed)
+
+
 def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffProfile,
                         n_samples: int, seed: int,
                         kernel: KernelSpec | None = None,
@@ -231,15 +227,11 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
     """
     _check_focusing_config(interaction, cutoff)
 
-    def shard(size, rng):
+    def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        w = _weights_for(coeffs, interaction, params, cutoff, kernel)
-        return float(np.sum(w)), float(np.sum(w * w))
+        return _weights_for(coeffs, interaction, params, cutoff, kernel), None
 
-    parts = _map_shards(seed, n_samples, shard, threads)
-    tot = sum(p[0] for p in parts)
-    tot_sq = sum(p[1] for p in parts)
-    return _mc_from_sums(tot, tot_sq, n_samples, seed)
+    return _mc_estimate(seed, n_samples, draw, threads)
 
 
 def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile,
@@ -253,26 +245,13 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
     method for a ratio of correlated means.
     """
     _check_focusing_config(interaction, cutoff)
-    n = n_samples
 
-    def shard(size, rng):
+    def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        mass = np.sum(np.abs(coeffs) ** 2, axis=1)
-        f = cutoff(mass)
-        a = _weights_for(coeffs, interaction, params, cutoff, kernel)
-        return (float(np.sum(a)), float(np.sum(f)), float(np.sum(a * a)),
-                float(np.sum(f * f)), float(np.sum(a * f)))
+        f = cutoff(np.sum(np.abs(coeffs) ** 2, axis=1))
+        return _weights_for(coeffs, interaction, params, cutoff, kernel), f
 
-    parts = _map_shards(seed, n_samples, shard, threads)
-    sa, sb, saa, sbb, sab = (sum(p[i] for p in parts) for i in range(5))
-    ma, mb = sa / n, sb / n
-    va = saa / n - ma**2
-    vb = sbb / n - mb**2
-    cab = sab / n - ma * mb
-    r = ma / mb
-    var_r = max(va - 2.0 * r * cab + r * r * vb, 0.0) / (mb * mb)
-    return MCEstimate(value=float(r), stderr=float(math.sqrt(var_r / n)),
-                      n_samples=n, seed=seed)
+    return _mc_estimate(seed, n_samples, draw, threads)
 
 
 def classical_moment_matrix(params: ModelParams, interaction: str,
@@ -291,35 +270,14 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
     if k != 1:
         raise InvalidConfigError("moment matrices are implemented for k = 1")
     _check_focusing_config(interaction, cutoff)
-    J = params.J
 
-    def shard(size, rng):
+    def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
         w = _weights_for(coeffs, interaction, params, cutoff, kernel)
         outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
-        a = w[:, None, None] * outer
-        return (a.sum(axis=0), np.sum(np.abs(a) ** 2, axis=0),
-                np.tensordot(w, a, axes=(0, 0)), float(np.sum(w)),
-                float(np.sum(w * w)))
+        return w[:, None, None] * outer, w
 
-    parts = _map_shards(seed, n_samples, shard, threads)
-    num = np.sum([p[0] for p in parts], axis=0)
-    saa = np.sum([p[1] for p in parts], axis=0)
-    sab = np.sum([p[2] for p in parts], axis=0)
-    den = sum(p[3] for p in parts)
-    sbb = sum(p[4] for p in parts)
-    shard_num = [p[0] for p in parts]
-    shard_den = [p[3] for p in parts]
-    n = n_samples
-    ma, mb = num / n, den / n
-    M = ma / mb
-    var_a = np.maximum(saa / n - np.abs(ma) ** 2, 0.0)
-    cov_ab = sab / n - ma * mb
-    var_b = max(sbb / n - mb * mb, 0.0)
-    var_r = np.maximum(
-        var_a - 2.0 * (np.conj(M) * cov_ab).real + np.abs(M) ** 2 * var_b, 0.0
-    )
-    M_err = np.sqrt(var_r / n) / mb
+    M, M_err, shard_num, shard_den = _mc_ratio(seed, n_samples, draw, threads)
     return M, M_err, np.array(shard_num), np.array(shard_den)
 
 
@@ -431,15 +389,11 @@ def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
     if R_cap < 0:
         raise InvalidConfigError(f"R_cap must be >= 0, got {R_cap}")
 
-    def shard(size, rng):
+    def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        w = _weights_for(coeffs, "hartree", params, cutoff, kernel, cap=R_cap)
-        return float(np.sum(w)), float(np.sum(w * w))
+        return _weights_for(coeffs, "hartree", params, cutoff, kernel, cap=R_cap), None
 
-    parts = _map_shards(seed, n_samples, shard, threads)
-    tot = sum(p[0] for p in parts)
-    tot_sq = sum(p[1] for p in parts)
-    return _mc_from_sums(tot, tot_sq, n_samples, seed)
+    return _mc_estimate(seed, n_samples, draw, threads)
 
 
 def subcritical_moment(params: ModelParams, K_s: float, varsigma: float,
@@ -454,17 +408,13 @@ def subcritical_moment(params: ModelParams, K_s: float, varsigma: float,
             f"K_s = {K_s} is not below the threshold {critical_mass():.6f}"
         )
 
-    def shard(size, rng):
+    def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        mass = np.sum(np.abs(coeffs) ** 2, axis=1)
-        live = mass <= K_s**2
+        live = np.sum(np.abs(coeffs) ** 2, axis=1) <= K_s**2
         w = np.zeros(size)
         if np.any(live):
             en = 6.0 * local_energy_batch(coeffs[live])  # ||u||_L6^6
             w[live] = np.exp((1.0 + varsigma) / 6.0 * en)
-        return float(np.sum(w)), float(np.sum(w * w))
+        return w, None
 
-    parts = _map_shards(seed, n_samples, shard, threads)
-    tot = sum(p[0] for p in parts)
-    tot_sq = sum(p[1] for p in parts)
-    return _mc_from_sums(tot, tot_sq, n_samples, seed)
+    return _mc_estimate(seed, n_samples, draw, threads)

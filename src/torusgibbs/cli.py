@@ -9,6 +9,7 @@ arguments, 2 numerical failure, 3 selftest assertion failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -58,13 +59,11 @@ def cli_main(argv) -> int:
             raise InvalidConfigError(
                 f"config names experiment {cfg.experiment!r} but subcommand is {args.command!r}"
             )
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.threads is not None:
-            cfg.threads = args.threads
-        cfg.experiment = args.command
+        # replace() re-runs the config validation on the overridden values
+        overrides = {"seed": args.seed, "out_dir": args.out, "threads": args.threads}
+        cfg = dataclasses.replace(
+            cfg, experiment=args.command,
+            **{key: val for key, val in overrides.items() if val is not None})
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

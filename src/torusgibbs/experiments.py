@@ -10,6 +10,7 @@ CSV.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -41,12 +42,12 @@ class ExperimentConfig:
     """Typed mirror of the flat key-value run configuration."""
 
     experiment: str = ""
-    tau_values: list = field(default_factory=lambda: [20.0, 40.0, 80.0])
-    eps_values: list = field(default_factory=lambda: [0.5])
-    eta_values: list = field(default_factory=lambda: [0.1])
+    tau_values: list[float] = field(default_factory=lambda: [20.0, 40.0, 80.0])
+    eps_values: list[float] = field(default_factory=lambda: [0.5])
+    eta_values: list[float] = field(default_factory=lambda: [0.1])
     K: float = 0.6
     k_max: int = 1
-    k_max_values: list = field(default_factory=lambda: [1, 2, 3])
+    k_max_values: list[int] = field(default_factory=lambda: [1, 2, 3])
     n_samples: int = 100000
     seed: int = 20260810
     out_dir: str = "out"
@@ -68,22 +69,25 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{name} must be a nonempty list")
         if self.n_samples < 2:
             raise InvalidConfigError("n_samples must be >= 2")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if self.threads < 1:
             raise InvalidConfigError("threads must be >= 1")
 
 
-_LIST_FIELDS = {"tau_values": float, "eps_values": float, "eta_values": float,
-                "k_max_values": int}
-_SCALAR_FIELDS = {
-    "experiment": str, "K": float, "k_max": int, "n_samples": int, "seed": int,
-    "out_dir": str, "threads": int, "K_blowup": float, "K_control": float,
-    "R_cap": float, "R_offset": float, "K_sub": float, "varsigma": float,
-    "rate_eta": float, "rate_K": float,
-}
+def _parse_value(hint, val: str):
+    """`val` as the field type `hint`: a scalar type, or list[T] written as
+    comma-separated items."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return [item(tok.strip()) for tok in val.split(",") if tok.strip()]
+    return hint(val)
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Parse the flat `key = value` run file.  Unknown keys are errors."""
+    """Parse the flat `key = value` run file.  Keys and their types are the
+    fields of ExperimentConfig; unknown keys are errors."""
+    types = typing.get_type_hints(ExperimentConfig)
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -94,20 +98,12 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _LIST_FIELDS:
-                caster = _LIST_FIELDS[key]
-                try:
-                    values[key] = [caster(tok.strip()) for tok in val.split(",") if tok.strip()]
-                except ValueError as exc:
-                    raise InvalidConfigError(f"{path}:{lineno}: bad list for {key}: {exc}")
-            elif key in _SCALAR_FIELDS:
-                caster = _SCALAR_FIELDS[key]
-                try:
-                    values[key] = caster(val)
-                except ValueError as exc:
-                    raise InvalidConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
-            else:
+            if key not in types:
                 raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _parse_value(types[key], val)
+            except ValueError as exc:
+                raise InvalidConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return ExperimentConfig(**values)
 
 

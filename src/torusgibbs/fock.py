@@ -8,7 +8,6 @@ operators are dense real-symmetric matrices in the sector basis ordering.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,11 +22,9 @@ __all__ = [
     "sector_dimension",
     "enumerate_sector",
     "ladder_matrix_element",
-    "assemble_kinetic",
+    "kinetic_diagonal",
     "assemble_interaction",
     "one_body_matrix",
-    "dump_sector_matrix",
-    "load_sector_matrix",
 ]
 
 
@@ -146,14 +143,8 @@ def ladder_matrix_element(state, mode_pos: int, kind: str):
     raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
 
 
-def assemble_kinetic(basis: SectorBasis) -> SectorOperator:
-    """Diagonal sector matrix of the free energy sum_k lambda_k * n_k."""
-    lam = eigenvalues(basis.k_max)
-    diag = basis.occupations @ lam
-    return SectorOperator(n=basis.n, matrix=np.diag(diag))
-
-
 def kinetic_diagonal(basis: SectorBasis) -> np.ndarray:
+    """Diagonal of the free energy sum_k lambda_k * n_k in the sector basis."""
     return basis.occupations @ eigenvalues(basis.k_max)
 
 
@@ -299,27 +290,3 @@ def one_body_matrix(sector_items) -> np.ndarray:
     if np.abs(G.imag).max() < 1e-13 * max(1.0, np.abs(G.real).max()):
         return np.ascontiguousarray(G.real)
     return G
-
-
-_CACHE_MAGIC = b"TGSC"
-
-
-def dump_sector_matrix(path, op: SectorOperator, J: int) -> None:
-    """Binary cache: header (J, n, dim) as little-endian int64, then the
-    row-major float64 little-endian matrix."""
-    m = np.ascontiguousarray(op.matrix, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<3q", J, op.n, m.shape[0]))
-        fh.write(m.tobytes())
-
-
-def load_sector_matrix(path):
-    """Inverse of dump_sector_matrix; returns (J, SectorOperator)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not a sector-matrix cache file: {path}")
-        J, n, dim = struct.unpack("<3q", fh.read(24))
-        data = np.frombuffer(fh.read(8 * dim * dim), dtype="<f8").reshape(dim, dim)
-    return J, SectorOperator(n=n, matrix=data.copy())

@@ -25,8 +25,6 @@ __all__ = [
     "SolitonProfile",
     "eigenvalue",
     "trace_h_inverse",
-    "cutoff_eval",
-    "kernel_fourier",
     "soliton",
     "critical_mass",
 ]
@@ -222,13 +220,6 @@ class CutoffProfile:
         return float(out[0]) if scalar else out
 
 
-def cutoff_eval(profile: CutoffProfile, s: float) -> float:
-    """Evaluate a cutoff profile at mass value s >= 0."""
-    if s < 0:
-        raise InvalidConfigError(f"cutoff argument must be >= 0, got {s}")
-    return float(profile(s))
-
-
 # ------------------------------------------------------------------
 # interaction kernels
 # ------------------------------------------------------------------
@@ -305,13 +296,6 @@ class KernelSpec:
                     vals = np.asarray(self._profile(y[inside]), dtype=float)
                     out[inside] += vals / (self._norm * eps)
         return out
-
-
-def kernel_fourier(spec: KernelSpec, eps: float, k: int) -> float:
-    """Fourier coefficient of the periodized eps-kernel on mode k: w_hat(eps*k)."""
-    if not 0 < eps <= 1:
-        raise InvalidConfigError(f"eps must lie in (0, 1], got {eps}")
-    return float(spec.line_fourier(eps * k))
 
 
 def kernel_fourier_table(spec: KernelSpec, eps: float, m_max: int) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "GibbsStateBlocks",
     "FreeProductState",
     "build_gibbs",
-    "partition_function",
     "relative_partition",
     "reduced_density_matrix",
     "particle_moment",
@@ -67,7 +66,7 @@ class GibbsStateBlocks:
     interacting: bool
     cutoff: CutoffProfile
     blocks: tuple
-    Z: float
+    Z: float  # Tr( e^{-H_tau} f(N/tau) ) over the retained sectors
 
     def sector_probabilities(self) -> np.ndarray:
         """Probability of each particle sector n = 0..n_max."""
@@ -137,11 +136,6 @@ def build_gibbs(
         raise NumericalFailureError("Gibbs normalization vanished; check the cutoff")
     return GibbsStateBlocks(params=params, interacting=interacting, cutoff=cutoff,
                             blocks=tuple(blocks), Z=Z)
-
-
-def partition_function(blocks: GibbsStateBlocks) -> float:
-    """Tr( e^{-H_tau} f(N/tau) ) over the retained sectors."""
-    return blocks.Z
 
 
 # ------------------------------------------------------------------

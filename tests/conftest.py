@@ -24,6 +24,7 @@ Gate evaluations per run, by test:
             (1 mean |a_0|^2, 3 complex means on GATE_R, 1 mean mass)
         TestClassicalPartition::test_mass_probability_vs_inverted_cdf 1
         TestClassicalPartition::test_local_regression_baseline       1
+        TestPartitionRatio::test_single_mode_quadrature_oracle       1
         TestMomentMatrix::test_free_measure_diagonal                 9
             (3 diagonal, 6 complex off-diagonal on GATE_R)
         TestMassDensity::test_histogram_agreement                   40
@@ -40,7 +41,7 @@ Gate evaluations per run, by test:
         TestBerezinLieb::test_two_free_states (one-sided)            1
         TestBerezinLieb::test_diagonal_pair_sweep (one-sided)       30
                                                                    ---
-                                                                   114
+                                                                   115
 
 Adding a seeded gate, or changing how often one is evaluated, means updating
 N_GATES and this tally in the same change; the gate widths then follow.
@@ -54,7 +55,7 @@ import pytest
 from scipy.stats import norm
 
 SUITE_ALPHA = 1e-3
-N_GATES = 114
+N_GATES = 115
 GATE_ALPHA = SUITE_ALPHA / N_GATES
 GATE_Z = float(norm.isf(GATE_ALPHA / 2.0))
 GATE_R = math.sqrt(math.log(1.0 / GATE_ALPHA))

@@ -42,26 +42,17 @@ class TestSampler:
         assert np.mean(mass) == pytest.approx(
             trace_h_inverse(1), abs=GATE_Z * np.std(mass) / math.sqrt(n))
 
-    def test_single_sample_record(self):
-        rng = np.random.default_rng(5)
-        s = cgibbs.sample_free_field(2, rng)
-        assert len(s.coeffs) == 5 and s.k_max == 2
-        assert s.mass == pytest.approx(float(np.sum(np.abs(s.coeffs) ** 2)), rel=1e-12)
-        assert "free" in s.rng_tag
-
 
 class TestEnergies:
     def test_constant_field(self):
-        u = np.array([0.0, 2.0, 0.0], dtype=complex)
-        s = cgibbs.FieldSample(coeffs=u)
-        assert cgibbs.local_energy(s) == pytest.approx(2.0**6 / 6.0, rel=1e-12)
-        assert cgibbs.hartree_energy(s, 0.5) == pytest.approx(2.0**6 / 6.0, rel=1e-12)
+        u = np.array([[0.0, 2.0, 0.0]], dtype=complex)
+        assert cgibbs.local_energy_batch(u)[0] == pytest.approx(2.0**6 / 6.0, rel=1e-12)
+        assert cgibbs.hartree_energy_batch(u, 0.5)[0] == pytest.approx(2.0**6 / 6.0, rel=1e-12)
 
     def test_unimodular_field(self):
-        u = np.array([0.0, 0.0, 1.0], dtype=complex)
-        s = cgibbs.FieldSample(coeffs=u)
-        assert cgibbs.local_energy(s) == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert cgibbs.hartree_energy(s, 0.5) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        u = np.array([[0.0, 0.0, 1.0]], dtype=complex)
+        assert cgibbs.local_energy_batch(u)[0] == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert cgibbs.hartree_energy_batch(u, 0.5)[0] == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_hartree_vs_position_quadrature(self, rng):
         # 3d quadrature of the defining triple integral, eps-aligned panels
@@ -153,6 +144,40 @@ class TestClassicalPartition:
         b = cgibbs.classical_partition(params(), "local", CutoffProfile.sharp(0.6),
                                        100000, 7, threads=3)
         assert a == b
+
+
+class TestPartitionRatio:
+    @pytest.mark.parametrize("n_samples", [100000, 1000000])
+    def test_free_weight_is_exactly_one(self, n_samples):
+        # with interaction "none" numerator and denominator are the same rows
+        est = cgibbs.partition_ratio(params(), "none", CutoffProfile.smooth(0.6, 0.05),
+                                     n_samples, 19)
+        assert (est.value, est.stderr) == (1.0, 0.0)
+
+    def test_equals_quotient_of_partitions(self):
+        # the same seed draws the same rows in both estimators
+        cut = CutoffProfile.smooth(0.6, 0.05)
+        ratio = cgibbs.partition_ratio(params(), "hartree", cut, 100000, 59)
+        num = cgibbs.classical_partition(params(), "hartree", cut, 100000, 59)
+        den = cgibbs.classical_partition(params(), "none", cut, 100000, 59)
+        assert ratio.value == pytest.approx(num.value / den.value, rel=1e-14)
+
+    def test_single_mode_quadrature_oracle(self):
+        # k_max = 0: the mass s = |a_0|^2 is Exp(lambda_0 = 1/2) under the free
+        # measure, and a constant field has Hartree energy s^3/6 for any kernel
+        K, eta = 1.5, 0.2
+        cut = CutoffProfile.smooth(K, eta)
+        p = params(tau=10.0, eta=eta, K=K, k_max=0, n_max=math.floor(K**2 * 10.0))
+        lam0 = 0.5
+
+        def moment(g):
+            return integrate.quad(lambda s: lam0 * math.exp(-lam0 * s) * g(s) * cut(s),
+                                  0.0, K**2, points=[K**2 - eta], limit=200,
+                                  epsabs=1e-13, epsrel=1e-12)[0]
+
+        oracle = moment(lambda s: math.exp(s**3 / 6.0)) / moment(lambda s: 1.0)
+        est = cgibbs.partition_ratio(p, "hartree", cut, 200000, 12345)
+        assert est.value == pytest.approx(oracle, abs=GATE_Z * est.stderr)
 
 
 class TestMomentMatrix:

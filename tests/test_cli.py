@@ -1,0 +1,84 @@
+"""Run-file parsing and the command-line front end."""
+
+import dataclasses
+import os
+
+import pytest
+
+from torusgibbs.cli import cli_main
+from torusgibbs.errors import InvalidConfigError
+from torusgibbs.experiments import ExperimentConfig, config_items, parse_config
+
+
+def write_config(tmp_path, text, name="run.cfg"):
+    path = os.path.join(tmp_path, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+class TestParseConfig:
+    def test_every_field_round_trips(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="blowup", tau_values=[12.5, 30.0], eps_values=[0.25, 1.0],
+            eta_values=[0.05], K=0.7, k_max=2, k_max_values=[0, 4], n_samples=1234,
+            seed=99, out_dir="elsewhere", threads=2, K_blowup=1.9, K_control=0.5,
+            R_cap=3.5, R_offset=0.25, K_sub=0.4, varsigma=0.125, rate_eta=0.15,
+            rate_K=0.9)
+        default = ExperimentConfig()
+        assert len(dataclasses.fields(cfg)) == 19
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(cfg))
+        text = "".join(f"{key} = {val}\n" for key, val in config_items(cfg))
+        assert parse_config(write_config(tmp_path, text)) == cfg
+
+    def test_unknown_key(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match="unknown key"):
+            parse_config(write_config(tmp_path, "k_max = 1\nsamples = 10\n"))
+
+    def test_bad_scalar(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match="n_samples"):
+            parse_config(write_config(tmp_path, "n_samples = 1e5\n"))
+
+    def test_bad_list_item(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match="k_max_values"):
+            parse_config(write_config(tmp_path, "k_max_values = 1, two, 3\n"))
+
+
+TINY_BLOWUP = "tau_values = 20\neps_values = 0.5\nn_samples = 3000\n"
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv,config", [
+        (["tail", "--threads", "0"], None),
+        (["threshold", "--seed", "-1"], None),
+        (["blowup"], "bogus = 1\n"),
+    ], ids=["threads-0", "seed-negative", "unknown-key"])
+    def test_invalid_input_exits_1(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            argv = argv + ["--config", write_config(tmp_path, config)]
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(tmp_path, f"{argv[0]}.csv"))
+
+    def test_blowup_writes_csv_and_manifest(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_BLOWUP)
+        out = os.path.join(tmp_path, "out")
+        assert cli_main(["blowup", "--config", cfg, "--out", out, "--seed", "5"]) == 0
+        with open(os.path.join(out, "blowup.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "regime,K,eps,value,value_stderr"
+        assert len(lines) == 3
+        with open(os.path.join(out, "blowup_manifest.txt"), encoding="utf-8") as fh:
+            manifest = fh.read()
+        assert "seed = 5\n" in manifest and "experiment = blowup\n" in manifest
+
+    def test_repeat_runs_are_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_BLOWUP)
+        csvs = []
+        for run in ("a", "b"):
+            out = os.path.join(tmp_path, run)
+            assert cli_main(["blowup", "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, "blowup.csv"), "rb") as fh:
+                csvs.append(fh.read())
+        assert csvs[0] == csvs[1]

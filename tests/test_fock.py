@@ -1,7 +1,6 @@
 """Sector bases, ladder algebra, and the second-quantized operators."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -78,18 +77,17 @@ class TestLadder:
 
 class TestKinetic:
     def test_vacuum(self):
-        op = fock.assemble_kinetic(fock.enumerate_sector(1, 0))
-        assert op.matrix.shape == (1, 1) and op.matrix[0, 0] == 0.0
+        diag = fock.kinetic_diagonal(fock.enumerate_sector(1, 0))
+        assert diag.shape == (1,) and diag[0] == 0.0
 
     def test_two_particles_one_mode(self):
-        op = fock.assemble_kinetic(fock.enumerate_sector(0, 2))
-        assert op.matrix[0, 0] == pytest.approx(1.0)
+        diag = fock.kinetic_diagonal(fock.enumerate_sector(0, 2))
+        assert diag[0] == pytest.approx(1.0)
 
     def test_excited_mode(self):
         basis = fock.enumerate_sector(1, 1)
-        op = fock.assemble_kinetic(basis)
-        idx = basis.lookup((0, 0, 1))
-        assert op.matrix[idx, idx] == pytest.approx(20.23921, abs=5e-6)
+        diag = fock.kinetic_diagonal(basis)
+        assert diag[basis.lookup((0, 0, 1))] == pytest.approx(20.23921, abs=5e-6)
 
 
 class TestInteraction:
@@ -195,25 +193,3 @@ class TestPartialTraceOracle:
             oracle += p * 3 * partial_trace_first(dense, keep=1)
         assert np.abs(G - oracle).max() <= 1e-10
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path, rng):
-        basis = fock.enumerate_sector(1, 3)
-        op = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
-        path = os.path.join(tmp_path, "sector.bin")
-        fock.dump_sector_matrix(path, op, J=basis.J)
-        J, back = fock.load_sector_matrix(path)
-        assert J == 3 and back.n == 3
-        assert np.array_equal(back.matrix, op.matrix)
-
-    def test_header_layout(self, tmp_path):
-        basis = fock.enumerate_sector(0, 2)
-        op = fock.assemble_kinetic(basis)
-        path = os.path.join(tmp_path, "k.bin")
-        fock.dump_sector_matrix(path, op, J=1)
-        raw = open(path, "rb").read()
-        assert raw[:4] == b"TGSC"
-        import struct
-        J, n, dim = struct.unpack("<3q", raw[4:28])
-        assert (J, n, dim) == (1, 2, 1)
-        assert len(raw) == 28 + 8 * dim * dim

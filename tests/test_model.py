@@ -12,10 +12,9 @@ from torusgibbs.model import (
     KernelSpec,
     ModelParams,
     critical_mass,
-    cutoff_eval,
     eigenvalue,
     eigenvalues,
-    kernel_fourier,
+    kernel_fourier_table,
     soliton,
     trace_h_inverse,
 )
@@ -86,10 +85,10 @@ class TestModelParams:
 class TestCutoff:
     def test_plateau_and_zero(self):
         prof = CutoffProfile.smooth(1.0, 0.2)
-        assert cutoff_eval(prof, 0.5) == 1.0
-        assert cutoff_eval(prof, 1.1) == 0.0
-        assert cutoff_eval(prof, 0.8) == 1.0   # exact at K^2 - eta
-        assert cutoff_eval(prof, 1.0) == 0.0   # exact at K^2
+        assert prof(0.5) == 1.0
+        assert prof(1.1) == 0.0
+        assert prof(0.8) == 1.0   # exact at K^2 - eta
+        assert prof(1.0) == 0.0   # exact at K^2
 
     def test_ramp_matches_convolution_quadrature(self):
         # oracle: direct quadrature of the mollification that defines the ramp
@@ -104,7 +103,7 @@ class TestCutoff:
             return val
 
         for s in (0.85, 0.9, 0.95, 0.99):
-            assert cutoff_eval(prof, s) == pytest.approx(oracle(s), abs=1e-9)
+            assert prof(s) == pytest.approx(oracle(s), abs=1e-9)
 
     def test_monotone_everywhere(self):
         prof = CutoffProfile.smooth(1.0, 0.2)
@@ -134,34 +133,35 @@ class TestCutoff:
 class TestKernel:
     def test_normalization_mode(self):
         for spec in (KernelSpec.box(), KernelSpec.box(0.25)):
-            assert kernel_fourier(spec, 0.7, 0) == pytest.approx(1.0, abs=1e-14)
+            assert kernel_fourier_table(spec, 0.7, 0)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_box_examples(self):
-        spec = KernelSpec.box(0.5)
-        assert kernel_fourier(spec, 0.5, 1) == pytest.approx(0.636620, abs=1e-6)
-        assert kernel_fourier(spec, 0.5, 2) == pytest.approx(0.0, abs=1e-14)
+        # w_hat(eps*m) for m = -2..2
+        table = kernel_fourier_table(KernelSpec.box(0.5), 0.5, 2)
+        assert table[3] == pytest.approx(0.636620, abs=1e-6)
+        assert table[4] == pytest.approx(0.0, abs=1e-14)
 
     def test_even_in_k(self):
-        spec = KernelSpec.box(0.5)
-        for k in range(1, 6):
-            assert kernel_fourier(spec, 0.3, k) == kernel_fourier(spec, 0.3, -k)
+        table = kernel_fourier_table(KernelSpec.box(0.5), 0.3, 5)
+        assert np.array_equal(table, table[::-1])
 
     @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
     def test_matches_position_space_quadrature(self, eps):
         # oracle: integrate the periodized kernel against plane waves directly
         spec = KernelSpec.box(0.5)
         a_edge = 0.5 * eps
+        table = kernel_fourier_table(spec, eps, 32)
         for k in range(0, 33, 4):
             re, _ = integrate.quad(
                 lambda x: (abs(x) <= a_edge) / eps * math.cos(2 * math.pi * k * x),
                 -0.5, 0.5, points=[-a_edge, a_edge], limit=200)
-            assert kernel_fourier(spec, eps, k) == pytest.approx(re, abs=1e-10)
+            assert table[32 + k] == pytest.approx(re, abs=1e-10)
 
     def test_custom_profile(self):
         tri = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None), 0.25)
-        assert kernel_fourier(tri, 0.5, 0) == pytest.approx(1.0, abs=1e-9)
+        assert kernel_fourier_table(tri, 0.5, 0)[0] == pytest.approx(1.0, abs=1e-9)
         # triangle transform is sinc^2
-        got = kernel_fourier(tri, 0.8, 3)
+        got = kernel_fourier_table(tri, 0.8, 3)[6]
         assert got == pytest.approx(np.sinc(0.8 * 3 / 4.0) ** 2, abs=1e-9)
 
     def test_periodized_integrates_to_one(self):
