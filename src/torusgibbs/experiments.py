@@ -387,25 +387,20 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
     basis2 = fock.enumerate_sector(1, 2)
     basis1 = fock.enumerate_sector(1, 1)
     basis3 = fock.enumerate_sector(1, 3)
+    eye = np.eye(basis2.dim)
     worst = 0.0
     for i in range(3):
         for j in range(3):
-            comm = np.zeros((basis2.dim, basis2.dim))
-            for col in range(basis2.dim):
-                e = np.zeros(basis2.dim)
-                e[col] = 1.0
-                up = fock.apply_creation(e, basis2, basis3, j)
-                a_adag = fock.apply_annihilation(up, basis3, basis2, i)
-                down = fock.apply_annihilation(e, basis2, basis1, i)
-                adag_a = fock.apply_creation(down, basis1, basis2, j)
-                comm[:, col] = a_adag - adag_a
-            target = np.eye(basis2.dim) if i == j else np.zeros((basis2.dim, basis2.dim))
-            worst = max(worst, float(np.abs(comm - target).max()))
+            up = fock.apply_creation(eye, basis2, basis3, j)
+            a_adag = fock.apply_annihilation(up, basis3, basis2, i)
+            down = fock.apply_annihilation(eye, basis2, basis1, i)
+            adag_a = fock.apply_creation(down, basis1, basis2, j)
+            worst = max(worst, float(np.abs(a_adag - adag_a - (i == j) * eye).max()))
     check("ccr_commutators", worst <= 1e-10)
 
     W3 = fock.assemble_interaction(fock.enumerate_sector(1, 3), KernelSpec.box(), 0.5)
-    evals = np.linalg.eigvalsh(W3.matrix)
-    check("interaction_positive", evals.min() >= -1e-8 * max(1.0, np.abs(W3.matrix).max()))
+    evals = np.linalg.eigvalsh(W3)
+    check("interaction_positive", evals.min() >= -1e-8 * max(1.0, np.abs(W3).max()))
 
     blocks_int = qgibbs.build_gibbs(params, True, cutoff)
     blocks_free = qgibbs.build_gibbs(params, False, cutoff)
@@ -414,7 +409,7 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
     for b, fb in zip(blocks_int.blocks, blocks_free.blocks):
         if b.weight == 0.0 or b.n < 3:
             continue
-        Wm = fock.assemble_interaction(b.basis, KernelSpec.box(), params.eps).matrix
+        Wm = fock.assemble_interaction(b.basis, KernelSpec.box(), params.eps)
         p = b.boltzmann / blocks_int.Z
         Vr = b.vectors if b.vectors is not None else np.eye(b.basis.dim)
         w_expect += float(np.sum(p * np.einsum("ij,jk,ki->i", Vr.T, Wm, Vr))) / tau**3

@@ -18,12 +18,11 @@ from .model import KernelSpec, eigenvalues, kernel_fourier_table, mode_numbers
 
 __all__ = [
     "SectorBasis",
-    "SectorOperator",
     "sector_dimension",
     "enumerate_sector",
-    "ladder_matrix_element",
     "kinetic_diagonal",
     "assemble_interaction",
+    "ladder_gram",
     "one_body_matrix",
 ]
 
@@ -64,26 +63,6 @@ class SectorBasis:
         """Total momentum sum_k k*n_k of every basis state."""
         return self.occupations @ self.modes
 
-    def lookup(self, occ) -> int:
-        return self.index[tuple(int(m) for m in occ)]
-
-
-@dataclass(frozen=True)
-class SectorOperator:
-    """Hermitian matrix on one particle sector, in SectorBasis ordering."""
-
-    n: int
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        scale = max(1.0, float(np.abs(m).max()))
-        return float(np.abs(m - m.conj().T).max()) / scale
-
 
 @lru_cache(maxsize=None)
 def enumerate_sector(k_max: int, n: int, dim_cap: int = 5000) -> SectorBasis:
@@ -120,36 +99,14 @@ def enumerate_sector(k_max: int, n: int, dim_cap: int = 5000) -> SectorBasis:
     return SectorBasis(k_max=k_max, n=n, occupations=rows, index=index)
 
 
-def ladder_matrix_element(state, mode_pos: int, kind: str):
-    """Apply one creation/annihilation operator to an occupation vector.
-
-    `mode_pos` indexes the mode window (0 .. J-1), not the physical k.
-    Returns (new_occupations or None, amplitude); annihilating an empty
-    mode returns (None, 0.0).
-    """
-    occ = np.asarray(state)
-    if kind == "create":
-        amp = math.sqrt(occ[mode_pos] + 1.0)
-        out = occ.copy()
-        out[mode_pos] += 1
-        return out, amp
-    if kind == "annihilate":
-        if occ[mode_pos] == 0:
-            return None, 0.0
-        amp = math.sqrt(occ[mode_pos])
-        out = occ.copy()
-        out[mode_pos] -= 1
-        return out, amp
-    raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-
-
 def kinetic_diagonal(basis: SectorBasis) -> np.ndarray:
     """Diagonal of the free energy sum_k lambda_k * n_k in the sector basis."""
     return basis.occupations @ eigenvalues(basis.k_max)
 
 
-def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> SectorOperator:
-    """Second-quantized three-body attraction on one sector.
+def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> np.ndarray:
+    """Second-quantized three-body attraction on one sector, as a dense
+    real-symmetric matrix in the basis ordering.
 
     Normal-ordered accumulation of
         (1/3!) * sum  V * adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6}
@@ -161,7 +118,7 @@ def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> Se
     n, J = basis.n, basis.J
     dim = basis.dim
     if n < 3:
-        return SectorOperator(n=n, matrix=np.zeros((dim, dim)))
+        return np.zeros((dim, dim))
 
     k_max = basis.k_max
     wtab = kernel_fourier_table(spec, eps, 2 * k_max)  # index by m + 2*k_max
@@ -217,7 +174,7 @@ def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> Se
                             row = index[tuple(t)]
                             H[row, col] += v * amp_a * b1 * b2 * b3 / 6.0
 
-    return SectorOperator(n=n, matrix=H)
+    return H
 
 
 def annihilation_map(basis: SectorBasis, basis_down: SectorBasis, mode_pos: int):
@@ -239,21 +196,60 @@ def annihilation_map(basis: SectorBasis, basis_down: SectorBasis, mode_pos: int)
 
 def apply_annihilation(vec: np.ndarray, basis: SectorBasis, basis_down: SectorBasis,
                        mode_pos: int) -> np.ndarray:
-    """a_{mode} applied to a sector-n coefficient vector."""
+    """a_{mode} applied to a sector-n coefficient vector or column block."""
     rows, cols, amps = annihilation_map(basis, basis_down, mode_pos)
-    out = np.zeros(basis_down.dim, dtype=vec.dtype)
-    np.add.at(out, rows, amps * vec[cols])
+    out = np.zeros((basis_down.dim,) + vec.shape[1:], dtype=vec.dtype)
+    # a partial permutation: every row and column holds at most one entry
+    out[rows] = (amps * vec[cols].T).T
     return out
 
 
 def apply_creation(vec: np.ndarray, basis: SectorBasis, basis_up: SectorBasis,
                    mode_pos: int) -> np.ndarray:
-    """adag_{mode} applied to a sector-n coefficient vector."""
+    """adag_{mode} applied to a sector-n coefficient vector or column block."""
     rows, cols, amps = annihilation_map(basis_up, basis, mode_pos)
-    out = np.zeros(basis_up.dim, dtype=vec.dtype)
+    out = np.zeros((basis_up.dim,) + vec.shape[1:], dtype=vec.dtype)
     # adag is the transpose of the a map one sector up
-    np.add.at(out, cols, amps * vec[rows])
+    out[cols] = (amps * vec[rows].T).T
     return out
+
+
+_BLOCK_ENTRIES = 1 << 18  # entries of the stacked ladder images held at once
+
+
+def ladder_gram(sector_items, words, create: bool = False) -> np.ndarray:
+    """Gram matrix G[a, b] = sum over sectors of <X_a W, X_b W>_F.
+
+    Each word is a tuple of mode positions, all of one length, and X_a is
+    the product of annihilators (creators if `create`) it names, applied
+    rightmost first.  `sector_items` iterates over (basis, probs, vectors)
+    as in `one_body_matrix`; W = vectors * sqrt(probs) is the weighted
+    eigenvector block, or diag(sqrt(probs)) when `vectors` is None.  So
+    G[a, b] = Tr(Gamma X_a^dag X_b) for the block state Gamma.  W is
+    contracted in column blocks, and images shared by words with a common
+    suffix are computed once per block.
+    """
+    step, apply = (1, apply_creation) if create else (-1, apply_annihilation)
+    length = len(words[0])
+    G = np.zeros((len(words), len(words)))
+    for basis, probs, vectors in sector_items:
+        if basis.n + step * length < 0 or not np.any(probs):
+            continue
+        root = np.sqrt(probs)
+        W = np.diag(root) if vectors is None else vectors * root
+        sectors = [basis] + [enumerate_sector(basis.k_max, basis.n + step * d)
+                             for d in range(1, length + 1)]
+        width = max(1, _BLOCK_ENTRIES // (len(words) * sectors[-1].dim))
+        for start in range(0, W.shape[1], width):
+            # images[suffix] = X_suffix W_block, built one letter at a time
+            images = {(): W[:, start:start + width]}
+            for d in range(1, length + 1):
+                for suffix in sorted({word[length - d:] for word in words}):
+                    images[suffix] = apply(images[suffix[1:]], sectors[d - 1], sectors[d],
+                                           suffix[0])
+            S = np.stack([images[word] for word in words]).reshape(len(words), -1)
+            G = G + S.conj() @ S.T
+    return G
 
 
 def one_body_matrix(sector_items) -> np.ndarray:
@@ -264,29 +260,9 @@ def one_body_matrix(sector_items) -> np.ndarray:
     orthonormal columns (None means the occupation basis itself).  The
     result is PSD with trace equal to the mean particle number.
     """
-    G = None
-    for basis, probs, vectors in sector_items:
-        J = basis.J
-        if G is None:
-            G = np.zeros((J, J), dtype=complex)
-        if basis.n == 0 or not np.any(probs):
-            continue
-        down = enumerate_sector(basis.k_max, basis.n - 1)
-        maps = [annihilation_map(basis, down, p) for p in range(J)]
-        if vectors is None:
-            # occupation-diagonal block: G is diagonal with <n_i>
-            G += np.diag(probs @ basis.occupations)
-            continue
-        for w, psi in zip(probs, vectors.T):
-            if w == 0.0:
-                continue
-            lowered = np.zeros((down.dim, J), dtype=complex)
-            for p, (rows, cols, amps) in enumerate(maps):
-                np.add.at(lowered[:, p], rows, amps * psi[cols])
-            # G_{ij} = <a_j psi, a_i psi>  ->  (L^H L) transposed
-            G += w * (lowered.conj().T @ lowered).T
-    if G is None:
+    items = list(sector_items)
+    if not items:
         return np.zeros((0, 0))
-    if np.abs(G.imag).max() < 1e-13 * max(1.0, np.abs(G.real).max()):
-        return np.ascontiguousarray(G.real)
-    return G
+    J = items[0][0].J
+    # G_{ij} = <a_j psi, a_i psi>: the gram of the words (i,), transposed
+    return np.ascontiguousarray(ladder_gram(items, [(p,) for p in range(J)]).T)

@@ -215,8 +215,8 @@ class CutoffProfile:
             out[mid] = np.clip(self._interp(s[mid]), 0.0, 1.0)
         else:  # table
             xs = self._interp.x
+            # beyond the last node the (clipped) end value holds
             out = np.clip(self._interp(np.clip(s, xs[0], xs[-1])), 0.0, 1.0)
-            out[s > xs[-1]] = self._interp(xs[-1])
         return float(out[0]) if scalar else out
 
 

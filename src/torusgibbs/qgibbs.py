@@ -125,7 +125,7 @@ def build_gibbs(
         kin = fock.kinetic_diagonal(basis)
         if interacting and n >= 3:
             W = fock.assemble_interaction(basis, kernel, params.eps)
-            H = np.diag(kin / tau) - W.matrix / tau**3
+            H = np.diag(kin / tau) - W / tau**3
             E, V = _eigendecompose(H, n)
         else:
             E, V = kin / tau, None
@@ -291,28 +291,9 @@ def reduced_density_matrix(blocks: GibbsStateBlocks, k: int, scaled: bool = Fals
 
     J = blocks.params.J
     pairs = [(i, j) for i in range(J) for j in range(i, J)]
-    pair_pos = {p: a for a, p in enumerate(pairs)}
     nu = np.array([math.sqrt(2.0) if i == j else 1.0 for (i, j) in pairs])
-    M = np.zeros((len(pairs), len(pairs)))
-    for b in blocks.blocks:
-        if b.n < 2 or b.weight == 0.0:
-            continue
-        basis = b.basis
-        down1 = fock.enumerate_sector(basis.k_max, basis.n - 1)
-        down2 = fock.enumerate_sector(basis.k_max, basis.n - 2)
-        probs = b.boltzmann / blocks.Z
-        vecs = b.vectors if b.vectors is not None else np.eye(basis.dim)
-        for w, psi in zip(probs, vecs.T):
-            if w == 0.0:
-                continue
-            lowered = {}
-            for p in range(J):
-                lowered[p] = fock.apply_annihilation(psi, basis, down1, p)
-            B = np.zeros((down2.dim, len(pairs)))
-            for (i, j) in pairs:
-                B[:, pair_pos[(i, j)]] = fock.apply_annihilation(lowered[j], down1, down2, i)
-            M += w * (B.T @ B)
-    M = M / np.outer(nu, nu)
+    # M[(i,j),(k,l)] = <a_k a_l psi, a_i a_j psi>, normalized to the pair basis
+    M = fock.ladder_gram(blocks.sector_items(), pairs) / np.outer(nu, nu)
     return (math.factorial(2) / tau**2) * M if scaled else M
 
 

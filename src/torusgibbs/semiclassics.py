@@ -370,38 +370,12 @@ def tail_moment(blocks: GibbsStateBlocks, R: float, tau: float | None = None) ->
 def _creation_gram(blocks: GibbsStateBlocks, order: int):
     """Gram matrix of order-fold creations: for order 1,
     A[i,j] = Tr(Gamma a_i adag_j); for order 2 over unordered pairs,
-    A[(i1,i2),(j1,j2)] = Tr(Gamma a_{i1} a_{i2} adag_{j1} adag_{j2})."""
+    A[(i1,i2),(j1,j2)] = Tr(Gamma a_{i1} a_{i2} adag_{j1} adag_{j2}).
+    Returns A and its index words ((i,) or (i1, i2))."""
     J = blocks.params.J
-    k_max = blocks.params.k_max
-    if order == 1:
-        cols = list(range(J))
-    else:
-        cols = [(i, j) for i in range(J) for j in range(i, J)]
-    A = np.zeros((len(cols), len(cols)), dtype=complex)
-    for b in blocks.blocks:
-        if b.weight == 0.0:
-            continue
-        basis = b.basis
-        up1 = fock.enumerate_sector(k_max, b.n + 1)
-        up2 = fock.enumerate_sector(k_max, b.n + 2) if order == 2 else None
-        probs = b.boltzmann / blocks.Z
-        vecs = b.vectors if b.vectors is not None else np.eye(basis.dim)
-        for w, psi in zip(probs, vecs.T):
-            if w == 0.0:
-                continue
-            psi = psi.astype(complex)
-            raised1 = np.stack(
-                [fock.apply_creation(psi, basis, up1, p) for p in range(J)], axis=1
-            )
-            if order == 1:
-                R = raised1
-            else:
-                R = np.stack(
-                    [fock.apply_creation(raised1[:, j2], up1, up2, j1)
-                     for (j1, j2) in cols], axis=1
-                )
-            A += w * (R.conj().T @ R)
-    return A, cols
+    words = ([(p,) for p in range(J)] if order == 1
+             else [(i, j) for i in range(J) for j in range(i, J)])
+    return fock.ladder_gram(blocks.sector_items(), words, create=True), words
 
 
 def definetti_gap(blocks: GibbsStateBlocks, varsigma: float, k: int):
@@ -417,13 +391,13 @@ def definetti_gap(blocks: GibbsStateBlocks, varsigma: float, k: int):
     A, cols = _creation_gram(blocks, k)
     if k == 1:
         moment = varsigma * A
-        rdm = reduced_density_matrix(blocks, 1).astype(complex)
+        rdm = reduced_density_matrix(blocks, 1)
         D = moment - varsigma * rdm
     else:
         nu = np.array([math.sqrt(2.0) if i == j else 1.0 for (i, j) in cols])
         c = math.sqrt(2.0) / nu
         moment = varsigma**2 * np.outer(c, c) * A
-        rdm = reduced_density_matrix(blocks, 2).astype(complex)
+        rdm = reduced_density_matrix(blocks, 2)
         D = moment - 2.0 * varsigma**2 * rdm
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (D + D.conj().T)))))
 

@@ -20,7 +20,7 @@ class TestEnumeration:
     def test_lookup_roundtrip(self):
         basis = fock.enumerate_sector(2, 4)
         for i in range(basis.dim):
-            assert basis.lookup(basis.occupations[i]) == i
+            assert basis.index[tuple(basis.occupations[i])] == i
 
     def test_deterministic_order(self):
         a = fock.enumerate_sector(1, 3).occupations
@@ -42,37 +42,50 @@ class TestEnumeration:
 
 class TestLadder:
     def test_create_on_vacuum(self):
-        out, amp = fock.ladder_matrix_element(np.array([0]), 0, "create")
-        assert amp == 1.0 and out[0] == 1
+        vacuum, one = fock.enumerate_sector(0, 0), fock.enumerate_sector(0, 1)
+        out = fock.apply_creation(np.array([1.0]), vacuum, one, 0)
+        assert out.shape == (1,) and out[0] == 1.0
 
     def test_annihilate_sqrt3(self):
-        out, amp = fock.ladder_matrix_element(np.array([3]), 0, "annihilate")
-        assert amp == pytest.approx(math.sqrt(3.0), rel=1e-12)
-        assert amp == pytest.approx(1.73205, abs=1e-5)
-        assert out[0] == 2
+        three, two = fock.enumerate_sector(0, 3), fock.enumerate_sector(0, 2)
+        out = fock.apply_annihilation(np.array([1.0]), three, two, 0)
+        assert out[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert out[0] == pytest.approx(1.73205, abs=1e-5)
 
     def test_annihilate_vacuum(self):
-        out, amp = fock.ladder_matrix_element(np.array([0, 0, 0]), 1, "annihilate")
-        assert out is None and amp == 0.0
+        # a_0 on |1, 0, 0>: the k = 0 mode is empty, so the image is zero
+        one, vacuum = fock.enumerate_sector(1, 1), fock.enumerate_sector(1, 0)
+        e = np.zeros(one.dim)
+        e[one.index[(1, 0, 0)]] = 1.0
+        out = fock.apply_annihilation(e, one, vacuum, 1)
+        assert out.shape == (1,) and out[0] == 0.0
+
+    @pytest.mark.parametrize("k_max,n", [(0, 3), (1, 3), (2, 2)])
+    def test_block_matches_columns(self, rng, k_max, n):
+        # a column block goes through exactly as its columns one at a time
+        basis = fock.enumerate_sector(k_max, n)
+        down = fock.enumerate_sector(k_max, n - 1)
+        up = fock.enumerate_sector(k_max, n + 1)
+        block = rng.normal(size=(basis.dim, 4)) + 1j * rng.normal(size=(basis.dim, 4))
+        for p in range(basis.J):
+            for apply, target in ((fock.apply_annihilation, down), (fock.apply_creation, up)):
+                stacked = np.stack([apply(col, basis, target, p) for col in block.T], axis=1)
+                assert np.array_equal(apply(block, basis, target, p), stacked)
+                assert np.array_equal(apply(block.real, basis, target, p), stacked.real)
 
     def test_ccr(self):
         # || [a_i, adag_j] - delta_ij || over an embedded sector pair
         basis = fock.enumerate_sector(1, 2)
         down = fock.enumerate_sector(1, 1)
         up = fock.enumerate_sector(1, 3)
+        eye = np.eye(basis.dim)
         for i in range(3):
             for j in range(3):
-                comm = np.zeros((basis.dim, basis.dim))
-                for col in range(basis.dim):
-                    e = np.zeros(basis.dim)
-                    e[col] = 1.0
-                    first = fock.apply_annihilation(fock.apply_creation(e, basis, up, j),
-                                                    up, basis, i)
-                    second = fock.apply_creation(fock.apply_annihilation(e, basis, down, i),
-                                                 down, basis, j)
-                    comm[:, col] = first - second
-                target = float(i == j) * np.eye(basis.dim)
-                assert np.abs(comm - target).max() <= 1e-10
+                first = fock.apply_annihilation(fock.apply_creation(eye, basis, up, j),
+                                                up, basis, i)
+                second = fock.apply_creation(fock.apply_annihilation(eye, basis, down, i),
+                                             down, basis, j)
+                assert np.abs(first - second - float(i == j) * eye).max() <= 1e-10
 
 
 class TestKinetic:
@@ -87,43 +100,43 @@ class TestKinetic:
     def test_excited_mode(self):
         basis = fock.enumerate_sector(1, 1)
         diag = fock.kinetic_diagonal(basis)
-        assert diag[basis.lookup((0, 0, 1))] == pytest.approx(20.23921, abs=5e-6)
+        assert diag[basis.index[(0, 0, 1)]] == pytest.approx(20.23921, abs=5e-6)
 
 
 class TestInteraction:
     def test_below_three_particles(self):
         for n in (0, 1, 2):
-            op = fock.assemble_interaction(fock.enumerate_sector(1, n), KernelSpec.box(), 0.5)
-            assert np.all(op.matrix == 0.0)
+            W = fock.assemble_interaction(fock.enumerate_sector(1, n), KernelSpec.box(), 0.5)
+            assert np.all(W == 0.0)
 
     def test_single_mode_three_particles(self):
-        op = fock.assemble_interaction(fock.enumerate_sector(0, 3), KernelSpec.box(), 0.5)
-        assert op.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        W = fock.assemble_interaction(fock.enumerate_sector(0, 3), KernelSpec.box(), 0.5)
+        assert W[0, 0] == pytest.approx(1.0, abs=1e-12)
         oracle = three_body_entry_quadrature(fock.enumerate_sector(0, 3), (3,), (3,), 0.5)
-        assert op.matrix[0, 0] == pytest.approx(oracle.real, abs=1e-8)
+        assert W[0, 0] == pytest.approx(oracle.real, abs=1e-8)
 
     def test_every_entry_vs_quadrature_oracle(self):
         basis = fock.enumerate_sector(1, 3)
-        op = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
+        W = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
         for i in range(basis.dim):
             for j in range(basis.dim):
                 oracle = three_body_entry_quadrature(
                     basis, basis.occupations[i], basis.occupations[j], 0.5)
-                assert op.matrix[i, j] == pytest.approx(oracle.real, abs=1e-8)
+                assert W[i, j] == pytest.approx(oracle.real, abs=1e-8)
                 assert abs(oracle.imag) < 1e-10
 
     def test_hermitian_and_psd(self):
         for n in (3, 4, 5):
-            op = fock.assemble_interaction(fock.enumerate_sector(1, n), KernelSpec.box(), 0.4)
-            assert op.hermiticity_defect() <= 1e-10
-            evals = np.linalg.eigvalsh(op.matrix)
-            assert evals.min() >= -1e-8 * max(1.0, np.abs(op.matrix).max())
+            W = fock.assemble_interaction(fock.enumerate_sector(1, n), KernelSpec.box(), 0.4)
+            assert np.abs(W - W.T).max() <= 1e-10 * max(1.0, np.abs(W).max())
+            evals = np.linalg.eigvalsh(W)
+            assert evals.min() >= -1e-8 * max(1.0, np.abs(W).max())
 
     def test_momentum_conservation(self):
         basis = fock.enumerate_sector(1, 4)
-        op = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
+        W = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
         P = np.diag(basis.momenta.astype(float))
-        comm = op.matrix @ P - P @ op.matrix
+        comm = W @ P - P @ W
         assert np.abs(comm).max() <= 1e-10
 
     @pytest.mark.parametrize("k_max,n_top", [(1, 8), (2, 6)])
@@ -132,14 +145,14 @@ class TestInteraction:
         spec = KernelSpec.box()
         eps = 0.5
         for n in range(3, n_top + 1):
-            op = fock.assemble_interaction(fock.enumerate_sector(k_max, n), spec, eps)
-            norm = np.linalg.norm(op.matrix, 2)
+            W = fock.assemble_interaction(fock.enumerate_sector(k_max, n), spec, eps)
+            norm = np.linalg.norm(W, 2)
             assert norm <= n**3 * eps**-2 * spec.sup_norm**2 + 1e-9
 
     def test_operator_norm_bound_kmax2_n8(self):
         spec = KernelSpec.box()
-        op = fock.assemble_interaction(fock.enumerate_sector(2, 8), spec, 0.5)
-        assert np.linalg.norm(op.matrix, 2) <= 8**3 * 0.5**-2 * 1.0 + 1e-9
+        W = fock.assemble_interaction(fock.enumerate_sector(2, 8), spec, 0.5)
+        assert np.linalg.norm(W, 2) <= 8**3 * 0.5**-2 * 1.0 + 1e-9
 
     def test_quadratic_form_matches_hartree_energy(self, rng):
         # <u^3, W u^3>/3! against the classical smoothed energy, 50 fields
@@ -147,11 +160,11 @@ class TestInteraction:
         from torusgibbs.semiclassics import _tensor_power_coeffs
 
         basis = fock.enumerate_sector(1, 3)
-        op = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
+        W = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
         for _ in range(50):
             alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
             c = _tensor_power_coeffs(basis, alpha)
-            quad_form = float(np.real(np.conj(c) @ op.matrix @ c)) / 6.0
+            quad_form = float(np.real(np.conj(c) @ W @ c)) / 6.0
             classical = float(hartree_energy_batch(alpha[None, :], 0.5)[0])
             assert quad_form == pytest.approx(classical, abs=1e-8 * max(1.0, classical))
 

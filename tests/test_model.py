@@ -129,6 +129,14 @@ class TestCutoff:
         one = CutoffProfile.one()
         assert one(123.0) == 1.0 and one.support_bound is None
 
+    def test_table_zero_beyond_last_node(self):
+        # past a last node of value 0 the table is exactly 0, as support_bound says
+        table = CutoffProfile.from_table(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
+                                         np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        assert table.support_bound == pytest.approx(0.2)
+        assert table(0.3) == 0.0
+        assert np.all(table(np.array([0.2, 0.2001, 0.3, 5.0])) == 0.0)
+
 
 class TestKernel:
     def test_normalization_mode(self):

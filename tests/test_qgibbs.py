@@ -56,6 +56,15 @@ class TestBuild:
         z2 = qgibbs.build_gibbs(p2, True, cut).Z
         assert z1 == z2
 
+    def test_table_cutoff_blocks_nonnegative(self):
+        # a table ending in 0 charges no sector past its last node
+        p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.45, k_max=0, n_max=3)
+        table = CutoffProfile.from_table(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
+                                         np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        b = qgibbs.build_gibbs(p, False, table)
+        assert b.blocks[3].cutoff_value == 0.0
+        assert all(np.all(blk.boltzmann >= 0.0) for blk in b.blocks)
+
 
 class TestRelativePartition:
     def test_free_no_cutoff_is_one(self):
@@ -253,7 +262,7 @@ class TestRelativeEntropy:
         for blk in bi.blocks:
             if blk.weight == 0.0 or blk.n < 3:
                 continue
-            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps).matrix
+            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
             pr = blk.boltzmann / bi.Z
             V = blk.vectors
             quad = np.einsum("ji,jk,ki->i", V, W, V)

@@ -272,6 +272,30 @@ class TestDeFinetti:
             assert emp[j] == pytest.approx(
                 pred[j], abs=GATE_Z * np.std(col) / math.sqrt(len(col)))
 
+    @pytest.mark.parametrize("tau,k_max", [(10.0, 1), (12.0, 2)])
+    def test_creation_gram_ccr_oracle(self, tau, k_max):
+        # the CCR expand the anti-normal grams into deltas and the 1- and 2-RDMs:
+        # a_i adag_j = delta_ij + adag_j a_i, and at order 2
+        # a_i1 a_i2 adag_j1 adag_j2 = two delta-delta terms + four delta * adag a
+        # terms + adag_j1 adag_j2 a_i1 a_i2
+        b = interacting_state(tau=tau, k_max=k_max)
+        J = 2 * k_max + 1
+        G1 = qgibbs.reduced_density_matrix(b, 1)  # G1[i, j] = Tr(Gamma adag_j a_i)
+        A1, _ = sc._creation_gram(b, 1)
+        assert np.abs(A1 - (np.eye(J) + G1)).max() <= 1e-12 * max(1.0, np.abs(A1).max())
+
+        A2, pairs = sc._creation_gram(b, 2)
+        nu = np.array([math.sqrt(2.0) if i == j else 1.0 for (i, j) in pairs])
+        G2 = qgibbs.reduced_density_matrix(b, 2) * np.outer(nu, nu)
+        d = np.eye(J)
+        oracle = G2.copy()
+        for a, (i1, i2) in enumerate(pairs):
+            for c, (j1, j2) in enumerate(pairs):
+                oracle[a, c] += (d[i1, j1] * d[i2, j2] + d[i1, j2] * d[i2, j1]
+                                 + d[i2, j1] * G1[i1, j2] + d[i1, j1] * G1[i2, j2]
+                                 + d[i2, j2] * G1[i1, j1] + d[i1, j2] * G1[i2, j1])
+        assert np.abs(A2 - oracle).max() <= 1e-12 * max(1.0, np.abs(A2).max())
+
     def test_sweep_random_states(self, rng):
         # mixed random block states: bound holds with nonnegative slack
         for trial in range(50):
