@@ -13,13 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import (
-    DegenerateInputError,
-    InvalidConfigError,
-    QuadratureFailureError,
-)
+from .errors import DegenerateInputError, InvalidConfigError
 from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues, mode_numbers
 
 __all__ = [
@@ -114,6 +109,7 @@ def hartree_energy_batch(coeffs: np.ndarray, eps: float,
 # ------------------------------------------------------------------
 
 _SHARD = 1 << 16
+_GROUPS = 16  # row groups per shard, the jackknife's deletion units
 
 
 def _shard_sizes(n_samples: int) -> list[int]:
@@ -175,27 +171,34 @@ def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
     return w
 
 
+def _group_sums(x: np.ndarray) -> np.ndarray:
+    """Sums of x over _GROUPS contiguous row groups (fewer for a short shard)."""
+    g = min(_GROUPS, len(x))
+    return np.add.reduceat(x, np.arange(g) * len(x) // g, axis=0)
+
+
 def _mc_ratio(seed: int, n_samples: int, draw, threads: int):
-    """The estimator core: derived-seed shards -> per-shard sums -> delta method.
+    """The estimator core: derived-seed shards -> row-group sums -> delta method.
 
     draw(size, rng) returns (a, b) for `size` free-field rows: a is the
     per-row numerator, shape (size,) or (size, J, J); b is the per-row
     denominator, shape (size,), or None for b = 1.  Returns the ratio of
     means E[a] / E[b], its delta-method standard error (entrywise for array
-    a), and the per-shard sums of a and of b for callers that jackknife.
-    Every second moment is the same elementwise product summed the same way,
-    so a == b gives a standard error of exactly 0.
+    a), and the sums of a and of b over each row group of each shard, in
+    shard order, for callers that jackknife.  Every sum is the same
+    elementwise product summed the same way, so a == b gives a ratio of
+    exactly 1 and a standard error of exactly 0.
     """
     def shard(size, rng):
         a, b = draw(size, rng)
-        sa, saa = a.sum(axis=0), np.sum(np.abs(a) ** 2, axis=0)
         if b is None:
-            return sa, saa, float(size), float(size), sa
+            b = np.ones(size)
         b_rows = b.reshape(b.shape + (1,) * (a.ndim - 1))
-        return sa, saa, float(np.sum(b)), float(np.sum(b * b)), np.sum(a * b_rows, axis=0)
+        return tuple(_group_sums(x) for x in (a, np.abs(a) ** 2, b, b * b, a * b_rows))
 
     parts = _map_shards(seed, n_samples, shard, threads)
-    sa, saa, sb, sbb, sab = (sum(p[i] for p in parts) for i in range(5))
+    ga, gaa, gb, gbb, gab = (np.concatenate([p[i] for p in parts]) for i in range(5))
+    sa, saa, sb, sbb, sab = (g.sum(axis=0) for g in (ga, gaa, gb, gbb, gab))
     n = n_samples
     ma, mb = sa / n, sb / n
     r = ma / mb
@@ -205,7 +208,7 @@ def _mc_ratio(seed: int, n_samples: int, draw, threads: int):
     var_r = np.maximum(
         var_a - 2.0 * (np.conj(r) * cov_ab).real + np.abs(r) ** 2 * var_b, 0.0
     )
-    return r, np.sqrt(var_r / n) / mb, [p[0] for p in parts], [p[2] for p in parts]
+    return r, np.sqrt(var_r / n) / mb, ga, gb
 
 
 def _mc_estimate(seed: int, n_samples: int, draw, threads: int) -> MCEstimate:
@@ -261,10 +264,11 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
     """First moment matrix M[i,j] = E_mu[ alpha_i * conj(alpha_j) ] of the
     reweighted measure.
 
-    Returns (M, M_stderr, shard_nums, shard_dens).  M is the ratio of the
+    Returns (M, M_stderr, group_nums, group_dens).  M is the ratio of the
     weighted outer-product mean to the weight mean; M_stderr holds the
-    entrywise delta-method error of that ratio.  The per-shard sums are
-    kept so callers can jackknife nonlinear functionals (trace norms) of M.
+    entrywise delta-method error of that ratio.  The numerator and weight
+    sums over each row group are kept so callers can jackknife nonlinear
+    functionals (trace norms) of M.
     Only k = 1 is supported.
     """
     if k != 1:
@@ -277,71 +281,37 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
         outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
         return w[:, None, None] * outer, w
 
-    M, M_err, shard_num, shard_den = _mc_ratio(seed, n_samples, draw, threads)
-    return M, M_err, np.array(shard_num), np.array(shard_den)
+    return _mc_ratio(seed, n_samples, draw, threads)
 
 
 # ------------------------------------------------------------------
-# mass density by characteristic-function inversion
+# exact mass law of the free measure
 # ------------------------------------------------------------------
 
-def mass_charfn(k_max: int, t: np.ndarray) -> np.ndarray:
-    """Characteristic function of ||u||^2 under the free measure:
-    prod over modes of lambda_k/(lambda_k - i t)."""
-    lam = eigenvalues(k_max)
-    t = np.asarray(t, dtype=float)
-    return np.prod(lam / (lam - 1j * t[..., None]), axis=-1)
+def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
+    """Density of the field mass on the mode window under the free measure.
 
-
-def mass_density_charfn(k_max: int, x_grid: np.ndarray,
-                        check_tol: float = 1e-4) -> np.ndarray:
-    """Density of the field mass on the mode window, by Fourier inversion.
-
-    The integrand decays like |t|^{-J}; the t-integral is truncated where
-    the product's modulus falls below 1e-12 and evaluated with oscillatory
-    Clenshaw-Curtis panels.  A single retained mode is the edge case where
-    the product is not absolutely integrable; that marginal is a plain
-    exponential law and is evaluated in closed form instead.
-
-    Raises QuadratureFailureError when the result integrates away from 1
-    by more than check_tol on a grid wide enough to judge.
+    The mass is a sum of independent exponentials, rate lambda_0 once and
+    each lambda_k (k >= 1) twice, so its characteristic function
+    prod_j (r_j/(r_j - i t))^{m_j} splits into partial fractions and the
+    density is sum_j e^{-r_j x} (a_j + b_j x) on x >= 0.  With
+    c_j = r_j^{m_j} prod_{i != j} (r_i/(r_i - r_j))^{m_i}: a_0 = c_0, b_0 = 0
+    at the simple pole, and b_j = c_j, a_j = -c_j sum_{i != j} m_i/(r_i - r_j)
+    at the double ones.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    lam = eigenvalues(k_max)
-    J = len(lam)
-    if J == 1:
-        return lam[0] * np.exp(-lam[0] * np.clip(x_grid, 0.0, None)) * (x_grid >= 0)
-
-    # |phi(t)| ~ prod(lam)/|t|^J for large |t|
-    T = float((np.prod(lam) / 1e-12) ** (1.0 / J))
-    # oscillatory panels: one huge interval makes the QAWO rule fail silently,
-    # so split on a fixed geometric ladder
-    edges = [e for e in (0.0, 50.0, 500.0, 5000.0) if e < T] + [T]
-    dens = np.empty_like(x_grid)
-    for i, x in enumerate(x_grid):
-        total = err = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            re = integrate.quad(lambda t: mass_charfn(k_max, np.array([t]))[0].real,
-                                a, b, weight="cos", wvar=x, limit=1000, epsabs=1e-11)
-            im = integrate.quad(lambda t: mass_charfn(k_max, np.array([t]))[0].imag,
-                                a, b, weight="sin", wvar=x, limit=1000, epsabs=1e-11)
-            total += re[0] + im[0]
-            err += re[1] + im[1]
-        if err > 1e-7:
-            raise QuadratureFailureError(
-                f"density inversion error estimate {err:.2e} at x={x}"
-            )
-        dens[i] = total / np.pi
-    dens = np.clip(dens, 0.0, None)
-
-    span = x_grid.max() - x_grid.min()
-    if len(x_grid) >= 32 and x_grid.min() <= 1e-9 and span >= 12.0 / lam.min():
-        total = integrate.simpson(dens, x=x_grid)
-        if abs(total - 1.0) > check_tol:
-            raise QuadratureFailureError(
-                f"inverted mass density integrates to {total!r}, expected 1"
-            )
-    return dens
+    x = np.asarray(x_grid, dtype=float)
+    r = eigenvalues(k_max)[k_max:]  # lambda_0, lambda_1, ..., lambda_{k_max}
+    m = np.full(len(r), 2.0)
+    m[0] = 1.0
+    off = ~np.eye(len(r), dtype=bool)
+    d = r[None, :] - r[:, None] + ~off  # d[j, i] = r_i - r_j, 1 on the diagonal
+    c = r**m * np.prod(np.where(off, r / d, 1.0) ** m, axis=1)
+    a = c * np.where(m == 2.0, -np.sum(off * m / d, axis=1), 1.0)
+    b = np.where(m == 2.0, c, 0.0)
+    xc = np.clip(x, 0.0, None)[..., None]
+    dens = np.sum(np.exp(-r * xc) * (a + b * xc), axis=-1) * (x >= 0)
+    # the partial fractions cancel to rounding near x = 0
+    return np.clip(dens, 0.0, None)
 
 
 # ------------------------------------------------------------------

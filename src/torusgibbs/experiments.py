@@ -67,6 +67,10 @@ class ExperimentConfig:
         for name in ("tau_values", "eps_values", "eta_values", "k_max_values"):
             if not getattr(self, name):
                 raise InvalidConfigError(f"{name} must be a nonempty list")
+        if self.k_max < 0:
+            raise InvalidConfigError("k_max must be >= 0")
+        if min(self.tau_values) <= 0:
+            raise InvalidConfigError("tau_values must be positive")
         if self.n_samples < 2:
             raise InvalidConfigError("n_samples must be >= 2")
         if self.seed < 0:
@@ -196,23 +200,16 @@ def exp_density_convergence(cfg: ExperimentConfig) -> list:
         cutoff = CutoffProfile.smooth(cfg.K, eta)
         blocks = qgibbs.build_gibbs(params, True, cutoff)
         Q1 = qgibbs.reduced_density_matrix(blocks, 1, scaled=True)
-        M, M_err, shard_num, shard_den = cgibbs.classical_moment_matrix(
+        M, M_err, group_num, group_den = cgibbs.classical_moment_matrix(
             params, "hartree", cutoff, 1, cfg.n_samples, cfg.seed,
             threads=cfg.threads)
         dist = _trace_norm(Q1 - M)
-        # jackknife over shards for the stderr of the nonlinear trace norm
-        S = len(shard_den)
-        if S > 1:
-            tots = shard_num.sum(axis=0)
-            totd = shard_den.sum()
-            loo = [
-                _trace_norm(Q1 - (tots - shard_num[i]) / (totd - shard_den[i]))
-                for i in range(S)
-            ]
-            loo = np.asarray(loo)
-            dist_err = math.sqrt((S - 1) / S * float(np.sum((loo - loo.mean()) ** 2)))
-        else:
-            dist_err = float("nan")
+        # delete-one-group jackknife for the stderr of the nonlinear trace norm
+        G = len(group_den)
+        tots, totd = group_num.sum(axis=0), group_den.sum()
+        loo = np.array([_trace_norm(Q1 - (tots - group_num[i]) / (totd - group_den[i]))
+                        for i in range(G)])
+        dist_err = math.sqrt((G - 1) / G * float(np.sum((loo - loo.mean()) ** 2)))
         herm_q = float(np.abs(Q1 - Q1.conj().T).max())
         min_eig_q = float(np.linalg.eigvalsh(0.5 * (Q1 + Q1.conj().T)).min())
         herm_c = float(np.abs(M - M.conj().T).max())
@@ -285,15 +282,15 @@ def exp_free_state_rate(cfg: ExperimentConfig) -> list:
     """Quantum mass-cutoff expectation of the free state against its exact
     classical counterpart, per tau.  Both sides are deterministic: the
     quantum side sums geometric sector weights, the classical side
-    integrates the cutoff against the inverted mass density."""
+    integrates the cutoff against the exact mass density."""
     from scipy import integrate as _int
 
     eta = cfg.rate_eta
     K = cfg.rate_K
     cutoff = CutoffProfile.smooth(K, eta)
-    # the mass law does not depend on tau: invert once, reuse across the sweep
+    # the mass law does not depend on tau: evaluate once, reuse across the sweep
     grid = np.linspace(0.0, K**2, 1025)
-    dens = cgibbs.mass_density_charfn(cfg.k_max, grid, check_tol=1.0)
+    dens = cgibbs.mass_density_charfn(cfg.k_max, grid)
     cside = float(_int.simpson(dens * cutoff(grid), x=grid))
     rows = []
     for tau in cfg.tau_values:

@@ -9,11 +9,7 @@ from scipy import integrate
 
 from conftest import GATE_R, GATE_Z, box_periodized
 from torusgibbs import cgibbs
-from torusgibbs.errors import (
-    DegenerateInputError,
-    InvalidConfigError,
-    QuadratureFailureError,
-)
+from torusgibbs.errors import DegenerateInputError, InvalidConfigError
 from torusgibbs.model import (
     CutoffProfile,
     KernelSpec,
@@ -120,7 +116,7 @@ class TestClassicalPartition:
         est = cgibbs.classical_partition(params(), "none", CutoffProfile.sharp(0.6),
                                          400000, 17)
         grid = np.linspace(0.0, 0.36, 1025)
-        dens = cgibbs.mass_density_charfn(1, grid, check_tol=1.0)
+        dens = cgibbs.mass_density_charfn(1, grid)
         cdf = integrate.simpson(dens, x=grid)
         assert est.value == pytest.approx(cdf, abs=GATE_Z * est.stderr)
 
@@ -211,23 +207,45 @@ class TestMassDensity:
         assert np.abs(dens - 0.5 * np.exp(-0.5 * xs)).max() <= 1e-8
         assert dens[0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_three_modes_closed_form(self):
+        # Exp(lambda_0) * Gamma(2, lambda_1), convolved by hand:
+        # int_0^x y e^{-d y} dy = (1 - e^{-dx}(1 + dx)) / d^2
+        l1, l0, _ = eigenvalues(1)
+        d = l1 - l0
+        xs = np.linspace(0.0, 6.0, 97)
+        exact = l0 * l1**2 * np.exp(-l0 * xs) * (-np.expm1(-d * xs)
+                                                 - d * xs * np.exp(-d * xs)) / d**2
+        assert np.abs(cgibbs.mass_density_charfn(1, xs) - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.3, 3.0])
+    @pytest.mark.parametrize("k_max", range(5))
+    def test_laplace_transform(self, k_max, s):
+        # E[e^{-s mass}] is the product of the per-mode exponential laws;
+        # quadrature reaches it without the partial fractions
+        lam = eigenvalues(k_max)
+        val, _ = integrate.quad(
+            lambda x: math.exp(-s * x) * cgibbs.mass_density_charfn(k_max, np.array([x]))[0],
+            0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert val == pytest.approx(float(np.prod(lam / (lam + s))), abs=1e-10)
+
+    @pytest.mark.parametrize("k_max", range(5))
+    def test_mean_is_trace_h_inverse(self, k_max):
+        val, _ = integrate.quad(
+            lambda x: x * cgibbs.mass_density_charfn(k_max, np.array([x]))[0],
+            0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert val == pytest.approx(trace_h_inverse(k_max), abs=1e-10)
+
     def test_three_modes_vanishes_at_zero(self):
-        val = cgibbs.mass_density_charfn(1, np.array([0.0]), check_tol=1.0)[0]
+        val = cgibbs.mass_density_charfn(1, np.array([0.0]))[0]
         assert val == pytest.approx(0.0, abs=1e-8)
 
     def test_integrates_to_one(self):
         x1 = np.linspace(0.0, 2.0, 257)
         x2 = np.linspace(2.0, 40.0, 257)
-        d1 = cgibbs.mass_density_charfn(1, x1, check_tol=1.0)
-        d2 = cgibbs.mass_density_charfn(1, x2, check_tol=1.0)
+        d1 = cgibbs.mass_density_charfn(1, x1)
+        d2 = cgibbs.mass_density_charfn(1, x2)
         total = integrate.simpson(d1, x=x1) + integrate.simpson(d2, x=x2)
         assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_quadrature_failure_on_coarse_grid(self):
-        # a wide grid too coarse for the sharp peak must be rejected
-        xs = np.linspace(0.0, 40.0, 33)
-        with pytest.raises(QuadratureFailureError):
-            cgibbs.mass_density_charfn(1, xs, check_tol=1e-4)
 
     def test_histogram_agreement(self, rng):
         coeffs = cgibbs.sample_free_fields(1, 100000, rng)
@@ -237,7 +255,7 @@ class TestMassDensity:
         counts, _ = np.histogram(mass, bins=edges)
         n = len(mass)
         grid = np.linspace(0.0, 6.0, n_bins * per_bin + 1)
-        dens = cgibbs.mass_density_charfn(1, grid, check_tol=1.0)
+        dens = cgibbs.mass_density_charfn(1, grid)
         for b in range(n_bins):
             lo = b * per_bin
             p = integrate.simpson(dens[lo:lo + per_bin + 1], x=grid[lo:lo + per_bin + 1])

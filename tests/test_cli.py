@@ -1,6 +1,8 @@
 """Run-file parsing and the command-line front end."""
 
+import csv
 import dataclasses
+import math
 import os
 
 import pytest
@@ -53,7 +55,10 @@ class TestCli:
         (["tail", "--threads", "0"], None),
         (["threshold", "--seed", "-1"], None),
         (["blowup"], "bogus = 1\n"),
-    ], ids=["threads-0", "seed-negative", "unknown-key"])
+        (["freerate"], "k_max = -1\n"),
+        (["freerate"], "tau_values = -5\n"),
+    ], ids=["threads-0", "seed-negative", "unknown-key", "k_max-negative",
+            "tau-nonpositive"])
     def test_invalid_input_exits_1(self, argv, config, tmp_path, capsys):
         if config is not None:
             argv = argv + ["--config", write_config(tmp_path, config)]
@@ -82,3 +87,26 @@ class TestCli:
             with open(os.path.join(out, "blowup.csv"), "rb") as fh:
                 csvs.append(fh.read())
         assert csvs[0] == csvs[1]
+
+    def test_freerate_repeats_and_error_falls_like_one_over_tau(self, tmp_path):
+        csvs = []
+        for run in ("a", "b"):
+            out = os.path.join(tmp_path, run)
+            assert cli_main(["freerate", "--out", out]) == 0
+            with open(os.path.join(out, "freerate.csv"), "rb") as fh:
+                csvs.append(fh.read())
+        assert csvs[0] == csvs[1]
+        rows = list(csv.DictReader(csvs[0].decode().splitlines()))
+        err = {float(r["tau"]): float(r["error"]) for r in rows}
+        assert sorted(err) == [20.0, 40.0, 80.0]
+        assert 3.0 <= err[20.0] / err[80.0] <= 5.0
+
+    def test_density_stderr_finite_on_one_shard(self, tmp_path):
+        # 3000 samples fill a single MC shard; the jackknife runs over its row groups
+        cfg = write_config(tmp_path, "tau_values = 20\nn_samples = 3000\n")
+        out = os.path.join(tmp_path, "out")
+        assert cli_main(["density", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "density.csv"), encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        stderr = float(row["trace_dist_stderr"])
+        assert math.isfinite(stderr) and stderr > 0.0
