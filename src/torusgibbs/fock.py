@@ -1,19 +1,21 @@
 """Occupation-number bases and second-quantized operators on truncated sectors.
 
 A sector is the n-particle symmetric subspace over the 2*k_max+1 retained
-plane-wave modes.  States are occupation vectors (n_{-k_max}, ..., n_{k_max});
-operators are dense real-symmetric matrices in the sector basis ordering.
+plane-wave modes.  States are occupation vectors (n_{-k_max}, ..., n_{k_max})
+in lexicographic order, and `SectorBasis.rank` finds the row of any of them
+by counting, with no lookup table.  Operators are dense real-symmetric
+matrices in that row order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .model import KernelSpec, eigenvalues, kernel_fourier_table, mode_numbers
 
 __all__ = [
@@ -33,18 +35,35 @@ def sector_dimension(k_max: int, n: int) -> int:
     return math.comb(n + J - 1, J - 1)
 
 
+def _lex_rank(n: int, J: int, shape: tuple, tail) -> np.ndarray:
+    """Rows, in the lexicographic basis of sector n over J modes, of the
+    occupation vectors x whose tail sums x_i + ... + x_{J-1} are tail(i).
+
+    A vector y comes after x exactly when, at the first position i - 1 where
+    the two differ, y is larger, so that its tail from position i holds
+    fewer than R_i = tail(i) particles.  There are C(R_i + k - 1, k) such
+    tails over the last k = J - i modes, and the row of x is dim - 1 minus
+    their sum over i = 1..J-1 (the combinatorial number system).
+    """
+    rank = np.full(shape, math.comb(n + J - 1, J - 1) - 1, dtype=np.int64)
+    for i in range(1, J):
+        k = J - i
+        fewer = np.array([math.comb(R + k - 1, k) for R in range(n + 1)], dtype=np.int64)
+        rank -= fewer[tail(i)]
+    return rank
+
+
 @dataclass(frozen=True)
 class SectorBasis:
     """Deterministically ordered occupation basis of one particle sector.
 
-    occupations : (dim, J) int array, rows in lexicographic order.
-    index       : occupation tuple -> row position.
+    occupations : (dim, J) int array, rows in lexicographic order; `rank`
+                  maps occupation vectors back to their rows.
     """
 
     k_max: int
     n: int
     occupations: np.ndarray
-    index: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -55,48 +74,34 @@ class SectorBasis:
         return 2 * self.k_max + 1
 
     @property
-    def modes(self) -> np.ndarray:
-        return mode_numbers(self.k_max)
-
-    @property
     def momenta(self) -> np.ndarray:
         """Total momentum sum_k k*n_k of every basis state."""
-        return self.occupations @ self.modes
+        return self.occupations @ mode_numbers(self.k_max)
+
+    def rank(self, occupations) -> np.ndarray:
+        """Row of each occupation vector of this sector (last axis over the
+        J modes, total n), vectorized over the leading axes."""
+        occ = np.asarray(occupations)
+        tails = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
+        return _lex_rank(self.n, self.J, occ.shape[:-1], lambda i: tails[..., i])
 
 
 @lru_cache(maxsize=None)
-def enumerate_sector(k_max: int, n: int, dim_cap: int = 5000) -> SectorBasis:
+def enumerate_sector(k_max: int, n: int) -> SectorBasis:
     """All occupation vectors with total n over modes |k| <= k_max.
 
-    Raises ResourceLimitError when the stars-and-bars count exceeds dim_cap.
+    The dimension budget is the caller's: `build_gibbs` checks
+    `ModelParams.sector_dim_cap` before it enumerates anything.
     """
     if n < 0:
         raise ValueError(f"sector index must be >= 0, got {n}")
     J = 2 * k_max + 1
-    dim = sector_dimension(k_max, n)
-    if dim > dim_cap:
-        raise ResourceLimitError(
-            f"sector (k_max={k_max}, n={n}) has dimension {dim} > cap {dim_cap}"
-        )
-    rows = np.empty((dim, J), dtype=np.int64)
-    row = 0
-
-    def rec(prefix, remaining, slots):
-        nonlocal row
-        if slots == 1:
-            rows[row, : len(prefix)] = prefix
-            rows[row, -1] = remaining
-            row += 1
-            return
-        for m in range(remaining + 1):
-            rec(prefix + [m], remaining - m, slots - 1)
-
-    if J == 1:
-        rows[0, 0] = n
-    else:
-        rec([], n, J)
-    index = {tuple(int(v) for v in r): i for i, r in enumerate(rows)}
-    return SectorBasis(k_max=k_max, n=n, occupations=rows, index=index)
+    # stars and bars: the J - 1 bar positions among n + J - 1 slots, in
+    # lexicographic order, are the occupation vectors in lexicographic order
+    bars = np.array(list(itertools.combinations(range(n + J - 1), J - 1)), dtype=np.int64)
+    occupations = np.diff(bars.reshape(len(bars), J - 1), axis=1, prepend=-1,
+                          append=n + J - 1) - 1
+    return SectorBasis(k_max=k_max, n=n, occupations=occupations)
 
 
 def kinetic_diagonal(basis: SectorBasis) -> np.ndarray:
@@ -108,73 +113,50 @@ def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> np
     """Second-quantized three-body attraction on one sector, as a dense
     real-symmetric matrix in the basis ordering.
 
-    Normal-ordered accumulation of
-        (1/3!) * sum  V * adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6}
-    over ordered mode sextuples with k1+k2+k3 = k4+k5+k6 and momentum-space
+    W = (1/3!) sum V adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6} over
+    ordered mode sextuples with k1+k2+k3 = k4+k5+k6 and momentum-space
     vertex V = w_hat(eps*(k5-k2)) * w_hat(eps*(k6-k3)).  The vertex formula
     is locked to a position-space quadrature oracle in the test suite; do
     not retune factors against anything else.
+
+    Grouped by 3-mode multisets m (the rows of the n = 3 basis), W is
+    sum C[m, m'] A_m^dag A_m' with A_m = prod_{k in m} a_k and
+    C = S^T V S / 3!, S the ordered-triple-to-multiset map.  For each state
+    r of sector n - 3, W[r+m, r+m'] += C[m, m'] amp(r, m) amp(r, m') with
+    amp(r, m) = prod_k sqrt((r_k + 1) ... (r_k + m_k)); one bincount sums
+    these over r and the nonzero C[m, m'] in a fixed order.
     """
-    n, J = basis.n, basis.J
-    dim = basis.dim
+    n, J, dim, k_max = basis.n, basis.J, basis.dim, basis.k_max
     if n < 3:
         return np.zeros((dim, dim))
-
-    k_max = basis.k_max
+    triples = enumerate_sector(k_max, 3)
     wtab = kernel_fourier_table(spec, eps, 2 * k_max)  # index by m + 2*k_max
-    off = 2 * k_max
-    H = np.zeros((dim, dim))
-    occs = basis.occupations
-    index = basis.index
-
-    for col in range(dim):
-        base = occs[col]
-        # ordered annihilation triples (positions p4, p5, p6)
-        for p6 in range(J):
-            n6 = base[p6]
-            if n6 == 0:
-                continue
-            a6 = math.sqrt(n6)
-            s6 = base.copy()
-            s6[p6] -= 1
-            for p5 in range(J):
-                n5 = s6[p5]
-                if n5 == 0:
-                    continue
-                a5 = a6 * math.sqrt(n5)
-                s5 = s6.copy()
-                s5[p5] -= 1
-                for p4 in range(J):
-                    n4 = s5[p4]
-                    if n4 == 0:
-                        continue
-                    amp_a = a5 * math.sqrt(n4)
-                    s4 = s5.copy()
-                    s4[p4] -= 1
-                    ksum = (p4 + p5 + p6) - 3 * k_max  # total annihilated momentum
-                    # ordered creation triples with momentum conservation
-                    for p1 in range(J):
-                        k1 = p1 - k_max
-                        for p2 in range(J):
-                            k2 = p2 - k_max
-                            k3 = ksum - k1 - k2
-                            if k3 < -k_max or k3 > k_max:
-                                continue
-                            v = wtab[(p5 - p2) + off] * wtab[(p6 - k3 - k_max) + off]
-                            if v == 0.0:
-                                continue
-                            p3 = k3 + k_max
-                            t = s4.copy()
-                            t[p3] += 1
-                            b3 = math.sqrt(t[p3])
-                            t[p2] += 1
-                            b2 = math.sqrt(t[p2])
-                            t[p1] += 1
-                            b1 = math.sqrt(t[p1])
-                            row = index[tuple(t)]
-                            H[row, col] += v * amp_a * b1 * b2 * b3 / 6.0
-
-    return H
+    pos = np.indices((J, J, J)).reshape(3, -1)  # ordered triples of mode positions
+    V = (wtab[pos[1][None, :] - pos[1][:, None] + 2 * k_max]
+         * wtab[pos[2][None, :] - pos[2][:, None] + 2 * k_max])
+    total = pos.sum(axis=0)
+    V[total[:, None] != total[None, :]] = 0.0  # momentum conservation
+    triple_occ = np.eye(J, dtype=np.int64)[pos].sum(axis=0)  # occupations of each triple
+    S = np.eye(triples.dim)[triples.rank(triple_occ)]  # ordered triple -> multiset
+    C = S.T @ V @ S / 6.0
+    C = 0.5 * (C + C.T)  # exactly symmetric, whatever the BLAS summation order
+    m, mp = np.nonzero(C)
+    lower = enumerate_sector(k_max, n - 3).occupations  # states r
+    multi = triples.occupations
+    # rising[x, c] = (x + 1) ... (x + c): the squared amplitude of c raisings
+    rising = np.cumprod(np.arange(n + 1.0)[:, None] + np.arange(1, 4), axis=1)
+    rising = np.hstack([np.ones((n + 1, 1)), rising])
+    amp_sq = np.ones((len(lower), len(multi)))
+    for k in range(J):
+        amp_sq *= rising[lower[:, k, None], multi[None, :, k]]
+    amp = np.sqrt(amp_sq)
+    # rows of r + m, from the tail sums of r and m without forming r + m
+    r_tails = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1]
+    m_tails = np.cumsum(multi[:, ::-1], axis=1)[:, ::-1]
+    up = _lex_rank(n, J, amp.shape, lambda i: r_tails[:, i, None] + m_tails[None, :, i])
+    flat = (up[:, m] * dim + up[:, mp]).ravel()
+    vals = (amp[:, m] * amp[:, mp] * C[m, mp]).ravel()
+    return np.bincount(flat, vals, minlength=dim * dim).reshape(dim, dim)
 
 
 def annihilation_map(basis: SectorBasis, basis_down: SectorBasis, mode_pos: int):
@@ -188,10 +170,7 @@ def annihilation_map(basis: SectorBasis, basis_down: SectorBasis, mode_pos: int)
     amps = np.sqrt(occs[cols, mode_pos].astype(float))
     lowered = occs[cols].copy()
     lowered[:, mode_pos] -= 1
-    rows = np.fromiter(
-        (basis_down.index[tuple(r)] for r in lowered), dtype=np.int64, count=len(cols)
-    )
-    return rows, cols, amps
+    return basis_down.rank(lowered), cols, amps
 
 
 def apply_annihilation(vec: np.ndarray, basis: SectorBasis, basis_down: SectorBasis,

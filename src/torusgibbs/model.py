@@ -70,8 +70,9 @@ class ModelParams:
     n_max  : largest particle sector retained.  With a cutoff supported in
              [0, K^2] the truncation at floor(K^2*tau) is exact, so n_max
              must be at least that.
-    sector_dim_cap : dense-eigensolver budget; sector dimensions beyond this
-             raise ResourceLimitError at assembly time.
+    sector_dim_cap : dense-sector budget; `build_gibbs` raises
+             ResourceLimitError, before it builds anything, when sector
+             n_max has a larger dimension.
     """
 
     tau: float

@@ -3,7 +3,9 @@
 A state is block-diagonal over particle sectors because the Hamiltonian
 commutes with the number operator.  Each block is stored through its
 eigendecomposition; Gibbs weights are exp(-E) * cutoff(n/tau) with E the
-spectrum of H_tau = H_0/tau - W/tau^3 restricted to the sector.
+spectrum of H_tau = H_0/tau - W/tau^3 restricted to the sector.  H_tau also
+conserves total momentum, so each sector is diagonalized one momentum block
+at a time; the eigenvectors are still stored as sector-sized columns.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from scipy.signal import lfilter
 from . import fock
 from .errors import (
     NumericalFailureError,
+    ResourceLimitError,
     SupportMismatchError,
     UnsupportedOrderError,
 )
@@ -26,7 +29,6 @@ __all__ = [
     "GibbsStateBlocks",
     "FreeProductState",
     "build_gibbs",
-    "relative_partition",
     "reduced_density_matrix",
     "particle_moment",
     "relative_entropy",
@@ -83,18 +85,34 @@ class GibbsStateBlocks:
         return max(idx) if idx else 0
 
 
-def _eigendecompose(H: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    E, V = np.linalg.eigh(H)
-    # spot-check residuals on a few eigenpairs
-    dim = H.shape[0]
-    scale = max(1.0, float(np.abs(H).max()))
-    picks = np.linspace(0, dim - 1, num=min(5, dim), dtype=int)
-    for i in picks:
-        res = np.linalg.norm(H @ V[:, i] - E[i] * V[:, i])
-        if res > 1e-9 * scale * math.sqrt(dim):
+def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a sector Hamiltonian that conserves total momentum:
+    one dense eigh per momentum block, blocks in ascending momentum, each
+    block's eigenvectors scattered into sector-sized columns.
+
+    Every eigenpair is checked against the whole sector matrix, so a
+    coupling between blocks would show as a residual too.
+    """
+    E = np.empty(len(H))
+    V = np.zeros_like(H)
+    scale = max(1.0, float(H.max()), -float(H.min()))
+    start = 0
+    for P in np.unique(momenta):
+        rows = np.flatnonzero(momenta == P)
+        H_rows = H[rows]
+        e, v = np.linalg.eigh(H_rows[:, rows])
+        R = H_rows.T @ v  # H is symmetric: the block's columns of the whole sector
+        R[rows] -= v * e
+        res = float(np.linalg.norm(R, axis=0).max())
+        if res > 1e-9 * scale * math.sqrt(len(rows)):
             raise NumericalFailureError(
-                f"eigensolve residual {res:.2e} in sector n={n} (scale {scale:.2e})"
+                f"eigensolve residual {res:.2e} in sector n={n}, momentum {P} "
+                f"(scale {scale:.2e})"
             )
+        E[start:start + len(rows)] = e
+        V[rows, start:start + len(rows)] = v
+        start += len(rows)
     return E, V
 
 
@@ -108,25 +126,34 @@ def build_gibbs(
 
     Sector energies are spec((H_0 - W/tau^2)/tau); the interaction is
     omitted in the free case.  Sectors whose cutoff value is exactly zero
-    carry no spectral data (they are outside the state's support).
+    carry no spectral data (they are outside the state's support).  Raises
+    ResourceLimitError, before any work, when the largest sector n_max is
+    bigger than `params.sector_dim_cap`.
     """
     if kernel is None:
         kernel = KernelSpec.box()
     tau = params.tau
+    dim_top = fock.sector_dimension(params.k_max, params.n_max)
+    if dim_top > params.sector_dim_cap:
+        raise ResourceLimitError(
+            f"sector (k_max={params.k_max}, n={params.n_max}) has dimension {dim_top} "
+            f"> cap {params.sector_dim_cap}"
+        )
     blocks = []
     Z = 0.0
     for n in range(params.n_max + 1):
         fval = float(cutoff(n / tau))
-        basis = fock.enumerate_sector(params.k_max, n, params.sector_dim_cap)
+        basis = fock.enumerate_sector(params.k_max, n)
         if fval == 0.0:
             blocks.append(SectorBlock(n=n, basis=basis, energies=np.empty(0),
                                       vectors=None, cutoff_value=0.0))
             continue
         kin = fock.kinetic_diagonal(basis)
         if interacting and n >= 3:
-            W = fock.assemble_interaction(basis, kernel, params.eps)
-            H = np.diag(kin / tau) - W / tau**3
-            E, V = _eigendecompose(H, n)
+            H = fock.assemble_interaction(basis, kernel, params.eps)
+            H /= -tau**3
+            H[np.diag_indices(basis.dim)] += kin / tau
+            E, V = _eigendecompose(H, basis.momenta, n)
         else:
             E, V = kin / tau, None
         blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=fval)
@@ -233,10 +260,6 @@ class FreeProductState:
         """Closed form prod_k (1 - e^{-lambda_k/tau})^{-1}, cutoff-free."""
         return float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(self.k_max) / self.tau))))
 
-    def cutoff_expectation(self) -> float:
-        """Tr( Gamma_{tau,0} f(N/tau) ) with the cutoff-free normalization."""
-        return self.partition / self.partition_product_formula
-
     def one_body_diagonal(self) -> np.ndarray:
         """Diagonal of Tr(adag_k a_k Gamma) under the cutoff-reweighted state."""
         f = self.cutoff(np.arange(self.n_max + 1) / self.tau)
@@ -247,30 +270,6 @@ class FreeProductState:
         ns = np.arange(self.n_max + 1)
         f = self.cutoff(ns / self.tau)
         return float(np.dot((ns / self.tau) ** ell * f, self.sector_weights) / self.partition)
-
-
-def relative_partition(
-    params: ModelParams,
-    cutoff: CutoffProfile,
-    interacting: bool = True,
-    kernel: KernelSpec | None = None,
-) -> float:
-    """Partition function of the (cutoff, possibly interacting) state divided
-    by the cutoff-free free partition function at the same mode window.
-
-    The denominator is summed over sectors up to a certified geometric
-    tail < 1e-12 and cross-checked against the closed product formula.
-    """
-    num = build_gibbs(params, interacting, cutoff, kernel).Z
-    free = FreeProductState.build(params.k_max, params.tau, CutoffProfile.one(),
-                                  tail_tol=1e-12)
-    denom = free.partition
-    exact = free.partition_product_formula
-    if abs(denom - exact) > 1e-9 * exact:
-        raise NumericalFailureError(
-            f"free partition sum {denom!r} disagrees with product formula {exact!r}"
-        )
-    return num / denom
 
 
 def reduced_density_matrix(blocks: GibbsStateBlocks, k: int, scaled: bool = False):

@@ -54,6 +54,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from torusgibbs.model import kernel_fourier_table
+
 SUITE_ALPHA = 1e-3
 N_GATES = 115
 GATE_ALPHA = SUITE_ALPHA / N_GATES
@@ -104,6 +106,66 @@ def three_body_entry_quadrature(basis, vi, vj, eps, a=0.5, n_gl=24, n_c=16):
 
     tot = term(C, C - S, C - T) + term(C - S, C, C - T) + term(C - S, C - T, C)
     return tot / 3.0
+
+
+def interaction_loop_oracle(basis, spec, eps):
+    """The three-body interaction on one sector by its defining sum, one
+    ordered mode sextuple at a time:
+
+        (1/3!) sum V adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6}
+
+    over k1+k2+k3 = k4+k5+k6, with V = w_hat(eps*(k5-k2)) * w_hat(eps*(k6-k3)).
+    Each term is applied to each basis state by explicit ladder steps, and
+    the image is found by a tuple lookup, not by the library's rank.
+    """
+    n, J, k_max = basis.n, basis.J, basis.k_max
+    W = np.zeros((basis.dim, basis.dim))
+    if n < 3:
+        return W
+    wtab = kernel_fourier_table(spec, eps, 2 * k_max).tolist()
+    off = 2 * k_max
+    # ordered creation triples (p1, p2, p3) by their total, momentum conserved
+    creations = {}
+    for p1, p2, p3 in itertools.product(range(J), repeat=3):
+        creations.setdefault(p1 + p2 + p3, []).append((p1, p2, p3))
+    states = [tuple(int(v) for v in row) for row in basis.occupations]
+    index = {state: i for i, state in enumerate(states)}
+    for col, base in enumerate(states):
+        image = {}  # row -> W[row, col], summed in loop order
+        for p6 in range(J):  # ordered annihilation triples (p4, p5, p6)
+            if base[p6] == 0:
+                continue
+            s6 = list(base)
+            a6 = math.sqrt(s6[p6])
+            s6[p6] -= 1
+            for p5 in range(J):
+                if s6[p5] == 0:
+                    continue
+                s5 = list(s6)
+                a5 = a6 * math.sqrt(s5[p5])
+                s5[p5] -= 1
+                for p4 in range(J):
+                    if s5[p4] == 0:
+                        continue
+                    s4 = list(s5)
+                    amp_a = a5 * math.sqrt(s4[p4])
+                    s4[p4] -= 1
+                    for p1, p2, p3 in creations[p4 + p5 + p6]:
+                        v = wtab[p5 - p2 + off] * wtab[p6 - p3 + off]
+                        if v == 0.0:
+                            continue
+                        t = list(s4)
+                        t[p3] += 1
+                        b3 = math.sqrt(t[p3])
+                        t[p2] += 1
+                        b2 = math.sqrt(t[p2])
+                        t[p1] += 1
+                        b1 = math.sqrt(t[p1])
+                        row = index[tuple(t)]
+                        image[row] = image.get(row, 0.0) + v * amp_a * b1 * b2 * b3 / 6.0
+        for row, val in image.items():
+            W[row, col] = val
+    return W
 
 
 def embed_symmetric(basis, coeffs):

@@ -7,8 +7,9 @@ import os
 
 import pytest
 
+from torusgibbs import experiments, qgibbs
 from torusgibbs.cli import cli_main
-from torusgibbs.errors import InvalidConfigError
+from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.experiments import ExperimentConfig, config_items, parse_config
 
 
@@ -110,3 +111,18 @@ class TestCli:
             (row,) = csv.DictReader(fh)
         stderr = float(row["trace_dist_stderr"])
         assert math.isfinite(stderr) and stderr > 0.0
+
+    def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing_build(*args, **kwargs):
+            raise NumericalFailureError("eigensolve residual too large")
+        monkeypatch.setattr(qgibbs, "build_gibbs", failing_build)
+        assert cli_main(["partition", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not os.path.exists(os.path.join(tmp_path, "partition.csv"))
+
+    def test_selftest_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "run_selftest",
+                            lambda seed, verbose: [("ccr_commutators", True),
+                                                   ("interaction_positive", False)])
+        assert cli_main(["selftest", "--out", str(tmp_path)]) == 3
+        assert "interaction_positive" in capsys.readouterr().err

@@ -5,10 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import embed_symmetric, partial_trace_first, three_body_entry_quadrature
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    embed_symmetric,
+    interaction_loop_oracle,
+    partial_trace_first,
+    three_body_entry_quadrature,
+)
 from torusgibbs import fock
-from torusgibbs.errors import ResourceLimitError
 from torusgibbs.model import KernelSpec, eigenvalue, eigenvalues
+
+TRIANGLE = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None), 0.25)
 
 
 class TestEnumeration:
@@ -20,7 +29,14 @@ class TestEnumeration:
     def test_lookup_roundtrip(self):
         basis = fock.enumerate_sector(2, 4)
         for i in range(basis.dim):
-            assert basis.index[tuple(basis.occupations[i])] == i
+            assert basis.rank(basis.occupations[i]) == i
+        assert np.array_equal(basis.rank(basis.occupations[::-1]), np.arange(basis.dim)[::-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(k_max=st.integers(0, 3), n=st.integers(0, 9))
+    def test_rank_is_row_order(self, k_max, n):
+        basis = fock.enumerate_sector(k_max, n)
+        assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
 
     def test_deterministic_order(self):
         a = fock.enumerate_sector(1, 3).occupations
@@ -29,10 +45,6 @@ class TestEnumeration:
         # lexicographic in the stored tuple
         rows = [tuple(r) for r in a]
         assert rows == sorted(rows)
-
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            fock.enumerate_sector(3, 40, dim_cap=1000)
 
     def test_totals_and_momenta(self):
         basis = fock.enumerate_sector(1, 3)
@@ -56,7 +68,7 @@ class TestLadder:
         # a_0 on |1, 0, 0>: the k = 0 mode is empty, so the image is zero
         one, vacuum = fock.enumerate_sector(1, 1), fock.enumerate_sector(1, 0)
         e = np.zeros(one.dim)
-        e[one.index[(1, 0, 0)]] = 1.0
+        e[one.rank((1, 0, 0))] = 1.0
         out = fock.apply_annihilation(e, one, vacuum, 1)
         assert out.shape == (1,) and out[0] == 0.0
 
@@ -87,6 +99,17 @@ class TestLadder:
                                              down, basis, j)
                 assert np.abs(first - second - float(i == j) * eye).max() <= 1e-10
 
+    def test_creation_gram_past_default_cap(self, rng):
+        # sector n = 100 at k_max = 1 has dimension 5151, past the default cap of 5000;
+        # the creation gram of a sector-99 block reaches it, and obeys the CCR
+        basis = fock.enumerate_sector(1, 99)
+        vecs = np.linalg.qr(rng.normal(size=(basis.dim, 3)))[0]
+        items = [(basis, np.array([0.5, 0.3, 0.2]), vecs)]
+        words = [(p,) for p in range(3)]
+        create = fock.ladder_gram(items, words, create=True)
+        annihilate = fock.ladder_gram(items, words)
+        assert np.abs(create - np.eye(3) - annihilate.T).max() <= 1e-10 * 99
+
 
 class TestKinetic:
     def test_vacuum(self):
@@ -100,7 +123,7 @@ class TestKinetic:
     def test_excited_mode(self):
         basis = fock.enumerate_sector(1, 1)
         diag = fock.kinetic_diagonal(basis)
-        assert diag[basis.index[(0, 0, 1)]] == pytest.approx(20.23921, abs=5e-6)
+        assert diag[basis.rank((0, 0, 1))] == pytest.approx(20.23921, abs=5e-6)
 
 
 class TestInteraction:
@@ -131,6 +154,18 @@ class TestInteraction:
             assert np.abs(W - W.T).max() <= 1e-10 * max(1.0, np.abs(W).max())
             evals = np.linalg.eigvalsh(W)
             assert evals.min() >= -1e-8 * max(1.0, np.abs(W).max())
+
+    @pytest.mark.parametrize("spec", [KernelSpec.box(0.5), KernelSpec.box(0.3), TRIANGLE],
+                             ids=["box0.5", "box0.3", "triangle"])
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
+    def test_matches_loop_oracle(self, spec, eps):
+        sectors = [(k_max, n) for k_max in (0, 1, 2) for n in range(11)]
+        sectors += [(3, n) for n in range(6)]
+        for k_max, n in sectors:
+            basis = fock.enumerate_sector(k_max, n)
+            W = fock.assemble_interaction(basis, spec, eps)
+            oracle = interaction_loop_oracle(basis, spec, eps)
+            assert np.abs(W - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
 
     def test_momentum_conservation(self):
         basis = fock.enumerate_sector(1, 4)

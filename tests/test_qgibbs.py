@@ -7,7 +7,12 @@ import pytest
 
 from conftest import embed_symmetric, partial_trace_first
 from torusgibbs import fock, qgibbs
-from torusgibbs.errors import SupportMismatchError, UnsupportedOrderError
+from torusgibbs.errors import (
+    NumericalFailureError,
+    ResourceLimitError,
+    SupportMismatchError,
+    UnsupportedOrderError,
+)
 from torusgibbs.model import CutoffProfile, KernelSpec, ModelParams, eigenvalues
 
 
@@ -56,6 +61,44 @@ class TestBuild:
         z2 = qgibbs.build_gibbs(p2, True, cut).Z
         assert z1 == z2
 
+    def test_cap(self):
+        # sector n = 40 at k_max = 3 has dimension C(46, 6), past the cap
+        p = params(k_max=3, n_max=40, sector_dim_cap=1000)
+        with pytest.raises(ResourceLimitError):
+            qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.05))
+
+    @pytest.mark.parametrize("tau,k_max", [(40.0, 1), (20.0, 2)])
+    def test_blocked_spectrum_matches_dense(self, tau, k_max):
+        # per-momentum eigh against eigvalsh of the whole sector Hamiltonian
+        p = params(tau=tau, k_max=k_max)
+        b = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.05))
+        checked = 0
+        for blk in b.blocks:
+            if blk.vectors is None:
+                continue
+            kin = fock.kinetic_diagonal(blk.basis)
+            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
+            dense = np.linalg.eigvalsh(np.diag(kin / tau) - W / tau**3)
+            scale = max(1.0, np.abs(dense).max())
+            assert np.abs(np.sort(blk.energies) - dense).max() <= 1e-12 * scale
+            V = blk.vectors
+            assert np.abs(V.T @ V - np.eye(blk.basis.dim)).max() <= 1e-12
+            checked += 1
+        assert checked >= 3
+
+    def test_perturbed_eigenvector_raises(self, monkeypatch):
+        # every eigenpair is checked: one bad vector in one block is enough
+        eigh = np.linalg.eigh
+
+        def perturbed(H):
+            E, V = eigh(H)
+            V = V.copy()
+            V[:, -1] += 1e-3 * V[:, 0]
+            return E, V
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalFailureError):
+            qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
+
     def test_table_cutoff_blocks_nonnegative(self):
         # a table ending in 0 charges no sector past its last node
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.45, k_max=0, n_max=3)
@@ -67,17 +110,19 @@ class TestBuild:
 
 
 class TestRelativePartition:
+    # the block build's Z against the cutoff-free free partition function
     def test_free_no_cutoff_is_one(self):
         p = ModelParams(tau=5.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=600)
-        ratio = qgibbs.relative_partition(p, CutoffProfile.one(), interacting=False)
-        assert ratio == pytest.approx(1.0, abs=1e-10)
+        z = qgibbs.build_gibbs(p, False, CutoffProfile.one()).Z
+        free = qgibbs.FreeProductState.build(0, 5.0, CutoffProfile.one())
+        assert z / free.partition_product_formula == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_cutoff_no_interaction(self):
         # with at most 2 particles the attraction is identically zero
         p = ModelParams(tau=5.0, eps=0.5, eta=0.02, K=0.7, k_max=1, n_max=2)
-        ratio = qgibbs.relative_partition(p, CutoffProfile.sharp(0.7), interacting=True)
-        z = qgibbs.free_sector_weights(1, 5.0, 2)   # sectors n = 0, 1, 2 survive
         free = qgibbs.FreeProductState.build(1, 5.0, CutoffProfile.one())
+        ratio = qgibbs.build_gibbs(p, True, CutoffProfile.sharp(0.7)).Z / free.partition
+        z = qgibbs.free_sector_weights(1, 5.0, 2)   # sectors n = 0, 1, 2 survive
         assert 0.0 < ratio < 1.0
         assert ratio == pytest.approx(np.sum(z) / free.partition, rel=1e-12)
 
