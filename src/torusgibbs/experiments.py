@@ -251,8 +251,8 @@ def exp_blowup(cfg: ExperimentConfig) -> list:
 
 
 def exp_tail_decay(cfg: ExperimentConfig) -> list:
-    """Deterministic lower-symbol tail moments of the interacting state and
-    the affine fit of their logs against tau."""
+    """Deterministic lower-symbol tail moments of the interacting state, and
+    their logs, per tau."""
     eps, eta = cfg.eps_values[0], cfg.eta_values[0]
     rows = []
     for tau in cfg.tau_values:
@@ -264,18 +264,6 @@ def exp_tail_decay(cfg: ExperimentConfig) -> list:
         rows.append({"tau": tau, "R": R, "tail_moment": tail,
                      "log_tail": math.log(tail) if tail > 0 else float("-inf")})
     return rows
-
-
-def affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept, and R^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
 
 
 def exp_free_state_rate(cfg: ExperimentConfig) -> list:

@@ -109,18 +109,6 @@ class ModelParams:
         """Dimension of the retained one-body space."""
         return 2 * self.k_max + 1
 
-    def admissible_scale(self, kernel_sup_norm: float = 1.0) -> bool:
-        """Diagnostic only: whether eps >= M*(log tau)^(-1/2) with
-        M = (2*||w||_inf^2 + 1)*(K^2 + 4)^3.
-
-        The asymptotic admissibility constraint is unreachable at desk
-        scale, so it is reported rather than enforced.
-        """
-        if self.tau <= 1.0:
-            return False
-        M = (2.0 * kernel_sup_norm**2 + 1.0) * (self.K**2 + 4.0) ** 3
-        return self.eps >= M / math.sqrt(math.log(self.tau))
-
 
 # ------------------------------------------------------------------
 # mass-cutoff profiles
@@ -257,13 +245,6 @@ class KernelSpec:
         if norm <= 0:
             raise InvalidConfigError("kernel profile must have positive integral")
         return KernelSpec(shape="custom", _profile=profile, _support=support, _norm=norm)
-
-    @property
-    def sup_norm(self) -> float:
-        if self.shape == "box":
-            return 1.0 / (2.0 * self.a)
-        xs = np.linspace(-self._support, self._support, 4097)
-        return float(np.max(self._profile(xs)) / self._norm)
 
     @property
     def support(self) -> float:

@@ -183,21 +183,6 @@ def free_sector_weights(k_max: int, tau: float, n_max: int) -> np.ndarray:
     return z
 
 
-def free_mode_weighted_sums(k_max: int, tau: float, n_max: int) -> np.ndarray:
-    """W[k, n] = sum over occupations with total n of n_k * prod e^{-lambda n / tau}.
-
-    Used for one-body occupancies of the free state under a mass cutoff:
-    the generating function gains one extra geometric factor in mode k.
-    """
-    q = np.exp(-eigenvalues(k_max) / tau)
-    z = free_sector_weights(k_max, tau, n_max)
-    out = np.zeros((len(q), n_max + 1))
-    for i, qk in enumerate(q):
-        extra = lfilter([1.0], [1.0, -qk], z)
-        out[i, 1:] = qk * extra[:-1]
-    return out
-
-
 def certified_free_nmax(k_max: int, tau: float, tol: float = 1e-12) -> int:
     """Smallest n_max whose neglected free tail is provably below tol * Z.
 
@@ -260,12 +245,6 @@ class FreeProductState:
         """Closed form prod_k (1 - e^{-lambda_k/tau})^{-1}, cutoff-free."""
         return float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(self.k_max) / self.tau))))
 
-    def one_body_diagonal(self) -> np.ndarray:
-        """Diagonal of Tr(adag_k a_k Gamma) under the cutoff-reweighted state."""
-        f = self.cutoff(np.arange(self.n_max + 1) / self.tau)
-        W = free_mode_weighted_sums(self.k_max, self.tau, self.n_max)
-        return (W @ f) / self.partition
-
     def particle_moment(self, ell: int) -> float:
         ns = np.arange(self.n_max + 1)
         f = self.cutoff(ns / self.tau)
@@ -327,11 +306,15 @@ def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> fl
         p = b.boltzmann / state.Z
         logq = -rb.energies + math.log(rb.cutoff_value) - math.log(reference.Z)
         total += float(np.dot(p, np.log(np.where(p > 0, p, 1.0))))
+        # |<psi_i, phi_j>|^2; an occupation-diagonal side is the identity
         if b.vectors is None and rb.vectors is None:
             total -= float(np.dot(p, logq))
+            continue
+        if rb.vectors is None:
+            overlap_sq = np.abs(b.vectors.T) ** 2
+        elif b.vectors is None:
+            overlap_sq = np.abs(rb.vectors) ** 2
         else:
-            V = b.vectors if b.vectors is not None else np.eye(b.basis.dim)
-            U = rb.vectors if rb.vectors is not None else np.eye(rb.basis.dim)
-            overlap_sq = np.abs(V.T.conj() @ U) ** 2  # |<psi_i, phi_j>|^2
-            total -= float(p @ overlap_sq @ logq)
+            overlap_sq = np.abs(b.vectors.T.conj() @ rb.vectors) ** 2
+        total -= float(p @ overlap_sq @ logq)
     return total

@@ -4,6 +4,12 @@ Everything here rides on one structure: testing a block state against the
 coherent family xi(u) at scale varsigma produces a classical probability
 density (the lower symbol), whose moments, tails, and relative entropies
 mirror the quantum ones up to explicitly computable corrections.
+
+The coherent amplitudes have one kernel, assembled in log space; the
+tensor-power coefficients are the same amplitudes with their Poisson
+prefactor divided out.  `sample_husimi` draws from the lower symbol on one
+path: product form on the blocks diagonal in the occupation basis, batched
+rejection on the blocks that carry eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,14 +27,13 @@ from .errors import (
     SupportViolationError,
 )
 from .model import CutoffProfile, KernelSpec, ModelParams
-from .cgibbs import MCEstimate
+from .cgibbs import MCEstimate, _mc_estimate
 from .qgibbs import GibbsStateBlocks, build_gibbs, reduced_density_matrix, relative_entropy
 
 __all__ = [
     "CoherentVector",
     "coherent_vector",
     "poisson_truncation",
-    "husimi_density",
     "sample_husimi",
     "poisson_decomposition_check",
     "antiwick_radial_scalar",
@@ -50,18 +55,6 @@ def poisson_truncation(mean: float, tol: float = 1e-12) -> int:
     while n > 0 and stats.poisson.sf(n - 1, mean) < tol:
         n -= 1
     return n
-
-
-def _tensor_power_coeffs(basis: fock.SectorBasis, v: np.ndarray) -> np.ndarray:
-    """Coefficients of v^{tensor n} in the occupation basis:
-    sqrt(n!/prod nu!) * prod v_j^{nu_j}."""
-    occ = basis.occupations
-    n = basis.n
-    logfac = special.gammaln(np.arange(n + 1) + 1.0)
-    amp = np.exp(0.5 * (logfac[n] - logfac[occ].sum(axis=1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.where(occ > 0, v[None, :] ** occ, 1.0)
-    return amp * np.prod(powers, axis=1)
 
 
 @dataclass(frozen=True)
@@ -86,20 +79,13 @@ def coherent_vector(u: np.ndarray, varsigma: float, N_trunc: int | None = None,
     u = np.asarray(u, dtype=complex)
     k_max = (len(u) - 1) // 2
     v = u / math.sqrt(varsigma)
-    mean = float(np.sum(np.abs(v) ** 2))
     if N_trunc is None:
-        N_trunc = poisson_truncation(mean, tol)
-    pref = math.exp(-0.5 * mean)
-    amps = []
-    total = 0.0
-    logfac = special.gammaln(np.arange(N_trunc + 1) + 1.0)
-    for n in range(N_trunc + 1):
-        basis = fock.enumerate_sector(k_max, n)
-        block = pref * _tensor_power_coeffs(basis, v) * math.exp(-0.5 * logfac[n])
-        amps.append(block)
-        total += float(np.sum(np.abs(block) ** 2))
+        N_trunc = poisson_truncation(float(np.sum(np.abs(v) ** 2)), tol)
+    amps = tuple(_coherent_amplitude_matrix(fock.enumerate_sector(k_max, n), v)[0]
+                 for n in range(N_trunc + 1))
+    total = sum(float(np.sum(np.abs(a) ** 2)) for a in amps)
     return CoherentVector(u=u, varsigma=varsigma, N_trunc=N_trunc,
-                          amps=tuple(amps), deficit=max(0.0, 1.0 - total))
+                          amps=amps, deficit=max(0.0, 1.0 - total))
 
 
 def _coherent_amplitude_matrix(basis: fock.SectorBasis, vs: np.ndarray) -> np.ndarray:
@@ -109,19 +95,33 @@ def _coherent_amplitude_matrix(basis: fock.SectorBasis, vs: np.ndarray) -> np.nd
     Assembled in log space; bounded by the square root of a Poisson mass,
     so no overflow for any sector.
     """
-    vs = np.atleast_2d(vs)
+    vs = np.atleast_2d(np.asarray(vs, dtype=complex))
     occ = basis.occupations  # (D, J)
     logfac = special.gammaln(occ + 1.0).sum(axis=1)  # (D,)
     with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(vs))  # (S, J)
+        logv = np.log(vs)  # (S, J): log|v| + i arg v
     # a zero coefficient must kill amplitudes with nu_j >= 1 but leave
     # nu_j = 0 untouched; a huge negative stand-in does both through 0 * x = 0
-    logmag = np.where(np.isfinite(logmag), logmag, -1e300)
-    phase = np.angle(vs)
-    expo = logmag @ occ.T  # (S, D)
-    expo = expo - 0.5 * logfac[None, :] - 0.5 * np.sum(np.abs(vs) ** 2, axis=1)[:, None]
-    theta = phase @ occ.T
-    return np.exp(expo) * np.exp(1j * theta)
+    logv = np.where(np.isfinite(logv), logv, -1e300)
+    expo = logv @ occ.T  # (S, D)
+    expo -= 0.5 * logfac[None, :] + 0.5 * np.sum(np.abs(vs) ** 2, axis=1)[:, None]
+    return np.exp(expo)
+
+
+def _tensor_power_coeffs(basis: fock.SectorBasis, v: np.ndarray) -> np.ndarray:
+    """Coefficients of v^{tensor n} in the occupation basis,
+    sqrt(n!/prod nu!) * prod v_j^{nu_j}, for one field or for fields along
+    any leading batch axes (the result gains a trailing sector axis).
+
+    These are the coherent amplitudes with their Poisson prefactor
+    e^{-||v||^2/2}/sqrt(n!) divided back out, which is exact while ||v||^2
+    stays far inside the exponent range, as it does for unit directions.
+    """
+    v = np.asarray(v, dtype=complex)
+    flat = v.reshape(-1, v.shape[-1])
+    scale = np.exp(0.5 * (special.gammaln(basis.n + 1.0) + np.sum(np.abs(flat) ** 2, axis=1)))
+    coeffs = _coherent_amplitude_matrix(basis, flat) * scale[:, None]
+    return coeffs.reshape(v.shape[:-1] + (basis.dim,))
 
 
 def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
@@ -145,85 +145,67 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     return out / (varsigma * math.pi) ** J
 
 
-def husimi_density(blocks: GibbsStateBlocks, varsigma: float, u) -> float:
-    """Lower-symbol density at a single field u."""
-    return float(husimi_density_batch(blocks, varsigma, np.asarray(u)[None, :])[0])
-
-
-def _is_occupation_diagonal(blocks: GibbsStateBlocks) -> bool:
-    return all(b.vectors is None for b in blocks.blocks)
+# amplitude entries scored per rejection batch, and the proposals one draw
+# may spend before the sampler gives up
+_PROPOSAL_ENTRIES = 1 << 16
+_MAX_TRIES = 200000
 
 
 def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
-                  rng: np.random.Generator, max_tries: int = 200000) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Exact draws from the lower symbol of a block state.
 
-    Occupation-diagonal states sample in product form: conditionally on the
-    occupation vector nu, each |v_j|^2 is Gamma(nu_j + 1) with uniform
-    phase, and u = sqrt(varsigma) v.  General blocks fall back to per-
-    eigenstate rejection against the radial envelope, whose acceptance
-    rate is the reciprocal sector dimension.
+    Every draw first picks an eigenstate with its Gibbs weight, all picks at
+    once.  Blocks diagonal in the occupation basis (the free state, and the
+    sectors n < 3 of an interacting one) sample in product form, all their
+    picks in one step: given the occupation vector nu, each |v_j|^2 is
+    Gamma(nu_j + 1) with a uniform phase, and u = sqrt(varsigma) v.  On the
+    other blocks u = sqrt(varsigma s) omega with s ~ Gamma(n + J) and a unit
+    direction omega accepted with probability |<psi_i, omega^{tensor n}>|^2,
+    whose mean is the reciprocal sector dimension.  Each pending draw of
+    such a block gets a batch of proposals at a time and keeps its first
+    accepted one.  Raises QuadratureFailureError when a draw stalls.
     """
     J = blocks.params.J
-    out = np.empty((n_samples, J), dtype=complex)
-
-    if _is_occupation_diagonal(blocks):
-        atoms = []
-        weights = []
-        for b in blocks.blocks:
-            if b.weight == 0.0:
-                continue
-            p = b.boltzmann / blocks.Z
-            atoms.append(b.basis.occupations)
-            weights.append(p)
-        occs = np.concatenate(atoms, axis=0)
-        probs = np.concatenate(weights)
-        probs = probs / probs.sum()
-        choice = rng.choice(len(probs), size=n_samples, p=probs)
-        nu = occs[choice]
-        radii_sq = rng.gamma(shape=nu + 1.0)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
-        out[:] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
-        return out
-
-    # general block state: mixture over eigenstates + rejection
-    entries = []
-    probs = []
-    for bi, b in enumerate(blocks.blocks):
-        if b.weight == 0.0:
-            continue
-        p = b.boltzmann / blocks.Z
-        for i in range(len(p)):
-            if p[i] > 0:
-                entries.append((bi, i))
-                probs.append(p[i])
-    probs = np.asarray(probs)
+    live = [b for b in blocks.blocks if b.weight != 0.0]
+    probs = np.concatenate([b.boltzmann / blocks.Z for b in live])
     probs = probs / probs.sum()
     picks = rng.choice(len(probs), size=n_samples, p=probs)
-    for s, pick in enumerate(picks):
-        bi, i = entries[pick]
-        b = blocks.blocks[bi]
-        n = b.n
-        basis = b.basis
+    starts = np.cumsum([0] + [b.basis.dim for b in live])
+    which = np.searchsorted(starts, picks, side="right") - 1
+    local = picks - starts[which]
+    out = np.empty((n_samples, J), dtype=complex)
+
+    diagonal = np.isin(which, [k for k, b in enumerate(live) if b.vectors is None])
+    nu = np.concatenate([b.basis.occupations for b in live])[picks[diagonal]]
+    radii_sq = rng.gamma(shape=nu + 1.0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
+    out[diagonal] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
+
+    tries = np.zeros(n_samples, dtype=np.int64)
+    for k, b in enumerate(live):
         if b.vectors is None:
-            # occupation eigenstate: per-mode radial Gamma, uniform phases
-            nu = basis.occupations[i]
-            radii_sq = rng.gamma(shape=nu + 1.0)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=J)
-            out[s] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
             continue
-        psi = b.vectors[:, i]
-        for _ in range(max_tries):
-            g = rng.standard_normal(J) + 1j * rng.standard_normal(J)
-            omega = g / np.linalg.norm(g)
-            s_rad = rng.gamma(shape=n + J)
-            # acceptance |<psi, omega^{tensor n}>|^2 <= 1; mean rate 1/dim
-            accept = abs(np.vdot(psi, _tensor_power_coeffs(basis, omega))) ** 2
-            if rng.uniform() < accept:
-                out[s] = math.sqrt(varsigma * s_rad) * omega
-                break
-        else:
-            raise QuadratureFailureError("husimi rejection sampler stalled")
+        pending = np.flatnonzero(which == k)
+        budget = max(1, _PROPOSAL_ENTRIES // b.basis.dim)
+        while pending.size:
+            per_row = max(1, budget // pending.size)
+            rows = pending[:budget // per_row]
+            shape = (rows.size, per_row)
+            g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
+            omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
+            s_rad = rng.gamma(shape=b.n + J, size=shape)
+            overlap = np.einsum("rqd,dr->rq", _tensor_power_coeffs(b.basis, omega),
+                                b.vectors[:, local[rows]].conj())
+            accept = rng.random(shape) < np.abs(overlap) ** 2
+            hit = accept.any(axis=1)
+            first = accept.argmax(axis=1)[hit]
+            out[rows[hit]] = (np.sqrt(varsigma * s_rad[hit, first])[:, None]
+                              * omega[hit, first])
+            tries[rows] += per_row
+            if tries[rows[~hit]].max(initial=0) >= _MAX_TRIES:
+                raise QuadratureFailureError("husimi rejection sampler stalled")
+            pending = np.concatenate((pending[rows.size:], rows[~hit]))
     return out
 
 
@@ -316,26 +298,17 @@ def antiwick_radial_scalar_mc(G, n: int, J: int, tau: float, n_samples: int,
 
     Writes the scalar as a Gaussian integral against the coherent family
     (trace of the quantized weight over the sector, divided by the sector
-    dimension) and estimates it by direct sampling.
+    dimension) and estimates it by direct sampling on the shared MC core.
     """
     D = math.comb(n + J - 1, n)
-    rng = np.random.default_rng(seed)
     logfac_n = special.gammaln(n + 1.0)
-    tot = tot_sq = 0.0
-    chunk = 1 << 15
-    left = n_samples
-    while left > 0:
-        m = min(chunk, left)
-        v = (rng.standard_normal((m, J)) + 1j * rng.standard_normal((m, J))) / math.sqrt(2.0 * tau)
-        s = np.sum(np.abs(v) ** 2, axis=1)
-        w = np.array([G(x) for x in s]) * np.exp(n * np.log(tau * s) - logfac_n)
-        tot += float(np.sum(w))
-        tot_sq += float(np.sum(w * w))
-        left -= m
-    mean = tot / n_samples
-    var = max(tot_sq / n_samples - mean**2, 0.0)
-    return MCEstimate(value=mean / D, stderr=math.sqrt(var / n_samples) / D,
-                      n_samples=n_samples, seed=seed)
+
+    def draw(size, rng):
+        g = rng.standard_normal((size, J)) + 1j * rng.standard_normal((size, J))
+        s = np.sum(np.abs(g) ** 2, axis=1) / (2.0 * tau)
+        return np.array([G(x) for x in s]) * np.exp(n * np.log(tau * s) - logfac_n) / D, None
+
+    return _mc_estimate(seed, n_samples, draw, threads=1)
 
 
 def tail_moment(blocks: GibbsStateBlocks, R: float, tau: float | None = None) -> float:

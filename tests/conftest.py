@@ -200,3 +200,34 @@ def partial_trace_first(dense, keep=1):
 def rng():
     # function-scoped: every test sees the same fresh deterministic stream
     return np.random.default_rng(20260810)
+
+
+def husimi_product_form_oracle(blocks, varsigma, n_samples, rng):
+    """Lower-symbol draws of an occupation-diagonal block state in product
+    form alone: pick an occupation vector nu with its Gibbs weight, then per
+    mode a Gamma(nu_j + 1) squared radius and a uniform phase.  The sampler
+    must reproduce these draws bit for bit on such states."""
+    atoms, weights = [], []
+    for b in blocks.blocks:
+        if b.weight == 0.0:
+            continue
+        atoms.append(b.basis.occupations)
+        weights.append(b.boltzmann / blocks.Z)
+    occs = np.concatenate(atoms, axis=0)
+    probs = np.concatenate(weights)
+    probs = probs / probs.sum()
+    nu = occs[rng.choice(len(probs), size=n_samples, p=probs)]
+    radii_sq = rng.gamma(shape=nu + 1.0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
+    return np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
+
+
+def tensor_power_oracle(basis, v):
+    """Coefficients sqrt(n!/prod nu!) * prod v_j^{nu_j} of v^{tensor n}, one
+    complex power and one product per basis state."""
+    out = np.empty(basis.dim, dtype=complex)
+    for row, occ in enumerate(basis.occupations):
+        amp = math.sqrt(math.factorial(basis.n)
+                        / math.prod(math.factorial(int(m)) for m in occ))
+        out[row] = amp * math.prod(complex(x) ** int(m) for x, m in zip(v, occ))
+    return out

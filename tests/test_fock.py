@@ -182,7 +182,7 @@ class TestInteraction:
         for n in range(3, n_top + 1):
             W = fock.assemble_interaction(fock.enumerate_sector(k_max, n), spec, eps)
             norm = np.linalg.norm(W, 2)
-            assert norm <= n**3 * eps**-2 * spec.sup_norm**2 + 1e-9
+            assert norm <= n**3 * eps**-2 * (1.0 / (2.0 * spec.a)) ** 2 + 1e-9
 
     def test_operator_norm_bound_kmax2_n8(self):
         spec = KernelSpec.box()

@@ -77,10 +77,6 @@ class TestModelParams:
         with pytest.raises(InvalidConfigError):
             ModelParams(**kwargs)
 
-    def test_admissible_scale_reported_not_enforced(self):
-        p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=4)
-        assert p.admissible_scale() is False  # desk scale is far from asymptopia
-
 
 class TestCutoff:
     def test_plateau_and_zero(self):

@@ -136,14 +136,6 @@ class TestFreeProductState:
         dense = qgibbs.build_gibbs(p, False, cut)
         assert fp.partition == pytest.approx(dense.Z, rel=1e-12)
 
-    def test_one_body_diagonal_matches_dense(self):
-        tau = 10.0
-        cut = CutoffProfile.smooth(0.6, 0.05)
-        fp = qgibbs.FreeProductState.build(1, tau, cut)
-        dense = qgibbs.build_gibbs(params(tau=tau), False, cut)
-        G = qgibbs.reduced_density_matrix(dense, 1)
-        assert np.abs(fp.one_body_diagonal() - np.diag(G)).max() <= 1e-12
-
     def test_particle_moment(self):
         fp = qgibbs.FreeProductState.build(0, 10.0, CutoffProfile.one())
         assert fp.particle_moment(0) == pytest.approx(1.0, abs=1e-12)
@@ -269,6 +261,29 @@ def _two_level_state(p0, p1):
                                    blocks=tuple(blocks), Z=1.0)
 
 
+def _dense_log(rho):
+    """Matrix logarithm of a positive sector density through eigh, after
+    pulling out its largest eigenvalue so the small ones keep their digits."""
+    top = np.linalg.eigvalsh(rho).max()
+    w, U = np.linalg.eigh(rho / top)
+    return U @ np.diag(np.log(w)) @ U.T + math.log(top) * np.eye(len(w))
+
+
+def _dense_relative_entropy(state, reference):
+    """Tr rho (log rho - log sigma) summed over sectors, with each sector's
+    rho = V diag(p) V^T formed densely (V = identity for diagonal blocks)."""
+    total = 0.0
+    for a, c in zip(state.blocks, reference.blocks):
+        if a.weight == 0.0:
+            continue
+        rho, sigma = (
+            (np.diag(blk.boltzmann) if blk.vectors is None
+             else blk.vectors @ np.diag(blk.boltzmann) @ blk.vectors.T) / st.Z
+            for blk, st in ((a, state), (c, reference)))
+        total += float(np.trace(rho @ (_dense_log(rho) - _dense_log(sigma))))
+    return total
+
+
 class TestRelativeEntropy:
     def test_identical_states(self):
         b = qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
@@ -287,6 +302,17 @@ class TestRelativeEntropy:
         bf = qgibbs.build_gibbs(p, False, CutoffProfile.smooth(0.6, 0.05))
         assert qgibbs.relative_entropy(bi, bf) >= -1e-10
         assert qgibbs.relative_entropy(bf, bi) >= -1e-10
+
+    @pytest.mark.parametrize("tau,k_max", [(20.0, 1), (12.0, 2)])
+    def test_dense_log_oracle(self, tau, k_max):
+        # interacting | free and free | interacting, one dense sector at a time
+        p = params(tau=tau, k_max=k_max)
+        cut = CutoffProfile.smooth(0.6, 0.05)
+        bi = qgibbs.build_gibbs(p, True, cut)
+        bf = qgibbs.build_gibbs(p, False, cut)
+        for a, c in ((bi, bf), (bf, bi)):
+            want = _dense_relative_entropy(a, c)
+            assert qgibbs.relative_entropy(a, c) == pytest.approx(want, abs=1e-12)
 
     def test_support_mismatch(self):
         p_small = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.1, k_max=0, n_max=2)

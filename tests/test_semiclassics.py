@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from conftest import GATE_ALPHA, GATE_R, GATE_Z
+from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_product_form_oracle,
+                      tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
-from torusgibbs.errors import InvalidConfigError, SupportViolationError
+from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
+                               SupportViolationError)
 from torusgibbs.model import CutoffProfile, ModelParams, eigenvalues
 
 
@@ -72,7 +74,7 @@ class TestHusimi:
         b = vacuum_state()
         u = np.array([0.1 + 0.2j, -0.15, 0.05j])
         vs = 0.3
-        got = sc.husimi_density(b, vs, u)
+        got = float(sc.husimi_density_batch(b, vs, u)[0])
         want = (vs * math.pi) ** -3 * math.exp(-float(np.sum(np.abs(u) ** 2)) / vs)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -85,7 +87,7 @@ class TestHusimi:
         vs = 0.3
         u = np.array([0.3 - 0.2j])
         r2 = float(np.abs(u[0]) ** 2)
-        got = sc.husimi_density(b, vs, u)
+        got = float(sc.husimi_density_batch(b, vs, u)[0])
         want = (vs * math.pi) ** -1 * (r2 / vs) * math.exp(-r2 / vs)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -97,7 +99,7 @@ class TestHusimi:
         q = np.exp(-lam / tau)
         for _ in range(100):
             u = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.4
-            dens = sc.husimi_density(b, 1.0 / tau, u)
+            dens = float(sc.husimi_density_batch(b, 1.0 / tau, u)[0])
             closed = float(np.prod(tau * (1 - q) / math.pi
                                    * np.exp(-tau * (1 - q) * np.abs(u) ** 2)))
             assert dens == pytest.approx(closed, rel=1e-7)
@@ -139,6 +141,38 @@ class TestHusimi:
         assert abs(np.mean(mass) - vs * mean_shape) <= GATE_Z * math.sqrt(var / len(mass))
         cdf = lambda x: special.gammainc(shape, x[:, None] / vs) @ probs
         assert stats.kstest(mass, cdf).pvalue >= GATE_ALPHA
+
+
+class TestSampler:
+    def test_free_draws_match_product_form_oracle(self):
+        b = qgibbs.build_gibbs(params(tau=20.0), False, CutoffProfile.smooth(0.6, 0.05))
+        got = sc.sample_husimi(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
+        want = husimi_product_form_oracle(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
+        assert np.array_equal(got, want)
+
+    def test_stalled_rejection_raises(self, monkeypatch):
+        # J = 1: every interacting block n >= 3 is a 1 x 1 eigenblock, so
+        # every draw there goes through rejection, which can never accept
+        b = interacting_state(tau=20.0, k_max=0)
+        monkeypatch.setattr(sc, "_tensor_power_coeffs",
+                            lambda basis, v: np.zeros(np.shape(v)[:-1] + (basis.dim,)))
+        with pytest.raises(QuadratureFailureError):
+            sc.sample_husimi(b, 1.0 / 20.0, 50, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("k_max,n", [(0, 5), (1, 4), (2, 3)])
+    def test_batched_tensor_power_coeffs(self, rng, k_max, n):
+        basis = fock.enumerate_sector(k_max, n)
+        J = 2 * k_max + 1
+        v = rng.normal(size=(3, 4, J)) + 1j * rng.normal(size=(3, 4, J))
+        v[0, 0, 0] = 0.0  # a vanishing component kills exactly the nu_0 >= 1 rows
+        batch = sc._tensor_power_coeffs(basis, v)
+        assert batch.shape == (3, 4, basis.dim)
+        stacked = np.array([[sc._tensor_power_coeffs(basis, x) for x in row] for row in v])
+        oracle = np.array([[tensor_power_oracle(basis, x) for x in row] for row in v])
+        scale = np.abs(oracle).max()
+        assert np.abs(batch - stacked).max() <= 1e-13 * scale
+        assert np.abs(batch - oracle).max() <= 1e-13 * scale
+        assert np.all(batch[0, 0][basis.occupations[:, 0] > 0] == 0.0)
 
 
 class TestPoissonDecomposition:
