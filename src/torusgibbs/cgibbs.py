@@ -6,6 +6,11 @@ The free measure factorizes over modes: Re and Im of each coefficient are
 independent centered Gaussians with variance 1/(2*lambda_k).  All estimators
 sample it exactly and reweight, so error bars are honest and reproducibility
 is bit-exact for a fixed (seed, n_samples, params).
+
+Both sextic energies are trigonometric polynomials of degree 6*k_max in x,
+so the mean over M = 6*k_max + 1 grid points integrates them exactly.  The
+smeared density w_eps * |u|^2 on that grid is |u|^2 times a real M x M
+circulant built from w_hat(eps*m) at the 4*k_max + 1 modes of |u|^2.
 """
 
 from __future__ import annotations
@@ -46,10 +51,11 @@ class MCEstimate:
 def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw (n_samples, J) coefficient rows from the free Gaussian measure."""
     lam = eigenvalues(k_max)
-    sd = 1.0 / np.sqrt(2.0 * lam)
-    re = rng.standard_normal((n_samples, len(lam)))
-    im = rng.standard_normal((n_samples, len(lam)))
-    return (re + 1j * im) * sd
+    out = np.empty((n_samples, len(lam)), dtype=complex)
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    out *= 1.0 / np.sqrt(2.0 * lam)
+    return out
 
 
 # ------------------------------------------------------------------
@@ -57,51 +63,50 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator) -> 
 # ------------------------------------------------------------------
 
 def default_grid(k_max: int) -> int:
-    return max(64, 8 * k_max)
+    """The fewest torus points that integrate a degree-6*k_max polynomial exactly."""
+    return 6 * k_max + 1
 
 
-def _fields_on_grid(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Evaluate batched fields on the uniform torus grid."""
+def _sextic_energy(coeffs: np.ndarray, grid_size: int | None, w_hat=None) -> np.ndarray:
+    """(1/6) * mean over M grid points of conv^2 * rho, rho = |u|^2, with
+    conv = rho @ C, C[x, y] = (1/M) sum_{|m| <= 2k_max} w_hat(m) cos(2 pi m (x - y)).
+
+    w_hat=None is w_hat = 1, for which conv = rho.
+    """
     coeffs = np.atleast_2d(coeffs)
     k_max = (coeffs.shape[1] - 1) // 2
-    x = np.arange(grid_size) / grid_size
-    phases = np.exp(2j * np.pi * np.outer(mode_numbers(k_max), x))
-    return coeffs @ phases
+    M = default_grid(k_max) if grid_size is None else grid_size
+    if M <= 6 * k_max:
+        raise InvalidConfigError(f"grid {M} aliases degree-{6 * k_max} integrands")
+    x = np.arange(M) / M
+    u = coeffs @ np.exp(2j * np.pi * np.outer(mode_numbers(k_max), x))
+    rho = u.real**2 + u.imag**2
+    conv = rho
+    if w_hat is not None:
+        m = np.arange(-2 * k_max, 2 * k_max + 1)
+        circ = np.cos(2.0 * np.pi * np.subtract.outer(x, x)[..., None] * m) @ w_hat(m) / M
+        conv = rho @ circ
+    return np.einsum("ij,ij,ij->i", conv, conv, rho) / (6.0 * M)
 
 
 def local_energy_batch(coeffs: np.ndarray, grid_size: int | None = None) -> np.ndarray:
     """(1/6) * integral of |u|^6, exact once the grid clears the Nyquist bound."""
-    coeffs = np.atleast_2d(coeffs)
-    k_max = (coeffs.shape[1] - 1) // 2
-    M = grid_size or default_grid(k_max)
-    if M <= 6 * k_max:
-        raise InvalidConfigError(f"grid {M} aliases degree-{6 * k_max} integrands")
-    u = _fields_on_grid(coeffs, M)
-    return np.mean(np.abs(u) ** 6, axis=1) / 6.0
+    return _sextic_energy(coeffs, grid_size)
 
 
 def hartree_energy_batch(coeffs: np.ndarray, eps: float,
                          kernel: KernelSpec | None = None,
                          grid_size: int | None = None) -> np.ndarray:
-    """(1/6) * integral of (w_eps * |u|^2)^2 |u|^2 via exact Fourier convolution.
+    """(1/6) * integral of (w_eps * |u|^2)^2 |u|^2 by one real circulant product.
 
-    |u|^2 has finitely many modes, so convolving with the periodized kernel
-    is a per-mode multiplication by w_hat(eps*m).
+    |u|^2 has the 4k_max+1 modes |m| <= 2k_max, so convolving it with the
+    periodized kernel is a per-mode multiplication by w_hat(eps*m); on the
+    grid that is a product with a real M x M circulant, M = 6k_max+1 by
+    default, the fewest points that integrate the degree-6k_max result.
     """
     if kernel is None:
         kernel = KernelSpec.box()
-    coeffs = np.atleast_2d(coeffs)
-    k_max = (coeffs.shape[1] - 1) // 2
-    M = grid_size or default_grid(k_max)
-    if M <= 6 * k_max:
-        raise InvalidConfigError(f"grid {M} aliases degree-{6 * k_max} integrands")
-    u = _fields_on_grid(coeffs, M)
-    rho = np.abs(u) ** 2
-    rho_hat = np.fft.fft(rho, axis=1) / M
-    freqs = np.rint(np.fft.fftfreq(M, d=1.0 / M)).astype(int)
-    mult = np.where(np.abs(freqs) <= 2 * k_max, kernel.line_fourier(eps * freqs), 0.0)
-    conv = np.fft.ifft(rho_hat * mult * M, axis=1).real
-    return np.mean(conv**2 * rho, axis=1) / 6.0
+    return _sextic_energy(coeffs, grid_size, lambda m: kernel.line_fourier(eps * m))
 
 
 # ------------------------------------------------------------------
@@ -150,11 +155,11 @@ def _check_focusing_config(interaction: str, cutoff: CutoffProfile):
 
 def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
                  cutoff: CutoffProfile, kernel: KernelSpec | None,
-                 cap: float | None = None) -> np.ndarray:
-    mass = np.sum(np.abs(coeffs) ** 2, axis=1)
-    f = cutoff(mass)
+                 cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row weights e^{energy} * f and the cutoff values f = cutoff(mass)."""
+    f = cutoff(np.sum(np.abs(coeffs) ** 2, axis=1))
     if interaction == "none":
-        return f
+        return f, f
     # exponentiate only inside the cutoff support; outside it the energy can
     # overflow exp while the weight is exactly zero anyway
     live = f > 0.0
@@ -168,7 +173,7 @@ def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
         if cap is not None:
             en = np.minimum(en, cap)
         w[live] = np.exp(en) * f[live]
-    return w
+    return w, f
 
 
 def _group_sums(x: np.ndarray) -> np.ndarray:
@@ -232,7 +237,7 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        return _weights_for(coeffs, interaction, params, cutoff, kernel), None
+        return _weights_for(coeffs, interaction, params, cutoff, kernel)[0], None
 
     return _mc_estimate(seed, n_samples, draw, threads)
 
@@ -251,8 +256,7 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        f = cutoff(np.sum(np.abs(coeffs) ** 2, axis=1))
-        return _weights_for(coeffs, interaction, params, cutoff, kernel), f
+        return _weights_for(coeffs, interaction, params, cutoff, kernel)
 
     return _mc_estimate(seed, n_samples, draw, threads)
 
@@ -277,7 +281,7 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        w = _weights_for(coeffs, interaction, params, cutoff, kernel)
+        w, _ = _weights_for(coeffs, interaction, params, cutoff, kernel)
         outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
         return w[:, None, None] * outer, w
 
@@ -361,7 +365,7 @@ def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
-        return _weights_for(coeffs, "hartree", params, cutoff, kernel, cap=R_cap), None
+        return _weights_for(coeffs, "hartree", params, cutoff, kernel, cap=R_cap)[0], None
 
     return _mc_estimate(seed, n_samples, draw, threads)
 

@@ -38,6 +38,16 @@ class TestSampler:
         assert np.mean(mass) == pytest.approx(
             trace_h_inverse(1), abs=GATE_Z * np.std(mass) / math.sqrt(n))
 
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_draws_match_product_expression(self, k_max):
+        # the draws are bit-identical to (re + 1j*im) * sd from the same two calls
+        got = cgibbs.sample_free_fields(k_max, 1000, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        re = rng.standard_normal((1000, 2 * k_max + 1))
+        im = rng.standard_normal((1000, 2 * k_max + 1))
+        sd = 1.0 / np.sqrt(2.0 * eigenvalues(k_max))
+        assert np.array_equal(got, (re + 1j * im) * sd)
+
 
 class TestEnergies:
     def test_constant_field(self):
@@ -76,18 +86,68 @@ class TestEnergies:
             assert got == pytest.approx(oracle, abs=1e-8 * max(1.0, abs(oracle)))
 
     def test_grid_doubling_invariance(self, rng):
+        # the default 13-point grid against 64 and 128 points at k_max = 2
         alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
-        e1 = cgibbs.local_energy_batch(alpha[None, :], 64)[0]
-        e2 = cgibbs.local_energy_batch(alpha[None, :], 128)[0]
-        assert abs(e1 - e2) < 1e-12 * max(1.0, e1)
-        h1 = cgibbs.hartree_energy_batch(alpha[None, :], 0.5, grid_size=64)[0]
-        h2 = cgibbs.hartree_energy_batch(alpha[None, :], 0.5, grid_size=128)[0]
-        assert abs(h1 - h2) < 1e-12 * max(1.0, h1)
+        e0 = cgibbs.local_energy_batch(alpha[None, :])[0]
+        h0 = cgibbs.hartree_energy_batch(alpha[None, :], 0.5)[0]
+        for grid in (64, 128):
+            e1 = cgibbs.local_energy_batch(alpha[None, :], grid)[0]
+            assert abs(e0 - e1) < 1e-12 * max(1.0, e0)
+            h1 = cgibbs.hartree_energy_batch(alpha[None, :], 0.5, grid_size=grid)[0]
+            assert abs(h0 - h1) < 1e-12 * max(1.0, h0)
 
     def test_nyquist_guard(self):
         # 23 coefficients -> degree-66 integrand; a 64-point grid aliases it
         with pytest.raises(InvalidConfigError):
             cgibbs.local_energy_batch(np.zeros((1, 23), dtype=complex), 64)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_nyquist_boundary(self, k_max, rng):
+        J = 2 * k_max + 1
+        alpha = (rng.normal(size=J) + 1j * rng.normal(size=J))[None, :]
+        with pytest.raises(InvalidConfigError):
+            cgibbs.local_energy_batch(alpha, 6 * k_max)
+        with pytest.raises(InvalidConfigError):
+            cgibbs.hartree_energy_batch(alpha, 0.5, grid_size=6 * k_max)
+        e = cgibbs.local_energy_batch(alpha, 6 * k_max + 1)[0]
+        h = cgibbs.hartree_energy_batch(alpha, 0.5, grid_size=6 * k_max + 1)[0]
+        assert e == pytest.approx(cgibbs.local_energy_batch(alpha, 128)[0], rel=1e-12)
+        assert h == pytest.approx(
+            cgibbs.hartree_energy_batch(alpha, 0.5, grid_size=128)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    @pytest.mark.parametrize("kernel_id", ["box", "box0.3", "raised_cosine", "local"])
+    def test_fourier_triple_sum_oracle(self, k_max, kernel_id, rng):
+        # (1/6) sum over m1 + m2 + m3 = 0 of w(m1) w(m2) rho(m1) rho(m2) rho(m3),
+        # with rho_hat(m) = sum_j a_{j+m} conj(a_j) and w(m) = w_hat(eps*m) in
+        # closed form (w = 1 for the local energy); no grid, no circulant
+        eps, s = 0.5, 0.4
+        kernel, w_hat = {
+            "local": (None, lambda xi: 1.0),
+            "box": (None, lambda xi: np.sinc(xi)),
+            "box0.3": (KernelSpec.box(0.3), lambda xi: np.sinc(0.6 * xi)),
+            # cos^2(pi y / 2s) / s on [-s, s]
+            "raised_cosine": (
+                KernelSpec.from_profile(lambda y: np.cos(np.pi * y / (2 * s)) ** 2, s),
+                lambda xi: np.sinc(2 * s * xi)
+                + 0.5 * (np.sinc(2 * s * xi + 1) + np.sinc(2 * s * xi - 1))),
+        }[kernel_id]
+        J = 2 * k_max + 1
+        coeffs = rng.normal(size=(4, J)) + 1j * rng.normal(size=(4, J))
+        if kernel_id == "local":
+            got = cgibbs.local_energy_batch(coeffs)
+        else:
+            got = cgibbs.hartree_energy_batch(coeffs, eps, kernel)
+        for alpha, value in zip(coeffs, got):
+            rho_hat = {m: sum(alpha[j + m] * np.conj(alpha[j])
+                              for j in range(J) if 0 <= j + m < J)
+                       for m in range(-2 * k_max, 2 * k_max + 1)}
+            oracle = sum(w_hat(eps * m1) * w_hat(eps * m2)
+                         * rho_hat[m1] * rho_hat[m2] * rho_hat[-m1 - m2]
+                         for m1 in rho_hat for m2 in rho_hat
+                         if -m1 - m2 in rho_hat) / 6.0
+            assert abs(oracle.imag) < 1e-12 * abs(oracle)
+            assert value == pytest.approx(oracle.real, rel=1e-12)
 
     def test_hartree_to_local_pathwise(self, rng):
         for _ in range(8):

@@ -7,9 +7,9 @@ import os
 
 import pytest
 
-from torusgibbs import experiments, qgibbs
+from torusgibbs import cgibbs, experiments, qgibbs
 from torusgibbs.cli import cli_main
-from torusgibbs.errors import InvalidConfigError, NumericalFailureError
+from torusgibbs.errors import DegenerateInputError, InvalidConfigError, NumericalFailureError
 from torusgibbs.experiments import ExperimentConfig, config_items, parse_config
 
 
@@ -111,6 +111,38 @@ class TestCli:
             (row,) = csv.DictReader(fh)
         stderr = float(row["trace_dist_stderr"])
         assert math.isfinite(stderr) and stderr > 0.0
+
+    def test_threshold_reports_skipped_gns_trials(self, tmp_path):
+        cfg = write_config(tmp_path, "k_max_values = 0\nn_samples = 2000\n")
+        out = os.path.join(tmp_path, "out")
+        assert cli_main(["threshold", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "threshold.csv"), encoding="utf-8") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        # random bump fields are never degenerate
+        assert float(rows["gns_skipped_of_1000"]["value"]) == 0.0
+        assert float(rows["gns_violations_of_1000"]["value"]) == 0.0
+
+    def test_threshold_skips_only_degenerate_gns_trials(self, monkeypatch):
+        cfg = ExperimentConfig(k_max_values=[0], n_samples=2000)
+        calls = []
+        real_check = cgibbs.gns_check
+
+        def every_tenth_degenerate(v, dx):
+            calls.append(None)
+            if len(calls) % 10 == 0:
+                raise DegenerateInputError("vanishing norm")
+            return real_check(v, dx)
+
+        monkeypatch.setattr(cgibbs, "gns_check", every_tenth_degenerate)
+        rows = {r["check"]: r["value"] for r in experiments.exp_threshold_suite(cfg)}
+        assert rows["gns_skipped_of_1000"] == 100.0
+
+        def broken(v, dx):
+            raise FloatingPointError("not a degenerate input")
+
+        monkeypatch.setattr(cgibbs, "gns_check", broken)
+        with pytest.raises(FloatingPointError):
+            experiments.exp_threshold_suite(cfg)
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         def failing_build(*args, **kwargs):
