@@ -93,21 +93,25 @@ def parse_config(path: str) -> ExperimentConfig:
     fields of ExperimentConfig; unknown keys are errors."""
     types = typing.get_type_hints(ExperimentConfig)
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in types:
-                raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _parse_value(types[key], val)
-            except ValueError as exc:
-                raise InvalidConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in types:
+            raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(types[key], val)
+        except ValueError as exc:
+            raise InvalidConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return ExperimentConfig(**values)
 
 
@@ -134,8 +138,7 @@ def write_csv(path: str, rows: list) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def write_manifest(path: str, cfg: ExperimentConfig, wall_time: float,
-                   extra: dict | None = None) -> None:
+def write_manifest(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
     import scipy
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -145,8 +148,6 @@ def write_manifest(path: str, cfg: ExperimentConfig, wall_time: float,
         fh.write(f"numpy_version = {np.__version__}\n")
         fh.write(f"scipy_version = {scipy.__version__}\n")
         fh.write(f"wall_time_s = {wall_time:.3f}\n")
-        for key, val in (extra or {}).items():
-            fh.write(f"{key} = {val}\n")
 
 
 def _params_for(cfg: ExperimentConfig, tau: float, eps: float, eta: float,
@@ -399,8 +400,8 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
             continue
         Wm = fock.assemble_interaction(b.basis, KernelSpec.box(), params.eps)
         p = b.boltzmann / blocks_int.Z
-        Vr = b.vectors if b.vectors is not None else np.eye(b.basis.dim)
-        w_expect += float(np.sum(p * np.einsum("ij,jk,ki->i", Vr.T, Wm, Vr))) / tau**3
+        V = b.vectors.toarray()
+        w_expect += float(np.sum(p * np.einsum("ij,jk,ki->i", V.T, Wm, V))) / tau**3
     functional = qgibbs.relative_entropy(blocks_int, blocks_free) - w_expect
     target = -math.log(blocks_int.Z / blocks_free.Z)
     check("variational_identity", abs(functional - target) <= 1e-8 * max(1.0, abs(target)))

@@ -203,7 +203,7 @@ def ladder_gram(sector_items, words, create: bool = False) -> np.ndarray:
     the product of annihilators (creators if `create`) it names, applied
     rightmost first.  `sector_items` iterates over (basis, probs, vectors)
     as in `one_body_matrix`; W = vectors * sqrt(probs) is the weighted
-    eigenvector block, or diag(sqrt(probs)) when `vectors` is None.  So
+    eigenvector block, densified once per sector.  So
     G[a, b] = Tr(Gamma X_a^dag X_b) for the block state Gamma.  W is
     contracted in column blocks, and images shared by words with a common
     suffix are computed once per block.
@@ -215,7 +215,7 @@ def ladder_gram(sector_items, words, create: bool = False) -> np.ndarray:
         if basis.n + step * length < 0 or not np.any(probs):
             continue
         root = np.sqrt(probs)
-        W = np.diag(root) if vectors is None else vectors * root
+        W = vectors.toarray() * root
         sectors = [basis] + [enumerate_sector(basis.k_max, basis.n + step * d)
                              for d in range(1, length + 1)]
         width = max(1, _BLOCK_ENTRIES // (len(words) * sectors[-1].dim))
@@ -236,8 +236,9 @@ def one_body_matrix(sector_items) -> np.ndarray:
 
     `sector_items` iterates over (basis, probs, vectors) with `probs` the
     spectral weights of the sector block and `vectors` the matching
-    orthonormal columns (None means the occupation basis itself).  The
-    result is PSD with trace equal to the mean particle number.
+    orthonormal columns, a scipy.sparse array (the identity for the
+    occupation basis itself).  The result is PSD with trace equal to the
+    mean particle number.
     """
     items = list(sector_items)
     if not items:

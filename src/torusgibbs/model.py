@@ -147,11 +147,11 @@ class CutoffProfile:
     _interp: object = field(default=None, repr=False, compare=False)
 
     @staticmethod
-    def smooth(K: float, eta: float, table_size: int = 4096) -> "CutoffProfile":
+    def smooth(K: float, eta: float) -> "CutoffProfile":
         if not 0 < eta < 0.5 * K**2:
             raise InvalidConfigError(f"need 0 < eta < K^2/2, got eta={eta}, K={K}")
         # f(x) = 1 - Theta(z), z = 2(x - K^2)/eta + 1, Theta the bump CDF on [-1, 1].
-        z = np.linspace(-1.0, 1.0, table_size)
+        z = np.linspace(-1.0, 1.0, 4096)
         cdf = integrate.cumulative_simpson(_bump(z), x=z, initial=0.0)
         cdf /= cdf[-1]  # kill the ~1e-14 quadrature residue so endpoints are exact
         x = K**2 + 0.5 * eta * (z - 1.0)
@@ -172,6 +172,8 @@ class CutoffProfile:
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != values.shape or len(x) < 2:
             raise InvalidConfigError("table cutoff needs matching 1-d x/value arrays")
+        if not np.all(np.diff(x) > 0):
+            raise InvalidConfigError("table cutoff x must be strictly increasing")
         if np.any(values < 0) or np.any(values > 1):
             raise InvalidConfigError("cutoff values must lie in [0, 1]")
         interp = PchipInterpolator(x, values)
@@ -370,13 +372,13 @@ def _shooting_norms(x_cut: float = 12.0):
     return A, 2.0 * q2, 2.0 * p2, 2.0 * q6  # even reflection
 
 
-@lru_cache(maxsize=2)
-def soliton(validate: bool = True) -> SolitonProfile:
+@lru_cache(maxsize=1)
+def soliton() -> SolitonProfile:
     """Ground-state profile with certified norms.
 
-    Norms of the closed form are computed by quadrature; when `validate`
-    is set (the default) they are checked against the shooting oracle to
-    1e-6 and a NumericalFailureError is raised on disagreement.
+    Norms of the closed form are computed by quadrature and checked against
+    the shooting oracle to 1e-6; a NumericalFailureError is raised on
+    disagreement.
     """
     prof_eval = lambda x: (3.0 / np.cosh(2.0 * x) ** 2) ** 0.25
     l2 = integrate.quad(lambda x: prof_eval(x) ** 2, 0, 40, limit=200)[0] * 2.0
@@ -389,19 +391,18 @@ def soliton(validate: bool = True) -> SolitonProfile:
     h1 = integrate.quad(lambda x: dq(x) ** 2, 0, 40, limit=200)[0] * 2.0
     prof = SolitonProfile(l2_sq=l2, deriv_l2_sq=h1, l6_pow6=l6)
 
-    if validate:
-        A, s_l2, s_h1, s_l6 = _shooting_norms()
-        checks = [
-            ("height", A, 3.0**0.25),
-            ("l2", s_l2, l2),
-            ("h1", s_h1, h1),
-            ("l6", s_l6, l6),
-        ]
-        for name, got, ref in checks:
-            if abs(got - ref) > 1e-6:
-                raise NumericalFailureError(
-                    f"soliton {name}: shooting {got!r} vs closed form {ref!r}"
-                )
+    A, s_l2, s_h1, s_l6 = _shooting_norms()
+    checks = [
+        ("height", A, 3.0**0.25),
+        ("l2", s_l2, l2),
+        ("h1", s_h1, h1),
+        ("l6", s_l6, l6),
+    ]
+    for name, got, ref in checks:
+        if abs(got - ref) > 1e-6:
+            raise NumericalFailureError(
+                f"soliton {name}: shooting {got!r} vs closed form {ref!r}"
+            )
     return prof
 
 

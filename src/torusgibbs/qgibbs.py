@@ -5,7 +5,8 @@ commutes with the number operator.  Each block is stored through its
 eigendecomposition; Gibbs weights are exp(-E) * cutoff(n/tau) with E the
 spectrum of H_tau = H_0/tau - W/tau^3 restricted to the sector.  H_tau also
 conserves total momentum, so each sector is diagonalized one momentum block
-at a time; the eigenvectors are still stored as sector-sized columns.
+at a time, and its eigenvectors are stored as one sparse array whose
+columns hold their block's rows only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.signal import lfilter
 
 from . import fock
@@ -41,14 +43,18 @@ __all__ = [
 class SectorBlock:
     """Eigendecomposition of one sector Hamiltonian plus its Gibbs weight.
 
-    vectors is None for blocks that are diagonal in the occupation basis
-    (free Hamiltonians); energies are then the diagonal itself.
+    vectors is a real column-orthonormal scipy.sparse.csc_array whose
+    column i is the eigenvector of energies[i], stored on the rows of its
+    total-momentum block.  Sectors diagonal in the occupation basis (free
+    Hamiltonians, and n < 3 with the interaction) carry the identity, with
+    energies in basis order; sectors outside the cutoff support carry an
+    empty (dim, 0) array.
     """
 
     n: int
     basis: fock.SectorBasis
     energies: np.ndarray
-    vectors: np.ndarray | None
+    vectors: sparse.csc_array
     cutoff_value: float
 
     @property
@@ -86,20 +92,19 @@ class GibbsStateBlocks:
 
 
 def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
+                    n: int) -> tuple[np.ndarray, sparse.csc_array]:
     """Eigenpairs of a sector Hamiltonian that conserves total momentum:
-    one dense eigh per momentum block, blocks in ascending momentum, each
-    block's eigenvectors scattered into sector-sized columns.
+    one dense eigh per momentum block, blocks in ascending momentum.  Each
+    block's eigenvectors become columns stored on the block's rows.
 
     Every eigenpair is checked against the whole sector matrix, so a
     coupling between blocks would show as a residual too.
     """
-    E = np.empty(len(H))
-    V = np.zeros_like(H)
+    order = np.argsort(momenta, kind="stable")  # rows grouped by ascending momentum
+    blocks = np.split(order, np.flatnonzero(np.diff(momenta[order])) + 1)
+    energies, data = [], []
     scale = max(1.0, float(H.max()), -float(H.min()))
-    start = 0
-    for P in np.unique(momenta):
-        rows = np.flatnonzero(momenta == P)
+    for rows in blocks:
         H_rows = H[rows]
         e, v = np.linalg.eigh(H_rows[:, rows])
         R = H_rows.T @ v  # H is symmetric: the block's columns of the whole sector
@@ -107,13 +112,17 @@ def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
         res = float(np.linalg.norm(R, axis=0).max())
         if res > 1e-9 * scale * math.sqrt(len(rows)):
             raise NumericalFailureError(
-                f"eigensolve residual {res:.2e} in sector n={n}, momentum {P} "
-                f"(scale {scale:.2e})"
+                f"eigensolve residual {res:.2e} in sector n={n}, "
+                f"momentum {momenta[rows[0]]} (scale {scale:.2e})"
             )
-        E[start:start + len(rows)] = e
-        V[rows, start:start + len(rows)] = v
-        start += len(rows)
-    return E, V
+        energies.append(e)
+        data.append(v.T.ravel())  # column by column
+    # a block of m states has m columns, each stored on the block's m rows
+    sizes = [len(rows) for rows in blocks]
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, sizes))))
+    indices = np.concatenate([rows for rows in blocks for _ in rows])
+    V = sparse.csc_array((np.concatenate(data), indices, indptr), shape=H.shape)
+    return np.concatenate(energies), V
 
 
 def build_gibbs(
@@ -146,7 +155,8 @@ def build_gibbs(
         basis = fock.enumerate_sector(params.k_max, n)
         if fval == 0.0:
             blocks.append(SectorBlock(n=n, basis=basis, energies=np.empty(0),
-                                      vectors=None, cutoff_value=0.0))
+                                      vectors=sparse.csc_array((basis.dim, 0)),
+                                      cutoff_value=0.0))
             continue
         kin = fock.kinetic_diagonal(basis)
         if interacting and n >= 3:
@@ -155,7 +165,7 @@ def build_gibbs(
             H[np.diag_indices(basis.dim)] += kin / tau
             E, V = _eigendecompose(H, basis.momenta, n)
         else:
-            E, V = kin / tau, None
+            E, V = kin / tau, sparse.eye_array(basis.dim, format="csc")
         blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=fval)
         blocks.append(blk)
         Z += blk.weight
@@ -221,7 +231,7 @@ class FreeProductState:
 
     @staticmethod
     def build(k_max: int, tau: float, cutoff: CutoffProfile | None = None,
-              n_max: int | None = None, tail_tol: float = 1e-12) -> "FreeProductState":
+              n_max: int | None = None) -> "FreeProductState":
         if cutoff is None:
             cutoff = CutoffProfile.one()
         if n_max is None:
@@ -229,7 +239,7 @@ class FreeProductState:
             if bound is not None:
                 n_max = int(math.floor(bound * tau))
             else:
-                n_max = certified_free_nmax(k_max, tau, tail_tol)
+                n_max = certified_free_nmax(k_max, tau)
         z = free_sector_weights(k_max, tau, n_max)
         return FreeProductState(k_max=k_max, tau=tau, cutoff=cutoff,
                                 n_max=n_max, sector_weights=z)
@@ -306,15 +316,6 @@ def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> fl
         p = b.boltzmann / state.Z
         logq = -rb.energies + math.log(rb.cutoff_value) - math.log(reference.Z)
         total += float(np.dot(p, np.log(np.where(p > 0, p, 1.0))))
-        # |<psi_i, phi_j>|^2; an occupation-diagonal side is the identity
-        if b.vectors is None and rb.vectors is None:
-            total -= float(np.dot(p, logq))
-            continue
-        if rb.vectors is None:
-            overlap_sq = np.abs(b.vectors.T) ** 2
-        elif b.vectors is None:
-            overlap_sq = np.abs(rb.vectors) ** 2
-        else:
-            overlap_sq = np.abs(b.vectors.T.conj() @ rb.vectors) ** 2
-        total -= float(p @ overlap_sq @ logq)
+        overlap = b.vectors.T @ rb.vectors  # <psi_i, phi_j>, block-sparse
+        total -= float(p @ overlap.power(2) @ logq)
     return total

@@ -7,9 +7,10 @@ mirror the quantum ones up to explicitly computable corrections.
 
 The coherent amplitudes have one kernel, assembled in log space; the
 tensor-power coefficients are the same amplitudes with their Poisson
-prefactor divided out.  `sample_husimi` draws from the lower symbol on one
-path: product form on the blocks diagonal in the occupation basis, batched
-rejection on the blocks that carry eigenvectors.
+prefactor divided out.  Every block state stores its eigenvectors as one
+sparse array per sector, so each quantity below contracts them on one path.
+`sample_husimi` draws in product form for eigenstates that are single
+occupation states and by batched rejection for the others.
 """
 
 from __future__ import annotations
@@ -135,13 +136,8 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     for b in blocks.blocks:
         if b.weight == 0.0:
             continue
-        A = _coherent_amplitude_matrix(b.basis, vs)
-        probs = b.boltzmann / blocks.Z
-        if b.vectors is None:
-            out += np.abs(A) ** 2 @ probs
-        else:
-            overlaps = A @ b.vectors.conj()
-            out += np.abs(overlaps) ** 2 @ probs
+        overlaps = _coherent_amplitude_matrix(b.basis, vs) @ b.vectors
+        out += np.abs(overlaps) ** 2 @ (b.boltzmann / blocks.Z)
     return out / (varsigma * math.pi) ** J
 
 
@@ -156,37 +152,43 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     """Exact draws from the lower symbol of a block state.
 
     Every draw first picks an eigenstate with its Gibbs weight, all picks at
-    once.  Blocks diagonal in the occupation basis (the free state, and the
-    sectors n < 3 of an interacting one) sample in product form, all their
-    picks in one step: given the occupation vector nu, each |v_j|^2 is
-    Gamma(nu_j + 1) with a uniform phase, and u = sqrt(varsigma) v.  On the
-    other blocks u = sqrt(varsigma s) omega with s ~ Gamma(n + J) and a unit
-    direction omega accepted with probability |<psi_i, omega^{tensor n}>|^2,
-    whose mean is the reciprocal sector dimension.  Each pending draw of
-    such a block gets a batch of proposals at a time and keeps its first
-    accepted one.  Raises QuadratureFailureError when a draw stalls.
+    once; within a sector the eigenstates are listed by their first stored
+    row, which is basis order for occupation eigenstates.  An eigenstate
+    whose column has one stored entry is an occupation state nu (all of the
+    free state, the sectors n < 3 of an interacting one, and its 1 x 1
+    momentum blocks).  Those picks sample in product form, all in one step:
+    each |v_j|^2 is Gamma(nu_j + 1) with a uniform phase, and
+    u = sqrt(varsigma) v.  For the other picks u = sqrt(varsigma s) omega
+    with s ~ Gamma(n + J) and a unit direction omega accepted with
+    probability |<psi_i, omega^{tensor n}>|^2, whose mean is the reciprocal
+    sector dimension.  Each pending draw gets a batch of proposals at a
+    time and keeps its first accepted one.  Raises QuadratureFailureError
+    when a draw stalls.
     """
     J = blocks.params.J
     live = [b for b in blocks.blocks if b.weight != 0.0]
-    probs = np.concatenate([b.boltzmann / blocks.Z for b in live])
+    heads = [b.vectors.indices[b.vectors.indptr[:-1]] for b in live]  # first stored rows
+    order = [np.argsort(h, kind="stable") for h in heads]
+    probs = np.concatenate([b.boltzmann[o] / blocks.Z for b, o in zip(live, order)])
     probs = probs / probs.sum()
     picks = rng.choice(len(probs), size=n_samples, p=probs)
     starts = np.cumsum([0] + [b.basis.dim for b in live])
     which = np.searchsorted(starts, picks, side="right") - 1
-    local = picks - starts[which]
+    column = np.concatenate(order)[picks]
     out = np.empty((n_samples, J), dtype=complex)
 
-    diagonal = np.isin(which, [k for k, b in enumerate(live) if b.vectors is None])
-    nu = np.concatenate([b.basis.occupations for b in live])[picks[diagonal]]
+    single = np.concatenate([np.diff(b.vectors.indptr)[o] == 1
+                             for b, o in zip(live, order)])[picks]
+    nu = np.concatenate([b.basis.occupations[h[o]]
+                         for b, h, o in zip(live, heads, order)])[picks[single]]
     radii_sq = rng.gamma(shape=nu + 1.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
-    out[diagonal] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
+    out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
 
     tries = np.zeros(n_samples, dtype=np.int64)
     for k, b in enumerate(live):
-        if b.vectors is None:
-            continue
-        pending = np.flatnonzero(which == k)
+        pending = np.flatnonzero((which == k) & ~single)
+        V = b.vectors.toarray()
         budget = max(1, _PROPOSAL_ENTRIES // b.basis.dim)
         while pending.size:
             per_row = max(1, budget // pending.size)
@@ -196,7 +198,7 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
             omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
             s_rad = rng.gamma(shape=b.n + J, size=shape)
             overlap = np.einsum("rqd,dr->rq", _tensor_power_coeffs(b.basis, omega),
-                                b.vectors[:, local[rows]].conj())
+                                V[:, column[rows]])
             accept = rng.random(shape) < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
             first = accept.argmax(axis=1)[hit]
@@ -233,12 +235,8 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
     for b in blocks.blocks:
         if b.cutoff_value == 0.0 or b.n > coh.N_trunc:
             continue
-        amp = coh.amps[b.n]
-        if b.vectors is None:
-            lhs += b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(amp) ** 2))
-        else:
-            rot = b.vectors.conj().T @ amp
-            lhs += b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
+        rot = b.vectors.T @ coh.amps[b.n]
+        lhs += b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
 
     if mass == 0.0:
         rhs = float(cutoff(0.0))
@@ -254,13 +252,8 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
         if pmf == 0.0:
             continue
         # normalized tensor power of the unit direction, in the sector basis
-        t = _tensor_power_coeffs(b.basis, direction)
-        if b.vectors is None:
-            quad = float(np.sum(np.exp(-b.energies) * np.abs(t) ** 2))
-        else:
-            rot = b.vectors.conj().T @ t
-            quad = float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
-        rhs += pmf * b.cutoff_value * quad
+        rot = b.vectors.T @ _tensor_power_coeffs(b.basis, direction)
+        rhs += pmf * b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
     return lhs, rhs
 
 

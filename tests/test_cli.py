@@ -58,8 +58,9 @@ class TestCli:
         (["blowup"], "bogus = 1\n"),
         (["freerate"], "k_max = -1\n"),
         (["freerate"], "tau_values = -5\n"),
+        (["partition", "--config", os.path.join("no-such-dir", "run.cfg")], None),
     ], ids=["threads-0", "seed-negative", "unknown-key", "k_max-negative",
-            "tau-nonpositive"])
+            "tau-nonpositive", "missing-config"])
     def test_invalid_input_exits_1(self, argv, config, tmp_path, capsys):
         if config is not None:
             argv = argv + ["--config", write_config(tmp_path, config)]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,7 +105,7 @@ class TestLadder:
         # the creation gram of a sector-99 block reaches it, and obeys the CCR
         basis = fock.enumerate_sector(1, 99)
         vecs = np.linalg.qr(rng.normal(size=(basis.dim, 3)))[0]
-        items = [(basis, np.array([0.5, 0.3, 0.2]), vecs)]
+        items = [(basis, np.array([0.5, 0.3, 0.2]), sparse.csc_array(vecs))]
         words = [(p,) for p in range(3)]
         create = fock.ladder_gram(items, words, create=True)
         annihilate = fock.ladder_gram(items, words)
@@ -207,12 +208,12 @@ class TestInteraction:
 class TestOneBodyMatrix:
     def test_vacuum(self):
         basis = fock.enumerate_sector(1, 0)
-        G = fock.one_body_matrix([(basis, np.array([1.0]), None)])
+        G = fock.one_body_matrix([(basis, np.array([1.0]), sparse.eye_array(1, format="csc"))])
         assert np.all(G == 0.0)
 
     def test_pure_one_particle(self):
         basis = fock.enumerate_sector(0, 1)
-        G = fock.one_body_matrix([(basis, np.array([1.0]), None)])
+        G = fock.one_body_matrix([(basis, np.array([1.0]), sparse.eye_array(1, format="csc"))])
         assert G[0, 0] == pytest.approx(1.0)
 
     def test_thermal_single_mode(self):
@@ -221,7 +222,8 @@ class TestOneBodyMatrix:
         q = math.exp(-lam / tau)
         n_max = 2000
         probs = (1 - q) * q ** np.arange(n_max + 1)
-        items = [(fock.enumerate_sector(0, n), np.array([probs[n]]), None)
+        one = sparse.eye_array(1, format="csc")
+        items = [(fock.enumerate_sector(0, n), np.array([probs[n]]), one)
                  for n in range(n_max + 1)]
         G = fock.one_body_matrix(items)
         assert G[0, 0] == pytest.approx(1.0 / (math.exp(lam / tau) - 1.0), abs=1e-6)
@@ -234,7 +236,7 @@ class TestPartialTraceOracle:
         basis = fock.enumerate_sector(1, 3)
         vecs = np.linalg.qr(rng.normal(size=(basis.dim, 3)))[0]
         probs = np.array([0.5, 0.3, 0.2])
-        G = fock.one_body_matrix([(basis, probs, vecs)])
+        G = fock.one_body_matrix([(basis, probs, sparse.csc_array(vecs))])
         oracle = np.zeros((3, 3), dtype=complex)
         for p, psi in zip(probs, vecs.T):
             dense = embed_symmetric(basis, psi.astype(complex))

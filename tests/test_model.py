@@ -133,6 +133,12 @@ class TestCutoff:
         assert table(0.3) == 0.0
         assert np.all(table(np.array([0.2, 0.2001, 0.3, 5.0])) == 0.0)
 
+    @pytest.mark.parametrize("x", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1, 0.3]],
+                             ids=["repeated", "decreasing"])
+    def test_table_needs_increasing_x(self, x):
+        with pytest.raises(InvalidConfigError, match="strictly increasing"):
+            CutoffProfile.from_table(np.array(x), np.array([1.0, 0.8, 0.4, 0.0]))
+
 
 class TestKernel:
     def test_normalization_mode(self):

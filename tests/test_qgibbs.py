@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import embed_symmetric, partial_trace_first
 from torusgibbs import fock, qgibbs
@@ -74,14 +75,14 @@ class TestBuild:
         b = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.05))
         checked = 0
         for blk in b.blocks:
-            if blk.vectors is None:
+            if blk.n < 3 or blk.cutoff_value == 0.0:
                 continue
             kin = fock.kinetic_diagonal(blk.basis)
             W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
             dense = np.linalg.eigvalsh(np.diag(kin / tau) - W / tau**3)
             scale = max(1.0, np.abs(dense).max())
             assert np.abs(np.sort(blk.energies) - dense).max() <= 1e-12 * scale
-            V = blk.vectors
+            V = blk.vectors.toarray()
             assert np.abs(V.T @ V - np.eye(blk.basis.dim)).max() <= 1e-12
             checked += 1
         assert checked >= 3
@@ -107,6 +108,32 @@ class TestBuild:
         b = qgibbs.build_gibbs(p, False, table)
         assert b.blocks[3].cutoff_value == 0.0
         assert all(np.all(blk.boltzmann >= 0.0) for blk in b.blocks)
+
+
+class TestEigenvectorStorage:
+    # one sparse eigenvector array per sector, interacting or free
+    @pytest.mark.parametrize("interacting", [True, False], ids=["interacting", "free"])
+    @pytest.mark.parametrize("tau,k_max", [(40.0, 1), (17.0, 2)])
+    def test_block_sparse_columns(self, tau, k_max, interacting):
+        p = params(tau=tau, k_max=k_max, eta=0.1)
+        b = qgibbs.build_gibbs(p, interacting, CutoffProfile.smooth(0.6, 0.1))
+        for blk in b.blocks:
+            V = blk.vectors
+            assert isinstance(V, sparse.csc_array)
+            if blk.cutoff_value == 0.0:
+                assert V.shape == (blk.basis.dim, 0)
+                continue
+            assert V.shape == (blk.basis.dim, blk.basis.dim) == (blk.basis.dim, len(blk.energies))
+            assert np.abs((V.T @ V).toarray() - np.eye(blk.basis.dim)).max() <= 1e-12
+            # the stored rows of each column share one total momentum
+            momenta = blk.basis.momenta[V.indices]
+            for lo, hi in zip(V.indptr[:-1], V.indptr[1:]):
+                assert hi > lo and np.all(momenta[lo:hi] == momenta[lo])
+            if not interacting or blk.n < 3:
+                identity = sparse.eye_array(blk.basis.dim, format="csc")
+                assert np.array_equal(V.indptr, identity.indptr)
+                assert np.array_equal(V.indices, identity.indices)
+                assert np.array_equal(V.data, identity.data)
 
 
 class TestRelativePartition:
@@ -176,7 +203,7 @@ class TestReducedDensity:
             if blk.weight == 0.0 or blk.n == 0:
                 continue
             probs = blk.boltzmann / b.Z
-            vecs = blk.vectors if blk.vectors is not None else np.eye(blk.basis.dim)
+            vecs = blk.vectors.toarray()
             for w, psi in zip(probs, vecs.T):
                 dense = embed_symmetric(blk.basis, psi.astype(complex))
                 oracle += w * blk.n * partial_trace_first(dense, keep=1)
@@ -195,7 +222,7 @@ class TestReducedDensity:
             if blk.weight == 0.0 or blk.n < 2:
                 continue
             probs = blk.boltzmann / b.Z
-            vecs = blk.vectors if blk.vectors is not None else np.eye(blk.basis.dim)
+            vecs = blk.vectors.toarray()
             for w, psi in zip(probs, vecs.T):
                 dense = embed_symmetric(blk.basis, psi.astype(complex))
                 oracle_full += w * math.comb(blk.n, 2) * partial_trace_first(dense, keep=2)
@@ -254,7 +281,7 @@ def _two_level_state(p0, p1):
         basis = fock.enumerate_sector(0, n)
         blocks.append(qgibbs.SectorBlock(
             n=n, basis=basis, energies=np.array([-math.log(pn)]),
-            vectors=None, cutoff_value=1.0))
+            vectors=sparse.eye_array(1, format="csc"), cutoff_value=1.0))
     pr = ModelParams(tau=1.0, eps=0.5, eta=0.1, K=1.5, k_max=0, n_max=2)
     return qgibbs.GibbsStateBlocks(params=pr, interacting=False,
                                    cutoff=CutoffProfile.one(),
@@ -271,14 +298,13 @@ def _dense_log(rho):
 
 def _dense_relative_entropy(state, reference):
     """Tr rho (log rho - log sigma) summed over sectors, with each sector's
-    rho = V diag(p) V^T formed densely (V = identity for diagonal blocks)."""
+    rho = V diag(p) V^T formed densely."""
     total = 0.0
     for a, c in zip(state.blocks, reference.blocks):
         if a.weight == 0.0:
             continue
         rho, sigma = (
-            (np.diag(blk.boltzmann) if blk.vectors is None
-             else blk.vectors @ np.diag(blk.boltzmann) @ blk.vectors.T) / st.Z
+            blk.vectors @ np.diag(blk.boltzmann) @ blk.vectors.T / st.Z
             for blk, st in ((a, state), (c, reference)))
         total += float(np.trace(rho @ (_dense_log(rho) - _dense_log(sigma))))
     return total
@@ -335,7 +361,7 @@ class TestRelativeEntropy:
                 continue
             W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
             pr = blk.boltzmann / bi.Z
-            V = blk.vectors
+            V = blk.vectors.toarray()
             quad = np.einsum("ji,jk,ki->i", V, W, V)
             w_expect += float(np.dot(pr, quad)) / p.tau**3
         functional = qgibbs.relative_entropy(bi, bf) - w_expect

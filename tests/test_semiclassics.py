@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import sparse, special, stats
 
 from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_product_form_oracle,
                       tensor_power_oracle)
@@ -150,10 +150,33 @@ class TestSampler:
         want = husimi_product_form_oracle(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
         assert np.array_equal(got, want)
 
+    def test_signed_permutation_draws_match_product_form_oracle(self):
+        # eigenvectors that are signed occupation states, listed in a shuffled
+        # order, sample in product form exactly as the same state in basis order
+        b = qgibbs.build_gibbs(params(tau=20.0), False, CutoffProfile.smooth(0.6, 0.05))
+        shuffle = np.random.default_rng(5)
+        blocks = []
+        for blk in b.blocks:
+            dim = blk.basis.dim
+            perm = shuffle.permutation(dim) if blk.cutoff_value else np.arange(0)
+            signs = shuffle.choice([-1.0, 1.0], size=perm.size)
+            vectors = sparse.csc_array((signs, perm, np.arange(perm.size + 1)),
+                                       shape=(dim, perm.size))
+            blocks.append(qgibbs.SectorBlock(
+                n=blk.n, basis=blk.basis, energies=blk.energies[perm], vectors=vectors,
+                cutoff_value=blk.cutoff_value))
+        shuffled = qgibbs.GibbsStateBlocks(params=b.params, interacting=False,
+                                           cutoff=b.cutoff, blocks=tuple(blocks), Z=b.Z)
+        assert any(not np.array_equal(blk.vectors.indices, np.arange(blk.basis.dim))
+                   for blk in blocks if blk.basis.dim > 1)
+        got = sc.sample_husimi(shuffled, 1.0 / 20.0, 3000, np.random.default_rng(17))
+        want = husimi_product_form_oracle(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
+        assert np.array_equal(got, want)
+
     def test_stalled_rejection_raises(self, monkeypatch):
-        # J = 1: every interacting block n >= 3 is a 1 x 1 eigenblock, so
-        # every draw there goes through rejection, which can never accept
-        b = interacting_state(tau=20.0, k_max=0)
+        # k_max = 1: sectors n >= 3 have momentum blocks of several states,
+        # whose draws go through rejection, which can never accept
+        b = interacting_state(tau=20.0, k_max=1)
         monkeypatch.setattr(sc, "_tensor_power_coeffs",
                             lambda basis, v: np.zeros(np.shape(v)[:-1] + (basis.dim,)))
         with pytest.raises(QuadratureFailureError):
@@ -346,7 +369,7 @@ class TestDeFinetti:
                 spec_w = spec_w / spec_w.sum() * raw[n]
                 blocks.append(qgibbs.SectorBlock(
                     n=n, basis=basis, energies=-np.log(spec_w),
-                    vectors=q, cutoff_value=1.0))
+                    vectors=sparse.csc_array(q), cutoff_value=1.0))
             pr = ModelParams(tau=1.0, eps=0.5, eta=0.4, K=1.0, k_max=k_max,
                              n_max=n_top + 2)
             state = qgibbs.GibbsStateBlocks(params=pr, interacting=False,
@@ -385,7 +408,7 @@ class TestBerezinLieb:
                     basis = fock.enumerate_sector(0, n)
                     blk.append(qgibbs.SectorBlock(
                         n=n, basis=basis, energies=np.array([-math.log(raw[n])]),
-                        vectors=None, cutoff_value=1.0))
+                        vectors=sparse.eye_array(1, format="csc"), cutoff_value=1.0))
                 pr = ModelParams(tau=1.0, eps=0.5, eta=0.4, K=2.7, k_max=0,
                                  n_max=n_top + 2)
                 blocks.append(qgibbs.GibbsStateBlocks(
