@@ -45,10 +45,10 @@ class SectorBlock:
 
     vectors is a real column-orthonormal scipy.sparse.csc_array whose
     column i is the eigenvector of energies[i], stored on the rows of its
-    total-momentum block.  Sectors diagonal in the occupation basis (free
-    Hamiltonians, and n < 3 with the interaction) carry the identity, with
-    energies in basis order; sectors outside the cutoff support carry an
-    empty (dim, 0) array.
+    total-momentum block in ascending order.  Sectors diagonal in the
+    occupation basis (free Hamiltonians, and n < 3 with the interaction)
+    carry the identity, with energies in basis order; sectors outside the
+    cutoff support carry an empty (dim, 0) array.
     """
 
     n: int

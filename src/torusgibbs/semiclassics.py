@@ -10,7 +10,9 @@ tensor-power coefficients are the same amplitudes with their Poisson
 prefactor divided out.  Every block state stores its eigenvectors as one
 sparse array per sector, so each quantity below contracts them on one path.
 `sample_husimi` draws in product form for eigenstates that are single
-occupation states and by batched rejection for the others.
+occupation states and by batched rejection for the others; a rejection
+proposal is scored on its eigenvector's total-momentum block alone, so it
+costs the size of that block, not of the sector.
 """
 
 from __future__ import annotations
@@ -75,8 +77,14 @@ class CoherentVector:
     deficit: float
 
 
+def _check_varsigma(varsigma: float) -> None:
+    if not (math.isfinite(varsigma) and varsigma > 0.0):
+        raise InvalidConfigError(f"varsigma must be finite and > 0, got {varsigma}")
+
+
 def coherent_vector(u: np.ndarray, varsigma: float, N_trunc: int | None = None,
                     tol: float = 1e-12) -> CoherentVector:
+    _check_varsigma(varsigma)
     u = np.asarray(u, dtype=complex)
     k_max = (len(u) - 1) // 2
     v = u / math.sqrt(varsigma)
@@ -128,7 +136,10 @@ def _tensor_power_coeffs(basis: fock.SectorBasis, v: np.ndarray) -> np.ndarray:
 def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
                          us: np.ndarray) -> np.ndarray:
     """Lower-symbol densities of a normalized block state for a batch of
-    fields: (varsigma*pi)^{-J} <xi(u/sqrt(varsigma)), Gamma xi(...)>."""
+    fields: (varsigma*pi)^{-J} <xi(u/sqrt(varsigma)), Gamma xi(...)>.
+    Raises InvalidConfigError for a varsigma that is not finite and
+    positive."""
+    _check_varsigma(varsigma)
     us = np.atleast_2d(np.asarray(us, dtype=complex))
     J = blocks.params.J
     vs = us / math.sqrt(varsigma)
@@ -141,8 +152,9 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     return out / (varsigma * math.pi) ** J
 
 
-# amplitude entries scored per rejection batch, and the proposals one draw
-# may spend before the sampler gives up
+# amplitude entries a sector's rejection batch would cover at full sector
+# width (the batch size is this over the sector dimension), and the
+# proposals one draw may spend before the sampler gives up
 _PROPOSAL_ENTRIES = 1 << 16
 _MAX_TRIES = 200000
 
@@ -162,9 +174,15 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     with s ~ Gamma(n + J) and a unit direction omega accepted with
     probability |<psi_i, omega^{tensor n}>|^2, whose mean is the reciprocal
     sector dimension.  Each pending draw gets a batch of proposals at a
-    time and keeps its first accepted one.  Raises QuadratureFailureError
-    when a draw stalls.
+    time and keeps its first accepted one.  A proposal is scored on the
+    rows its eigenvector stores, one total-momentum block, so it costs the
+    size of that block, not of the sector.  Raises InvalidConfigError for a
+    varsigma that is not finite and positive or a negative n_samples, and
+    QuadratureFailureError when a draw stalls.
     """
+    _check_varsigma(varsigma)
+    if n_samples < 0:
+        raise InvalidConfigError(f"n_samples must be >= 0, got {n_samples}")
     J = blocks.params.J
     live = [b for b in blocks.blocks if b.weight != 0.0]
     heads = [b.vectors.indices[b.vectors.indptr[:-1]] for b in live]  # first stored rows
@@ -188,7 +206,8 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     tries = np.zeros(n_samples, dtype=np.int64)
     for k, b in enumerate(live):
         pending = np.flatnonzero((which == k) & ~single)
-        V = b.vectors.toarray()
+        ptr, head = b.vectors.indptr, heads[k]
+        block_basis = {}  # first stored row -> basis of that momentum block
         budget = max(1, _PROPOSAL_ENTRIES // b.basis.dim)
         while pending.size:
             per_row = max(1, budget // pending.size)
@@ -197,8 +216,21 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
             g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
             omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
             s_rad = rng.gamma(shape=b.n + J, size=shape)
-            overlap = np.einsum("rqd,dr->rq", _tensor_power_coeffs(b.basis, omega),
-                                V[:, column[rows]])
+            cols = column[rows]
+            by = np.argsort(head[cols], kind="stable")
+            overlap = np.empty(shape, dtype=complex)
+            # the columns of one momentum block store its rows, ascending, so
+            # the first stored row names the block
+            for sel in np.split(by, np.flatnonzero(np.diff(head[cols[by]])) + 1):
+                c = cols[sel[0]]
+                if head[c] not in block_basis:
+                    stored = b.vectors.indices[ptr[c]:ptr[c + 1]]
+                    block_basis[head[c]] = fock.SectorBasis(b.basis.k_max, b.n,
+                                                            b.basis.occupations[stored])
+                basis = block_basis[head[c]]
+                psi = b.vectors.data[ptr[cols[sel], None] + np.arange(basis.dim)]
+                overlap[sel] = np.einsum("rqd,rd->rq",
+                                         _tensor_power_coeffs(basis, omega[sel]), psi)
             accept = rng.random(shape) < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
             first = accept.argmax(axis=1)[hit]
@@ -350,7 +382,10 @@ def definetti_gap(blocks: GibbsStateBlocks, varsigma: float, k: int):
 
     The moment matrix is evaluated exactly through anti-normally ordered
     ladder traces (no sampling).  Returns (lhs_trace_norm, rhs_bound).
+    Raises InvalidConfigError for a varsigma that is not finite and
+    positive.
     """
+    _check_varsigma(varsigma)
     if k not in (1, 2):
         raise InvalidConfigError(f"de Finetti gap supports k in {{1,2}}, got {k}")
     J = blocks.params.J
@@ -385,8 +420,13 @@ def berezin_lieb_check(state: GibbsStateBlocks, reference: GibbsStateBlocks,
     first, densities exact) against the quantum relative entropy.
 
     Returns (MCEstimate for the classical side, quantum value); the
-    classical side must not exceed the quantum one beyond noise.
+    classical side must not exceed the quantum one beyond noise.  Raises
+    InvalidConfigError for fewer than two samples, which give no stderr,
+    and, through the sampler, for a varsigma that is not finite and
+    positive.
     """
+    if n_samples < 2:
+        raise InvalidConfigError(f"n_samples must be >= 2 for a stderr, got {n_samples}")
     h_quantum = relative_entropy(state, reference)
     rng = np.random.default_rng(seed)
     us = sample_husimi(state, varsigma, n_samples, rng)
@@ -396,5 +436,5 @@ def berezin_lieb_check(state: GibbsStateBlocks, reference: GibbsStateBlocks,
         raise QuadratureFailureError("lower-symbol density vanished at a sample")
     logs = np.log(p) - np.log(q)
     mean = float(np.mean(logs))
-    stderr = float(np.std(logs, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    stderr = float(np.std(logs, ddof=1) / math.sqrt(n_samples))
     return MCEstimate(value=mean, stderr=stderr, n_samples=n_samples, seed=seed), h_quantum

@@ -54,6 +54,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from torusgibbs import semiclassics as sc
 from torusgibbs.model import kernel_fourier_table
 
 SUITE_ALPHA = 1e-3
@@ -230,4 +231,55 @@ def tensor_power_oracle(basis, v):
         amp = math.sqrt(math.factorial(basis.n)
                         / math.prod(math.factorial(int(m)) for m in occ))
         out[row] = amp * math.prod(complex(x) ** int(m) for x, m in zip(v, occ))
+    return out
+
+
+def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
+    """Lower-symbol draws of any block state with every rejection proposal
+    scored against all dim occupation amplitudes of its sector, through the
+    dense eigenvector matrix.  It consumes the generator exactly as the
+    sampler does, so the sampler, which scores one momentum block, must
+    reproduce these draws bit for bit.  The amplitudes come from the
+    library's kernel, which test_batched_tensor_power_coeffs holds to
+    tensor_power_oracle; what stays independent here is the scoring over
+    the whole sector."""
+    J = blocks.params.J
+    live = [b for b in blocks.blocks if b.weight != 0.0]
+    heads = [b.vectors.indices[b.vectors.indptr[:-1]] for b in live]
+    order = [np.argsort(h, kind="stable") for h in heads]
+    probs = np.concatenate([b.boltzmann[o] / blocks.Z for b, o in zip(live, order)])
+    probs = probs / probs.sum()
+    picks = rng.choice(len(probs), size=n_samples, p=probs)
+    starts = np.cumsum([0] + [b.basis.dim for b in live])
+    which = np.searchsorted(starts, picks, side="right") - 1
+    column = np.concatenate(order)[picks]
+    out = np.empty((n_samples, J), dtype=complex)
+
+    single = np.concatenate([np.diff(b.vectors.indptr)[o] == 1
+                             for b, o in zip(live, order)])[picks]
+    nu = np.concatenate([b.basis.occupations[h[o]]
+                         for b, h, o in zip(live, heads, order)])[picks[single]]
+    radii_sq = rng.gamma(shape=nu + 1.0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
+    out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
+
+    for k, b in enumerate(live):
+        pending = np.flatnonzero((which == k) & ~single)
+        V = b.vectors.toarray()
+        budget = max(1, sc._PROPOSAL_ENTRIES // b.basis.dim)
+        while pending.size:
+            per_row = max(1, budget // pending.size)
+            rows = pending[:budget // per_row]
+            shape = (rows.size, per_row)
+            g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
+            omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
+            s_rad = rng.gamma(shape=b.n + J, size=shape)
+            overlap = np.einsum("rqd,dr->rq", sc._tensor_power_coeffs(b.basis, omega),
+                                V[:, column[rows]])
+            accept = rng.random(shape) < np.abs(overlap) ** 2
+            hit = accept.any(axis=1)
+            first = accept.argmax(axis=1)[hit]
+            out[rows[hit]] = (np.sqrt(varsigma * s_rad[hit, first])[:, None]
+                              * omega[hit, first])
+            pending = np.concatenate((pending[rows.size:], rows[~hit]))
     return out

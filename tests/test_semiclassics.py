@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse, special, stats
 
-from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_product_form_oracle,
-                      tensor_power_oracle)
+from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
+                      husimi_product_form_oracle, tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
 from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
                                SupportViolationError)
@@ -182,6 +182,34 @@ class TestSampler:
         with pytest.raises(QuadratureFailureError):
             sc.sample_husimi(b, 1.0 / 20.0, 50, np.random.default_rng(3))
 
+    @pytest.mark.parametrize("tau,k_max", [(20.0, 1), (17.0, 2), (12.0, 3)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_scoring_matches_dense_oracle(self, tau, k_max, seed):
+        b = interacting_state(tau=tau, k_max=k_max)
+        assert any(np.diff(blk.vectors.indptr).max(initial=0) > 1 for blk in b.blocks)
+        got = sc.sample_husimi(b, 1.0 / tau, 300, np.random.default_rng(seed))
+        want = husimi_dense_scoring_oracle(b, 1.0 / tau, 300, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tau,k_max", [(20.0, 1), (17.0, 2)])
+    def test_proposals_scored_on_one_momentum_block(self, monkeypatch, tau, k_max):
+        b = interacting_state(tau=tau, k_max=k_max)
+        largest = {blk.n: np.unique(blk.basis.momenta, return_counts=True)[1].max()
+                   for blk in b.blocks}
+        scored = []
+        kernel = sc._tensor_power_coeffs
+
+        def spy(basis, v):
+            scored.append(basis)
+            return kernel(basis, v)
+
+        monkeypatch.setattr(sc, "_tensor_power_coeffs", spy)
+        sc.sample_husimi(b, 1.0 / tau, 200, np.random.default_rng(4))
+        assert scored
+        for basis in scored:
+            assert np.unique(basis.momenta).size == 1
+            assert basis.dim <= largest[basis.n]
+
     @pytest.mark.parametrize("k_max,n", [(0, 5), (1, 4), (2, 3)])
     def test_batched_tensor_power_coeffs(self, rng, k_max, n):
         basis = fock.enumerate_sector(k_max, n)
@@ -196,6 +224,37 @@ class TestSampler:
         assert np.abs(batch - stacked).max() <= 1e-13 * scale
         assert np.abs(batch - oracle).max() <= 1e-13 * scale
         assert np.all(batch[0, 0][basis.occupations[:, 0] > 0] == 0.0)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("call", [
+        lambda b: sc.sample_husimi(b, -0.05, 10, np.random.default_rng(0)),
+        lambda b: sc.sample_husimi(b, 0.0, 10, np.random.default_rng(0)),
+        lambda b: sc.sample_husimi(b, math.nan, 10, np.random.default_rng(0)),
+        lambda b: sc.sample_husimi(b, math.inf, 10, np.random.default_rng(0)),
+        lambda b: sc.sample_husimi(b, 0.05, -1, np.random.default_rng(0)),
+        lambda b: sc.husimi_density_batch(b, -0.05, np.zeros(3)),
+        lambda b: sc.husimi_density_batch(b, 0.0, np.zeros(3)),
+        lambda b: sc.husimi_density_batch(b, math.inf, np.zeros(3)),
+        lambda b: sc.berezin_lieb_check(b, b, 0.05, 1, 0),
+        lambda b: sc.berezin_lieb_check(b, b, 0.05, 0, 0),
+        lambda b: sc.berezin_lieb_check(b, b, 0.0, 100, 0),
+        lambda b: sc.coherent_vector(np.ones(3), -1.0),
+        lambda b: sc.definetti_gap(b, -0.05, 1),
+        lambda b: sc.definetti_gap(b, math.nan, 2),
+    ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
+            "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
+            "density_zero_varsigma", "density_inf_varsigma", "berezin_lieb_one_sample",
+            "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
+            "coherent_negative_varsigma", "definetti_negative_varsigma",
+            "definetti_nan_varsigma"])
+    def test_raises_invalid_config(self, call):
+        with pytest.raises(InvalidConfigError):
+            call(interacting_state(tau=20.0, k_max=1))
+
+    def test_zero_draws(self):
+        us = sc.sample_husimi(interacting_state(), 0.05, 0, np.random.default_rng(0))
+        assert us.shape == (0, 3)
 
 
 class TestPoissonDecomposition:
