@@ -71,9 +71,12 @@ def _sextic_energy(coeffs: np.ndarray, grid_size: int | None, w_hat=None) -> np.
     """(1/6) * mean over M grid points of conv^2 * rho, rho = |u|^2, with
     conv = rho @ C, C[x, y] = (1/M) sum_{|m| <= 2k_max} w_hat(m) cos(2 pi m (x - y)).
 
-    w_hat=None is w_hat = 1, for which conv = rho.
+    w_hat=None is w_hat = 1, for which conv = rho.  Raises InvalidConfigError
+    when the rows do not hold 2k_max+1 mode coefficients.
     """
     coeffs = np.atleast_2d(coeffs)
+    if coeffs.shape[1] % 2 == 0:
+        raise InvalidConfigError(f"rows need 2k_max+1 coefficients, got {coeffs.shape[1]}")
     k_max = (coeffs.shape[1] - 1) // 2
     M = default_grid(k_max) if grid_size is None else grid_size
     if M <= 6 * k_max:

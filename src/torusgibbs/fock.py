@@ -80,9 +80,7 @@ class SectorBasis:
 
     def rank(self, occupations) -> np.ndarray:
         """Row of each occupation vector of this sector (last axis over the
-        J modes, total n), vectorized over the leading axes.  Valid only on
-        a whole sector: a basis holding a subset of its rows, such as one
-        momentum block, numbers them differently."""
+        J modes, total n), vectorized over the leading axes."""
         occ = np.asarray(occupations)
         tails = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
         return _lex_rank(self.n, self.J, occ.shape[:-1], lambda i: tails[..., i])

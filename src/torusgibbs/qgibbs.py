@@ -297,9 +297,14 @@ def particle_moment(blocks: GibbsStateBlocks, ell: int) -> float:
 def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> float:
     """Tr[ Gamma (log Gamma - log Gamma') ] for block states on one window.
 
-    Sectors where the reference cutoff vanishes while the state carries
-    weight raise SupportMismatchError; sectors where the state itself has
-    zero weight are skipped (0 log 0 = 0).
+    Each sector adds sum_ij p_i |O_ij|^2 (log p_i - log q_j) over the
+    stored entries of the overlap O_ij = <psi_i, phi_j>, one term per
+    entry, so the small differences of nearly equal logs never cancel
+    against O(1) sums.  This relies on each side's columns spanning its
+    sector, so that sum_j |O_ij|^2 = 1.  Sectors where the reference
+    cutoff vanishes while the state carries weight raise
+    SupportMismatchError; sectors where the state itself has zero weight
+    are skipped (0 log 0 = 0).
     """
     if state.params.k_max != reference.params.k_max:
         raise SupportMismatchError("states live on different mode windows")
@@ -314,8 +319,9 @@ def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> fl
                 f"state charges sector n={b.n} outside the reference support"
             )
         p = b.boltzmann / state.Z
+        logp = np.log(np.where(p > 0, p, 1.0))
         logq = -rb.energies + math.log(rb.cutoff_value) - math.log(reference.Z)
-        total += float(np.dot(p, np.log(np.where(p > 0, p, 1.0))))
-        overlap = b.vectors.T @ rb.vectors  # <psi_i, phi_j>, block-sparse
-        total -= float(p @ overlap.power(2) @ logq)
+        overlap = (b.vectors.T @ rb.vectors).tocoo()  # <psi_i, phi_j>, block-sparse
+        i, j = overlap.row, overlap.col
+        total += float(np.sum(p[i] * overlap.data**2 * (logp[i] - logq[j])))
     return total

@@ -5,14 +5,15 @@ coherent family xi(u) at scale varsigma produces a classical probability
 density (the lower symbol), whose moments, tails, and relative entropies
 mirror the quantum ones up to explicitly computable corrections.
 
-The coherent amplitudes have one kernel, assembled in log space; the
-tensor-power coefficients are the same amplitudes with their Poisson
-prefactor divided out.  Every block state stores its eigenvectors as one
-sparse array per sector, so each quantity below contracts them on one path.
-`sample_husimi` draws in product form for eigenstates that are single
-occupation states and by batched rejection for the others; a rejection
-proposal is scored on its eigenvector's total-momentum block alone, so it
-costs the size of that block, not of the sector.
+The coherent amplitudes have one kernel, assembled in log space on an
+array of occupation rows; the tensor-power coefficients are the same
+amplitudes with their Poisson prefactor divided out.  Every block state
+stores its eigenvectors as one sparse array per sector, so each quantity
+below contracts them on one path.  `sample_husimi` draws in product form
+for eigenstates that are single occupation states and by batched
+rejection for the others; a rejection proposal is scored on its
+eigenvector's total-momentum block, padded to the widest in its batch, so
+a batch is one kernel call over that width, not over the sector.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, sparse, special, stats
 
 from . import fock
 from .errors import (
@@ -84,53 +85,60 @@ def _check_varsigma(varsigma: float) -> None:
 
 def coherent_vector(u: np.ndarray, varsigma: float, N_trunc: int | None = None,
                     tol: float = 1e-12) -> CoherentVector:
+    """The coherent vector of field u (2k_max+1 mode coefficients) at scale
+    varsigma, truncated at N_trunc or where the Poisson tail drops below
+    tol.  Raises InvalidConfigError for a varsigma that is not finite and
+    positive or a u of even length."""
     _check_varsigma(varsigma)
     u = np.asarray(u, dtype=complex)
+    if len(u) % 2 == 0:
+        raise InvalidConfigError(f"u needs 2k_max+1 mode coefficients, got {len(u)}")
     k_max = (len(u) - 1) // 2
     v = u / math.sqrt(varsigma)
     if N_trunc is None:
         N_trunc = poisson_truncation(float(np.sum(np.abs(v) ** 2)), tol)
-    amps = tuple(_coherent_amplitude_matrix(fock.enumerate_sector(k_max, n), v)[0]
-                 for n in range(N_trunc + 1))
+    amps = tuple(_coherent_amplitude_matrix(fock.enumerate_sector(k_max, n).occupations,
+                                            v)[0] for n in range(N_trunc + 1))
     total = sum(float(np.sum(np.abs(a) ** 2)) for a in amps)
     return CoherentVector(u=u, varsigma=varsigma, N_trunc=N_trunc,
                           amps=amps, deficit=max(0.0, 1.0 - total))
 
 
-def _coherent_amplitude_matrix(basis: fock.SectorBasis, vs: np.ndarray) -> np.ndarray:
-    """Rows of sector-n coherent amplitudes for a batch of fields v:
-    A[s, nu] = e^{-||v_s||^2/2} * prod_j v_s,j^{nu_j} / sqrt(prod nu_j!).
+def _coherent_amplitude_matrix(occ: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Coherent amplitudes of fields vs (..., S, J) on occupation rows
+    occ (..., D, J), the two broadcast along their leading axes:
+    A[..., s, d] = e^{-||v_s||^2/2} * prod_j v_s,j^{nu_d,j} / sqrt(prod nu_d,j!).
 
     Assembled in log space; bounded by the square root of a Poisson mass,
     so no overflow for any sector.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
-    occ = basis.occupations  # (D, J)
-    logfac = special.gammaln(occ + 1.0).sum(axis=1)  # (D,)
+    logfac = special.gammaln(occ + 1.0).sum(axis=-1)  # (..., D)
     with np.errstate(divide="ignore"):
-        logv = np.log(vs)  # (S, J): log|v| + i arg v
+        logv = np.log(vs)  # (..., S, J): log|v| + i arg v
     # a zero coefficient must kill amplitudes with nu_j >= 1 but leave
     # nu_j = 0 untouched; a huge negative stand-in does both through 0 * x = 0
     logv = np.where(np.isfinite(logv), logv, -1e300)
-    expo = logv @ occ.T  # (S, D)
-    expo -= 0.5 * logfac[None, :] + 0.5 * np.sum(np.abs(vs) ** 2, axis=1)[:, None]
+    expo = logv @ np.swapaxes(occ, -1, -2)  # (..., S, D)
+    expo -= 0.5 * logfac[..., None, :] + 0.5 * np.sum(np.abs(vs) ** 2, axis=-1)[..., None]
     return np.exp(expo)
 
 
-def _tensor_power_coeffs(basis: fock.SectorBasis, v: np.ndarray) -> np.ndarray:
-    """Coefficients of v^{tensor n} in the occupation basis,
-    sqrt(n!/prod nu!) * prod v_j^{nu_j}, for one field or for fields along
-    any leading batch axes (the result gains a trailing sector axis).
+def _tensor_power_coeffs(occ: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients of v^{tensor n} on occupation rows occ (..., D, J) of
+    sector n, sqrt(n!/prod nu!) * prod v_j^{nu_j}: for one field (J,) a
+    (D,) vector, for fields (..., S, J) an (..., S, D) array, the leading
+    axes broadcast as in `_coherent_amplitude_matrix`.
 
     These are the coherent amplitudes with their Poisson prefactor
     e^{-||v||^2/2}/sqrt(n!) divided back out, which is exact while ||v||^2
     stays far inside the exponent range, as it does for unit directions.
     """
     v = np.asarray(v, dtype=complex)
-    flat = v.reshape(-1, v.shape[-1])
-    scale = np.exp(0.5 * (special.gammaln(basis.n + 1.0) + np.sum(np.abs(flat) ** 2, axis=1)))
-    coeffs = _coherent_amplitude_matrix(basis, flat) * scale[:, None]
-    return coeffs.reshape(v.shape[:-1] + (basis.dim,))
+    scale = np.exp(0.5 * (special.gammaln(occ.sum(axis=-1) + 1.0)[..., None, :]
+                          + np.sum(np.abs(v) ** 2, axis=-1)[..., None]))
+    coeffs = _coherent_amplitude_matrix(occ, v) * scale
+    return coeffs.reshape(v.shape[:-1] + coeffs.shape[-1:])
 
 
 def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
@@ -138,16 +146,18 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     """Lower-symbol densities of a normalized block state for a batch of
     fields: (varsigma*pi)^{-J} <xi(u/sqrt(varsigma)), Gamma xi(...)>.
     Raises InvalidConfigError for a varsigma that is not finite and
-    positive."""
+    positive or fields whose last axis is not the state's J modes."""
     _check_varsigma(varsigma)
     us = np.atleast_2d(np.asarray(us, dtype=complex))
     J = blocks.params.J
+    if us.shape[-1] != J:
+        raise InvalidConfigError(f"fields need {J} modes, got {us.shape[-1]}")
     vs = us / math.sqrt(varsigma)
     out = np.zeros(us.shape[0])
     for b in blocks.blocks:
         if b.weight == 0.0:
             continue
-        overlaps = _coherent_amplitude_matrix(b.basis, vs) @ b.vectors
+        overlaps = _coherent_amplitude_matrix(b.basis.occupations, vs) @ b.vectors
         out += np.abs(overlaps) ** 2 @ (b.boltzmann / blocks.Z)
     return out / (varsigma * math.pi) ** J
 
@@ -175,39 +185,40 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     probability |<psi_i, omega^{tensor n}>|^2, whose mean is the reciprocal
     sector dimension.  Each pending draw gets a batch of proposals at a
     time and keeps its first accepted one.  A proposal is scored on the
-    rows its eigenvector stores, one total-momentum block, so it costs the
-    size of that block, not of the sector.  Raises InvalidConfigError for a
-    varsigma that is not finite and positive or a negative n_samples, and
-    QuadratureFailureError when a draw stalls.
+    rows its eigenvector stores, one total-momentum block; a batch pads
+    these to its widest block, (rows, L) amplitudes on (rows, L, J)
+    occupations, and is scored by one kernel call.  The columns and rows
+    are those of one block-diagonal array of all live sectors' eigenvectors.
+    Raises InvalidConfigError for a varsigma that is not finite and
+    positive or a negative n_samples, and QuadratureFailureError when a
+    draw stalls.
     """
     _check_varsigma(varsigma)
     if n_samples < 0:
         raise InvalidConfigError(f"n_samples must be >= 0, got {n_samples}")
     J = blocks.params.J
     live = [b for b in blocks.blocks if b.weight != 0.0]
-    heads = [b.vectors.indices[b.vectors.indptr[:-1]] for b in live]  # first stored rows
-    order = [np.argsort(h, kind="stable") for h in heads]
-    probs = np.concatenate([b.boltzmann[o] / blocks.Z for b, o in zip(live, order)])
+    # every live eigenvector as one column, on the live sectors' rows stacked
+    V = sparse.block_diag([b.vectors for b in live], format="csc")
+    occupations = np.concatenate([b.basis.occupations for b in live])
+    ptr, stored = V.indptr, np.diff(V.indptr)
+    head = V.indices[ptr[:-1]]  # first stored row of each column
+    order = np.argsort(head, kind="stable")
+    probs = np.concatenate([b.boltzmann for b in live])[order] / blocks.Z
     probs = probs / probs.sum()
-    picks = rng.choice(len(probs), size=n_samples, p=probs)
-    starts = np.cumsum([0] + [b.basis.dim for b in live])
-    which = np.searchsorted(starts, picks, side="right") - 1
-    column = np.concatenate(order)[picks]
+    column = order[rng.choice(len(probs), size=n_samples, p=probs)]
+    sector = np.repeat(np.arange(len(live)), [b.vectors.shape[1] for b in live])[column]
     out = np.empty((n_samples, J), dtype=complex)
 
-    single = np.concatenate([np.diff(b.vectors.indptr)[o] == 1
-                             for b, o in zip(live, order)])[picks]
-    nu = np.concatenate([b.basis.occupations[h[o]]
-                         for b, h, o in zip(live, heads, order)])[picks[single]]
+    single = stored[column] == 1
+    nu = occupations[head[column[single]]]
     radii_sq = rng.gamma(shape=nu + 1.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
     out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
 
     tries = np.zeros(n_samples, dtype=np.int64)
     for k, b in enumerate(live):
-        pending = np.flatnonzero((which == k) & ~single)
-        ptr, head = b.vectors.indptr, heads[k]
-        block_basis = {}  # first stored row -> basis of that momentum block
+        pending = np.flatnonzero((sector == k) & ~single)
         budget = max(1, _PROPOSAL_ENTRIES // b.basis.dim)
         while pending.size:
             per_row = max(1, budget // pending.size)
@@ -216,21 +227,14 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
             g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
             omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
             s_rad = rng.gamma(shape=b.n + J, size=shape)
+            # each column's stored rows, padded to the widest with zero
+            # amplitudes on its last row, so every row stays in its block
             cols = column[rows]
-            by = np.argsort(head[cols], kind="stable")
-            overlap = np.empty(shape, dtype=complex)
-            # the columns of one momentum block store its rows, ascending, so
-            # the first stored row names the block
-            for sel in np.split(by, np.flatnonzero(np.diff(head[cols[by]])) + 1):
-                c = cols[sel[0]]
-                if head[c] not in block_basis:
-                    stored = b.vectors.indices[ptr[c]:ptr[c + 1]]
-                    block_basis[head[c]] = fock.SectorBasis(b.basis.k_max, b.n,
-                                                            b.basis.occupations[stored])
-                basis = block_basis[head[c]]
-                psi = b.vectors.data[ptr[cols[sel], None] + np.arange(basis.dim)]
-                overlap[sel] = np.einsum("rqd,rd->rq",
-                                         _tensor_power_coeffs(basis, omega[sel]), psi)
+            width = np.arange(stored[cols].max())
+            at = ptr[cols, None] + np.minimum(width, stored[cols, None] - 1)
+            psi = np.where(width < stored[cols, None], V.data[at], 0.0)
+            overlap = np.einsum("rqd,rd->rq",
+                                _tensor_power_coeffs(occupations[V.indices[at]], omega), psi)
             accept = rng.random(shape) < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
             first = accept.argmax(axis=1)[hit]
@@ -252,9 +256,12 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
     Route one contracts the coherent amplitudes directly with the sector
     propagators.  Route two expands the same quantity as a Poisson(
     tau*||u||^2) average of normalized tensor-power Rayleigh quotients
-    weighted by the cutoff.  Returns (lhs, rhs).
+    weighted by the cutoff.  Returns (lhs, rhs).  Raises
+    InvalidConfigError for a u that does not have params.J modes.
     """
     u = np.asarray(u, dtype=complex)
+    if len(u) != params.J:
+        raise InvalidConfigError(f"u needs {params.J} modes, got {len(u)}")
     tau = params.tau
     mass = float(np.sum(np.abs(u) ** 2))
     if cutoff.support_bound is None and interacting:
@@ -284,7 +291,7 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
         if pmf == 0.0:
             continue
         # normalized tensor power of the unit direction, in the sector basis
-        rot = b.vectors.T @ _tensor_power_coeffs(b.basis, direction)
+        rot = b.vectors.T @ _tensor_power_coeffs(b.basis.occupations, direction)
         rhs += pmf * b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
     return lhs, rhs
 

@@ -274,8 +274,8 @@ def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
             g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
             omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
             s_rad = rng.gamma(shape=b.n + J, size=shape)
-            overlap = np.einsum("rqd,dr->rq", sc._tensor_power_coeffs(b.basis, omega),
-                                V[:, column[rows]])
+            coeffs = sc._tensor_power_coeffs(b.basis.occupations, omega)
+            overlap = np.einsum("rqd,dr->rq", coeffs, V[:, column[rows]])
             accept = rng.random(shape) < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
             first = accept.argmax(axis=1)[hit]

@@ -101,6 +101,15 @@ class TestEnergies:
         with pytest.raises(InvalidConfigError):
             cgibbs.local_energy_batch(np.zeros((1, 23), dtype=complex), 64)
 
+    @pytest.mark.parametrize("J", [2, 4])
+    def test_even_mode_count_rejected(self, J):
+        # a row of 2k_max+1 coefficients always has odd length
+        u = np.ones((1, J), dtype=complex)
+        with pytest.raises(InvalidConfigError):
+            cgibbs.local_energy_batch(u)
+        with pytest.raises(InvalidConfigError):
+            cgibbs.hartree_energy_batch(u, 0.5)
+
     @pytest.mark.parametrize("k_max", [1, 2, 3])
     def test_nyquist_boundary(self, k_max, rng):
         J = 2 * k_max + 1

@@ -199,7 +199,7 @@ class TestInteraction:
         W = fock.assemble_interaction(basis, KernelSpec.box(), 0.5)
         for _ in range(50):
             alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
-            c = _tensor_power_coeffs(basis, alpha)
+            c = _tensor_power_coeffs(basis.occupations, alpha)
             quad_form = float(np.real(np.conj(c) @ W @ c)) / 6.0
             classical = float(hartree_energy_batch(alpha[None, :], 0.5)[0])
             assert quad_form == pytest.approx(classical, abs=1e-8 * max(1.0, classical))

@@ -310,6 +310,23 @@ def _dense_relative_entropy(state, reference):
     return total
 
 
+def _fsum_relative_entropy(state, reference):
+    """sum over sectors and all pairs (i, j) of p_i <psi_i, phi_j>^2
+    (log p_i - log q_j), on the dense overlap, in one exactly rounded
+    math.fsum.  The logs are formed as the library forms them, so only the
+    summation is under test."""
+    terms = []
+    for a, c in zip(state.blocks, reference.blocks):
+        if a.weight == 0.0:
+            continue
+        p = a.boltzmann / state.Z
+        logq = -c.energies + math.log(c.cutoff_value) - math.log(reference.Z)
+        overlap = (a.vectors.T @ c.vectors).toarray()[p > 0]
+        logp = np.log(p[p > 0])
+        terms.extend((p[p > 0, None] * overlap**2 * (logp[:, None] - logq)).ravel())
+    return math.fsum(terms)
+
+
 class TestRelativeEntropy:
     def test_identical_states(self):
         b = qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
@@ -339,6 +356,17 @@ class TestRelativeEntropy:
         for a, c in ((bi, bf), (bf, bi)):
             want = _dense_relative_entropy(a, c)
             assert qgibbs.relative_entropy(a, c) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("tau,k_max", [(40.0, 1), (17.0, 2)])
+    def test_fsum_oracle(self, tau, k_max):
+        # the entropy here is about 1e-6, while Tr p log p and Tr p log q are O(1)
+        p = params(tau=tau, k_max=k_max, eta=0.1)
+        cut = CutoffProfile.smooth(0.6, 0.1)
+        bi = qgibbs.build_gibbs(p, True, cut)
+        bf = qgibbs.build_gibbs(p, False, cut)
+        for a, c in ((bi, bf), (bf, bi)):
+            want = _fsum_relative_entropy(a, c)
+            assert abs(qgibbs.relative_entropy(a, c) - want) <= 1e-12 * abs(want)
 
     def test_support_mismatch(self):
         p_small = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.1, k_max=0, n_max=2)

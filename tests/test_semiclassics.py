@@ -12,7 +12,7 @@ from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
 from torusgibbs import fock, qgibbs, semiclassics as sc
 from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
                                SupportViolationError)
-from torusgibbs.model import CutoffProfile, ModelParams, eigenvalues
+from torusgibbs.model import CutoffProfile, ModelParams, eigenvalues, mode_numbers
 
 
 def params(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=None):
@@ -178,7 +178,7 @@ class TestSampler:
         # whose draws go through rejection, which can never accept
         b = interacting_state(tau=20.0, k_max=1)
         monkeypatch.setattr(sc, "_tensor_power_coeffs",
-                            lambda basis, v: np.zeros(np.shape(v)[:-1] + (basis.dim,)))
+                            lambda occ, v: np.zeros(np.shape(v)[:-1] + occ.shape[-2:-1]))
         with pytest.raises(QuadratureFailureError):
             sc.sample_husimi(b, 1.0 / 20.0, 50, np.random.default_rng(3))
 
@@ -199,16 +199,33 @@ class TestSampler:
         scored = []
         kernel = sc._tensor_power_coeffs
 
-        def spy(basis, v):
-            scored.append(basis)
-            return kernel(basis, v)
+        def spy(occ, v):
+            scored.append(occ)
+            return kernel(occ, v)
+
+        class BatchCountingRng:
+            # the sampler draws its accept uniforms once per rejection batch
+            def __init__(self, rng):
+                self.rng, self.batches = rng, 0
+
+            def random(self, *args, **kwargs):
+                self.batches += 1
+                return self.rng.random(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
 
         monkeypatch.setattr(sc, "_tensor_power_coeffs", spy)
-        sc.sample_husimi(b, 1.0 / tau, 200, np.random.default_rng(4))
+        rng = BatchCountingRng(np.random.default_rng(4))
+        sc.sample_husimi(b, 1.0 / tau, 200, rng)
         assert scored
-        for basis in scored:
-            assert np.unique(basis.momenta).size == 1
-            assert basis.dim <= largest[basis.n]
+        assert len(scored) == rng.batches
+        for occ in scored:
+            momenta = occ @ mode_numbers(k_max)  # (rows, L), padding included
+            assert np.all(momenta == momenta[:, :1])
+            n = np.unique(occ.sum(axis=-1))
+            assert n.size == 1
+            assert occ.shape[1] <= largest[int(n[0])]
 
     @pytest.mark.parametrize("k_max,n", [(0, 5), (1, 4), (2, 3)])
     def test_batched_tensor_power_coeffs(self, rng, k_max, n):
@@ -216,14 +233,23 @@ class TestSampler:
         J = 2 * k_max + 1
         v = rng.normal(size=(3, 4, J)) + 1j * rng.normal(size=(3, 4, J))
         v[0, 0, 0] = 0.0  # a vanishing component kills exactly the nu_0 >= 1 rows
-        batch = sc._tensor_power_coeffs(basis, v)
+        batch = sc._tensor_power_coeffs(basis.occupations, v)
         assert batch.shape == (3, 4, basis.dim)
-        stacked = np.array([[sc._tensor_power_coeffs(basis, x) for x in row] for row in v])
+        stacked = np.array([[sc._tensor_power_coeffs(basis.occupations, x) for x in row]
+                            for row in v])
         oracle = np.array([[tensor_power_oracle(basis, x) for x in row] for row in v])
         scale = np.abs(oracle).max()
         assert np.abs(batch - stacked).max() <= 1e-13 * scale
         assert np.abs(batch - oracle).max() <= 1e-13 * scale
         assert np.all(batch[0, 0][basis.occupations[:, 0] > 0] == 0.0)
+        # per-row occupations: row r of the fields scored on its own rows
+        picked = rng.integers(basis.dim, size=(3, 5))
+        occ = basis.occupations[picked]  # (3, 5, J)
+        per_row = sc._tensor_power_coeffs(occ, v)
+        assert per_row.shape == (3, 4, 5)
+        for r in range(3):
+            assert np.array_equal(per_row[r], sc._tensor_power_coeffs(occ[r], v[r]))
+            assert np.abs(per_row[r] - oracle[r][:, picked[r]]).max() <= 1e-13 * scale
 
 
 class TestBadInput:
@@ -236,17 +262,21 @@ class TestBadInput:
         lambda b: sc.husimi_density_batch(b, -0.05, np.zeros(3)),
         lambda b: sc.husimi_density_batch(b, 0.0, np.zeros(3)),
         lambda b: sc.husimi_density_batch(b, math.inf, np.zeros(3)),
+        lambda b: sc.husimi_density_batch(b, 0.05, np.zeros((4, 5))),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 1, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 0, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.0, 100, 0),
         lambda b: sc.coherent_vector(np.ones(3), -1.0),
+        lambda b: sc.coherent_vector(np.ones(4), 1.0),
+        lambda b: sc.poisson_decomposition_check(b.params, b.cutoff, np.ones(5), blocks=b),
         lambda b: sc.definetti_gap(b, -0.05, 1),
         lambda b: sc.definetti_gap(b, math.nan, 2),
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
             "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
-            "density_zero_varsigma", "density_inf_varsigma", "berezin_lieb_one_sample",
-            "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
-            "coherent_negative_varsigma", "definetti_negative_varsigma",
+            "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
+            "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
+            "coherent_negative_varsigma", "coherent_even_length", "poisson_wrong_mode_count",
+            "definetti_negative_varsigma",
             "definetti_nan_varsigma"])
     def test_raises_invalid_config(self, call):
         with pytest.raises(InvalidConfigError):
