@@ -67,7 +67,7 @@ def default_grid(k_max: int) -> int:
     return 6 * k_max + 1
 
 
-def _sextic_energy(coeffs: np.ndarray, grid_size: int | None, w_hat=None) -> np.ndarray:
+def _sextic_energy(coeffs: np.ndarray, w_hat=None) -> np.ndarray:
     """(1/6) * mean over M grid points of conv^2 * rho, rho = |u|^2, with
     conv = rho @ C, C[x, y] = (1/M) sum_{|m| <= 2k_max} w_hat(m) cos(2 pi m (x - y)).
 
@@ -78,9 +78,7 @@ def _sextic_energy(coeffs: np.ndarray, grid_size: int | None, w_hat=None) -> np.
     if coeffs.shape[1] % 2 == 0:
         raise InvalidConfigError(f"rows need 2k_max+1 coefficients, got {coeffs.shape[1]}")
     k_max = (coeffs.shape[1] - 1) // 2
-    M = default_grid(k_max) if grid_size is None else grid_size
-    if M <= 6 * k_max:
-        raise InvalidConfigError(f"grid {M} aliases degree-{6 * k_max} integrands")
+    M = default_grid(k_max)
     x = np.arange(M) / M
     u = coeffs @ np.exp(2j * np.pi * np.outer(mode_numbers(k_max), x))
     rho = u.real**2 + u.imag**2
@@ -92,24 +90,23 @@ def _sextic_energy(coeffs: np.ndarray, grid_size: int | None, w_hat=None) -> np.
     return np.einsum("ij,ij,ij->i", conv, conv, rho) / (6.0 * M)
 
 
-def local_energy_batch(coeffs: np.ndarray, grid_size: int | None = None) -> np.ndarray:
-    """(1/6) * integral of |u|^6, exact once the grid clears the Nyquist bound."""
-    return _sextic_energy(coeffs, grid_size)
+def local_energy_batch(coeffs: np.ndarray) -> np.ndarray:
+    """(1/6) * integral of |u|^6, exact on the default grid."""
+    return _sextic_energy(coeffs)
 
 
 def hartree_energy_batch(coeffs: np.ndarray, eps: float,
-                         kernel: KernelSpec | None = None,
-                         grid_size: int | None = None) -> np.ndarray:
+                         kernel: KernelSpec | None = None) -> np.ndarray:
     """(1/6) * integral of (w_eps * |u|^2)^2 |u|^2 by one real circulant product.
 
     |u|^2 has the 4k_max+1 modes |m| <= 2k_max, so convolving it with the
     periodized kernel is a per-mode multiplication by w_hat(eps*m); on the
-    grid that is a product with a real M x M circulant, M = 6k_max+1 by
-    default, the fewest points that integrate the degree-6k_max result.
+    grid that is a product with a real M x M circulant, M = 6k_max+1, the
+    fewest points that integrate the degree-6k_max result.
     """
     if kernel is None:
         kernel = KernelSpec.box()
-    return _sextic_energy(coeffs, grid_size, lambda m: kernel.line_fourier(eps * m))
+    return _sextic_energy(coeffs, lambda m: kernel.line_fourier(eps * m))
 
 
 # ------------------------------------------------------------------

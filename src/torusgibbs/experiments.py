@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cgibbs, qgibbs, semiclassics
 from .errors import DegenerateInputError, InvalidConfigError
-from .model import CutoffProfile, KernelSpec, ModelParams, soliton
+from .model import CutoffProfile, KernelSpec, ModelParams, _shooting_norms, soliton
 
 __all__ = [
     "ExperimentConfig",
@@ -293,19 +293,22 @@ def exp_free_state_rate(cfg: ExperimentConfig) -> list:
 
 def exp_threshold_suite(cfg: ExperimentConfig) -> list:
     """Ground-state norms, interpolation-inequality sweep, and the
-    uniformity of the subcritical exponential moment across windows."""
+    uniformity of the subcritical exponential moment across windows.
+
+    The four norm rows compare the ODE-shooting oracle (`value`) with the
+    closed forms of `soliton` (`target`)."""
     prof = soliton()
+    _, l2_sq, deriv_l2_sq, l6_pow6 = _shooting_norms()
     rows = []
-    rows.append({"check": "l2_norm_sq", "value": prof.l2_sq,
+    rows.append({"check": "l2_norm_sq", "value": l2_sq,
+                 "value_stderr": 0.0, "target": prof.l2_sq})
+    rows.append({"check": "deriv_norm_sq", "value": deriv_l2_sq,
+                 "value_stderr": 0.0, "target": prof.deriv_l2_sq})
+    rows.append({"check": "l6_over_3deriv", "value": l6_pow6 / (3.0 * deriv_l2_sq),
                  "value_stderr": 0.0,
-                 "target": math.sqrt(3.0) * math.pi / 2.0})
-    rows.append({"check": "deriv_norm_sq", "value": prof.deriv_l2_sq,
-                 "value_stderr": 0.0,
-                 "target": math.sqrt(3.0) * math.pi / 4.0})
-    rows.append({"check": "l6_over_3deriv", "value": prof.l6_pow6 / (3.0 * prof.deriv_l2_sq),
-                 "value_stderr": 0.0, "target": 1.0})
-    rows.append({"check": "gns_constant", "value": prof.gns_constant,
-                 "value_stderr": 0.0, "target": 4.0 / math.pi**2})
+                 "target": prof.l6_pow6 / (3.0 * prof.deriv_l2_sq)})
+    rows.append({"check": "gns_constant", "value": 3.0 / l2_sq**2,
+                 "value_stderr": 0.0, "target": prof.gns_constant})
 
     rng = np.random.default_rng(cfg.seed)
     violations = skipped = 0

@@ -293,10 +293,8 @@ def kernel_fourier_table(spec: KernelSpec, eps: float, m_max: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class SolitonProfile:
-    """Ground state Q of Q'' - Q + Q^5 = 0 on the line, with cached norms.
-
-    The closed form Q(x) = (3 sech^2(2x))^(1/4) is certified at
-    construction against an ODE-shooting oracle (see `soliton`).
+    """Ground state Q(x) = (3 sech^2(2x))^(1/4) of Q'' - Q + Q^5 = 0 on the
+    line, with its norms (see `soliton`).
     """
 
     l2_sq: float
@@ -346,9 +344,11 @@ def _shoot(A: float, x_end: float = 20.0):
     return -1 if sol.y[0, -1] > 0 else +1
 
 
+@lru_cache(maxsize=1)
 def _shooting_norms(x_cut: float = 12.0):
-    """Independent oracle: bisect the even ground state's height, then
-    accumulate its L^2, H^1-seminorm, and L^6 integrals along the orbit."""
+    """Independent oracle for `soliton`: bisect the even ground state's
+    height, then accumulate its L^2, H^1-seminorm, and L^6 integrals along
+    the orbit.  Returns (height, ||Q||^2, ||Q'||^2, ||Q||_6^6)."""
     from scipy.integrate import solve_ivp
 
     lo, hi = 1.2, 1.4
@@ -368,42 +368,21 @@ def _shooting_norms(x_cut: float = 12.0):
 
     sol = solve_ivp(rhs, (0.0, x_cut), [A, 0.0, 0.0, 0.0, 0.0],
                     rtol=1e-12, atol=1e-14, method="DOP853")
-    q2, p2, q6 = sol.y[2, -1], sol.y[3, -1], sol.y[4, -1]
+    q2, p2, q6 = (float(v) for v in sol.y[2:, -1])
     return A, 2.0 * q2, 2.0 * p2, 2.0 * q6  # even reflection
 
 
-@lru_cache(maxsize=1)
 def soliton() -> SolitonProfile:
-    """Ground-state profile with certified norms.
+    """Ground-state profile with its norms in closed form.
 
-    Norms of the closed form are computed by quadrature and checked against
-    the shooting oracle to 1e-6; a NumericalFailureError is raised on
-    disagreement.
+    Q^2 = sqrt(3) sech(2x), Q'^2 = Q^2 tanh^2(2x) and Q^6 = 3 sqrt(3) sech^3(2x),
+    and sech, sech^3 integrate to pi, pi/2 on the line, so ||Q||^2 =
+    sqrt(3) pi/2, ||Q'||^2 = sqrt(3) pi/4 and ||Q||_6^6 = 3 sqrt(3) pi/4.
+    `_shooting_norms` derives the same numbers from the ODE alone.
     """
-    prof_eval = lambda x: (3.0 / np.cosh(2.0 * x) ** 2) ** 0.25
-    l2 = integrate.quad(lambda x: prof_eval(x) ** 2, 0, 40, limit=200)[0] * 2.0
-    l6 = integrate.quad(lambda x: prof_eval(x) ** 6, 0, 40, limit=200)[0] * 2.0
-
-    def dq(x):
-        # d/dx (3 sech^2(2x))^(1/4) = -(3 sech^2(2x))^(1/4) * tanh(2x) / 2... via chain rule
-        return prof_eval(x) * (-np.tanh(2.0 * x))
-
-    h1 = integrate.quad(lambda x: dq(x) ** 2, 0, 40, limit=200)[0] * 2.0
-    prof = SolitonProfile(l2_sq=l2, deriv_l2_sq=h1, l6_pow6=l6)
-
-    A, s_l2, s_h1, s_l6 = _shooting_norms()
-    checks = [
-        ("height", A, 3.0**0.25),
-        ("l2", s_l2, l2),
-        ("h1", s_h1, h1),
-        ("l6", s_l6, l6),
-    ]
-    for name, got, ref in checks:
-        if abs(got - ref) > 1e-6:
-            raise NumericalFailureError(
-                f"soliton {name}: shooting {got!r} vs closed form {ref!r}"
-            )
-    return prof
+    root3_pi = math.sqrt(3.0) * math.pi
+    return SolitonProfile(l2_sq=root3_pi / 2.0, deriv_l2_sq=root3_pi / 4.0,
+                          l6_pow6=3.0 * root3_pi / 4.0)
 
 
 def critical_mass() -> float:

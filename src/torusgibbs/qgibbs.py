@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.signal import lfilter
 
 from . import fock
 from .errors import (
@@ -185,6 +184,8 @@ def free_sector_weights(k_max: int, tau: float, n_max: int) -> np.ndarray:
     Sequential convolution with one geometric series per mode, run as an
     IIR filter; O(J * n_max) and numerically benign since all q_k < 1.
     """
+    from scipy.signal import lfilter
+
     q = np.exp(-eigenvalues(k_max) / tau)
     z = np.zeros(n_max + 1)
     z[0] = 1.0

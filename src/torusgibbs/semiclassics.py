@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse, special, stats
+from scipy import integrate, sparse, special
 
 from . import fock
 from .errors import (
@@ -53,10 +53,10 @@ def poisson_truncation(mean: float, tol: float = 1e-12) -> int:
     if mean <= 0:
         return 0
     n = max(8, int(mean))
-    while stats.poisson.sf(n, mean) >= tol:
+    while special.pdtrc(n, mean) >= tol:
         n = int(1.5 * n) + 8
     # walk back down to the boundary
-    while n > 0 and stats.poisson.sf(n - 1, mean) < tol:
+    while n > 0 and special.pdtrc(n - 1, mean) < tol:
         n -= 1
     return n
 
@@ -88,11 +88,13 @@ def coherent_vector(u: np.ndarray, varsigma: float, N_trunc: int | None = None,
     """The coherent vector of field u (2k_max+1 mode coefficients) at scale
     varsigma, truncated at N_trunc or where the Poisson tail drops below
     tol.  Raises InvalidConfigError for a varsigma that is not finite and
-    positive or a u of even length."""
+    positive or a u of even length or with a non-finite coefficient."""
     _check_varsigma(varsigma)
     u = np.asarray(u, dtype=complex)
     if len(u) % 2 == 0:
         raise InvalidConfigError(f"u needs 2k_max+1 mode coefficients, got {len(u)}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidConfigError("u has a non-finite mode coefficient")
     k_max = (len(u) - 1) // 2
     v = u / math.sqrt(varsigma)
     if N_trunc is None:
@@ -146,12 +148,15 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     """Lower-symbol densities of a normalized block state for a batch of
     fields: (varsigma*pi)^{-J} <xi(u/sqrt(varsigma)), Gamma xi(...)>.
     Raises InvalidConfigError for a varsigma that is not finite and
-    positive or fields whose last axis is not the state's J modes."""
+    positive or fields whose last axis is not the state's J modes or that
+    hold a non-finite coefficient."""
     _check_varsigma(varsigma)
     us = np.atleast_2d(np.asarray(us, dtype=complex))
     J = blocks.params.J
     if us.shape[-1] != J:
         raise InvalidConfigError(f"fields need {J} modes, got {us.shape[-1]}")
+    if not np.all(np.isfinite(us)):
+        raise InvalidConfigError("fields hold a non-finite mode coefficient")
     vs = us / math.sqrt(varsigma)
     out = np.zeros(us.shape[0])
     for b in blocks.blocks:
@@ -257,11 +262,14 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
     propagators.  Route two expands the same quantity as a Poisson(
     tau*||u||^2) average of normalized tensor-power Rayleigh quotients
     weighted by the cutoff.  Returns (lhs, rhs).  Raises
-    InvalidConfigError for a u that does not have params.J modes.
+    InvalidConfigError for a u that does not have params.J modes or has a
+    non-finite one.
     """
     u = np.asarray(u, dtype=complex)
     if len(u) != params.J:
         raise InvalidConfigError(f"u needs {params.J} modes, got {len(u)}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidConfigError("u has a non-finite mode coefficient")
     tau = params.tau
     mass = float(np.sum(np.abs(u) ** 2))
     if cutoff.support_bound is None and interacting:
@@ -287,7 +295,7 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
     for b in blocks.blocks:
         if b.cutoff_value == 0.0:
             continue
-        pmf = stats.poisson.pmf(b.n, mean)
+        pmf = np.exp(special.xlogy(b.n, mean) - special.gammaln(b.n + 1) - mean)
         if pmf == 0.0:
             continue
         # normalized tensor power of the unit direction, in the sector basis
@@ -309,7 +317,10 @@ def antiwick_radial_scalar(G, n: int, J: int, tau: float,
     jumps so the quadrature can split there.
     """
     a = n + J
-    pdf = stats.gamma(a).pdf
+
+    def pdf(y):
+        return np.exp(special.xlogy(a - 1.0, y) - y - special.gammaln(a))
+
     points = sorted(tau * b for b in breakpoints)
     lo = 0.0
     total = 0.0

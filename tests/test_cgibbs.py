@@ -85,22 +85,6 @@ class TestEnergies:
             got = cgibbs.hartree_energy_batch(alpha[None, :], eps)[0]
             assert got == pytest.approx(oracle, abs=1e-8 * max(1.0, abs(oracle)))
 
-    def test_grid_doubling_invariance(self, rng):
-        # the default 13-point grid against 64 and 128 points at k_max = 2
-        alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
-        e0 = cgibbs.local_energy_batch(alpha[None, :])[0]
-        h0 = cgibbs.hartree_energy_batch(alpha[None, :], 0.5)[0]
-        for grid in (64, 128):
-            e1 = cgibbs.local_energy_batch(alpha[None, :], grid)[0]
-            assert abs(e0 - e1) < 1e-12 * max(1.0, e0)
-            h1 = cgibbs.hartree_energy_batch(alpha[None, :], 0.5, grid_size=grid)[0]
-            assert abs(h0 - h1) < 1e-12 * max(1.0, h0)
-
-    def test_nyquist_guard(self):
-        # 23 coefficients -> degree-66 integrand; a 64-point grid aliases it
-        with pytest.raises(InvalidConfigError):
-            cgibbs.local_energy_batch(np.zeros((1, 23), dtype=complex), 64)
-
     @pytest.mark.parametrize("J", [2, 4])
     def test_even_mode_count_rejected(self, J):
         # a row of 2k_max+1 coefficients always has odd length
@@ -109,20 +93,6 @@ class TestEnergies:
             cgibbs.local_energy_batch(u)
         with pytest.raises(InvalidConfigError):
             cgibbs.hartree_energy_batch(u, 0.5)
-
-    @pytest.mark.parametrize("k_max", [1, 2, 3])
-    def test_nyquist_boundary(self, k_max, rng):
-        J = 2 * k_max + 1
-        alpha = (rng.normal(size=J) + 1j * rng.normal(size=J))[None, :]
-        with pytest.raises(InvalidConfigError):
-            cgibbs.local_energy_batch(alpha, 6 * k_max)
-        with pytest.raises(InvalidConfigError):
-            cgibbs.hartree_energy_batch(alpha, 0.5, grid_size=6 * k_max)
-        e = cgibbs.local_energy_batch(alpha, 6 * k_max + 1)[0]
-        h = cgibbs.hartree_energy_batch(alpha, 0.5, grid_size=6 * k_max + 1)[0]
-        assert e == pytest.approx(cgibbs.local_energy_batch(alpha, 128)[0], rel=1e-12)
-        assert h == pytest.approx(
-            cgibbs.hartree_energy_batch(alpha, 0.5, grid_size=128)[0], rel=1e-12)
 
     @pytest.mark.parametrize("k_max", [1, 2, 3])
     @pytest.mark.parametrize("kernel_id", ["box", "box0.3", "raised_cosine", "local"])

@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import torusgibbs
 from torusgibbs import cgibbs, experiments, qgibbs
 from torusgibbs.cli import cli_main
 from torusgibbs.errors import DegenerateInputError, InvalidConfigError, NumericalFailureError
@@ -52,6 +55,15 @@ TINY_BLOWUP = "tau_values = 20\neps_values = 0.5\nn_samples = 3000\n"
 
 
 class TestCli:
+    def test_import_loads_no_scipy_stats_or_signal(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        src = os.path.dirname(os.path.dirname(torusgibbs.__file__))
+        code = ("import sys, torusgibbs; print(sorted(m for m in sys.modules"
+                " if m.startswith(('scipy.stats', 'scipy.signal'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize("argv,config", [
         (["tail", "--threads", "0"], None),
         (["threshold", "--seed", "-1"], None),
@@ -122,6 +134,17 @@ class TestCli:
         # random bump fields are never degenerate
         assert float(rows["gns_skipped_of_1000"]["value"]) == 0.0
         assert float(rows["gns_violations_of_1000"]["value"]) == 0.0
+
+    def test_threshold_norm_rows_compare_shooting_with_closed_form(self, tmp_path):
+        cfg = write_config(tmp_path, "k_max_values = 0\nn_samples = 2000\n")
+        out = os.path.join(tmp_path, "out")
+        assert cli_main(["threshold", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "threshold.csv"), encoding="utf-8") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        # value from the shooting oracle, target from the closed form
+        for check in ("l2_norm_sq", "deriv_norm_sq", "l6_over_3deriv", "gns_constant"):
+            value, target = float(rows[check]["value"]), float(rows[check]["target"])
+            assert value != target and abs(value - target) <= 1e-6
 
     def test_threshold_skips_only_degenerate_gns_trials(self, monkeypatch):
         cfg = ExperimentConfig(k_max_values=[0], n_samples=2000)

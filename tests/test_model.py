@@ -11,6 +11,7 @@ from torusgibbs.model import (
     CutoffProfile,
     KernelSpec,
     ModelParams,
+    _shooting_norms,
     critical_mass,
     eigenvalue,
     eigenvalues,
@@ -188,6 +189,15 @@ class TestSoliton:
         assert prof.l2_sq == pytest.approx(2.720699, abs=1e-6)
         assert prof.deriv_l2_sq == pytest.approx(1.360350, abs=1e-6)
         assert prof.l6_pow6 == pytest.approx(3.0 * prof.deriv_l2_sq, abs=1e-6)
+
+    def test_shooting_oracle(self):
+        # the ODE alone, with the bound the closed form is held to
+        A, l2_sq, deriv_l2_sq, l6_pow6 = _shooting_norms()
+        prof = soliton()
+        assert A == pytest.approx(3.0**0.25, abs=1e-6)
+        assert l2_sq == pytest.approx(prof.l2_sq, abs=1e-6)
+        assert deriv_l2_sq == pytest.approx(prof.deriv_l2_sq, abs=1e-6)
+        assert l6_pow6 == pytest.approx(prof.l6_pow6, abs=1e-6)
 
     def test_gns_constant(self):
         assert soliton().gns_constant == pytest.approx(4.0 / math.pi**2, abs=1e-6)

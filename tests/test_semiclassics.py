@@ -269,6 +269,14 @@ class TestBadInput:
         lambda b: sc.coherent_vector(np.ones(3), -1.0),
         lambda b: sc.coherent_vector(np.ones(4), 1.0),
         lambda b: sc.poisson_decomposition_check(b.params, b.cutoff, np.ones(5), blocks=b),
+        lambda b: sc.coherent_vector(np.array([1.0, math.nan, 1.0]), 1.0),
+        lambda b: sc.coherent_vector(np.array([1.0, math.inf, 1.0]), 1.0),
+        lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, math.nan, 0.0])),
+        lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, 1j, math.inf])),
+        lambda b: sc.poisson_decomposition_check(b.params, b.cutoff,
+                                                 np.array([0.0, math.nan, 0.0]), blocks=b),
+        lambda b: sc.poisson_decomposition_check(b.params, b.cutoff,
+                                                 np.array([0.0, -math.inf, 0.0]), blocks=b),
         lambda b: sc.definetti_gap(b, -0.05, 1),
         lambda b: sc.definetti_gap(b, math.nan, 2),
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
@@ -276,6 +284,8 @@ class TestBadInput:
             "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
             "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
             "coherent_negative_varsigma", "coherent_even_length", "poisson_wrong_mode_count",
+            "coherent_nan_field", "coherent_inf_field", "density_nan_field",
+            "density_inf_field", "poisson_nan_field", "poisson_inf_field",
             "definetti_negative_varsigma",
             "definetti_nan_varsigma"])
     def test_raises_invalid_config(self, call):
