@@ -3,8 +3,10 @@
 A sector is the n-particle symmetric subspace over the 2*k_max+1 retained
 plane-wave modes.  States are occupation vectors (n_{-k_max}, ..., n_{k_max})
 in lexicographic order, and `SectorBasis.rank` finds the row of any of them
-by counting, with no lookup table.  Operators are dense real-symmetric
-matrices in that row order.
+by counting, with no lookup table.  Operators act in that row order: the
+interaction is a dense real-symmetric matrix, and the ladder operators are
+cached sparse arrays, one `annihilation_map` per (k_max, n, mode) whose
+transpose is the creator.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .model import KernelSpec, eigenvalues, kernel_fourier_table, mode_numbers
 
@@ -159,76 +162,78 @@ def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> np
     return np.bincount(flat, vals, minlength=dim * dim).reshape(dim, dim)
 
 
-def annihilation_map(basis: SectorBasis, basis_down: SectorBasis, mode_pos: int):
-    """Sparse action of a_{mode} : sector n -> sector n-1.
+@lru_cache(maxsize=None)
+def annihilation_map(k_max: int, n: int, mode_pos: int) -> sparse.csr_array:
+    """a_{mode} : sector n -> sector n-1 as a (dim_{n-1}, dim_n) csr_array.
 
-    Returns (rows_down, cols, amps) triplets for the nonzero entries.
+    A partial permutation scaled by sqrt(n_mode): every row and column holds
+    at most one entry.  Its transpose is adag_{mode} : sector n-1 -> sector n.
     """
-    occs = basis.occupations
-    keep = occs[:, mode_pos] > 0
-    cols = np.nonzero(keep)[0]
+    occs = enumerate_sector(k_max, n).occupations
+    cols = np.flatnonzero(occs[:, mode_pos])
     amps = np.sqrt(occs[cols, mode_pos].astype(float))
     lowered = occs[cols].copy()
     lowered[:, mode_pos] -= 1
-    return basis_down.rank(lowered), cols, amps
+    rows = enumerate_sector(k_max, n - 1).rank(lowered)
+    return sparse.csr_array((amps, (rows, cols)),
+                            shape=(sector_dimension(k_max, n - 1), len(occs)))
 
 
-def apply_annihilation(vec: np.ndarray, basis: SectorBasis, basis_down: SectorBasis,
-                       mode_pos: int) -> np.ndarray:
+def apply_annihilation(vec: np.ndarray, k_max: int, n: int, mode_pos: int) -> np.ndarray:
     """a_{mode} applied to a sector-n coefficient vector or column block."""
-    rows, cols, amps = annihilation_map(basis, basis_down, mode_pos)
-    out = np.zeros((basis_down.dim,) + vec.shape[1:], dtype=vec.dtype)
-    # a partial permutation: every row and column holds at most one entry
-    out[rows] = (amps * vec[cols].T).T
-    return out
+    return annihilation_map(k_max, n, mode_pos) @ vec
 
 
-def apply_creation(vec: np.ndarray, basis: SectorBasis, basis_up: SectorBasis,
-                   mode_pos: int) -> np.ndarray:
+def apply_creation(vec: np.ndarray, k_max: int, n: int, mode_pos: int) -> np.ndarray:
     """adag_{mode} applied to a sector-n coefficient vector or column block."""
-    rows, cols, amps = annihilation_map(basis_up, basis, mode_pos)
-    out = np.zeros((basis_up.dim,) + vec.shape[1:], dtype=vec.dtype)
-    # adag is the transpose of the a map one sector up
-    out[cols] = (amps * vec[rows].T).T
-    return out
+    return annihilation_map(k_max, n + 1, mode_pos).T @ vec
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries of the stacked ladder images held at once
 
 
-def ladder_gram(sector_items, words, create: bool = False) -> np.ndarray:
-    """Gram matrix G[a, b] = sum over sectors of <X_a W, X_b W>_F.
+def ladder_gram(sector_items, order: int, create: bool = False) -> np.ndarray:
+    """Gram matrix of the order-fold ladder words on the orthonormal basis
+    of the order-particle symmetric space.
 
-    Each word is a tuple of mode positions, all of one length, and X_a is
-    the product of annihilators (creators if `create`) it names, applied
-    rightmost first.  `sector_items` iterates over (basis, probs, vectors)
-    as in `one_body_matrix`; W = vectors * sqrt(probs) is the weighted
-    eigenvector block, densified once per sector.  So
-    G[a, b] = Tr(Gamma X_a^dag X_b) for the block state Gamma.  W is
-    contracted in column blocks, and images shared by words with a common
-    suffix are computed once per block.
+    The words are the mode-position tuples a = (p_1, ..., p_order) with
+    p_1 <= ... <= p_order, in lexicographic order.  X_a is the product of
+    the annihilators (creators if `create`) they name, and
+    nu_a = sqrt(prod_p m_p!) over the multiplicities m_p of the positions
+    in a is the norm of adag_{p_1} ... adag_{p_order} |0>.  `sector_items`
+    iterates over (basis, probs, vectors) as in `one_body_matrix`; with the
+    weighted eigenvector block W = vectors * sqrt(probs) of each sector,
+
+        G[a, b] = sum over sectors <X_a W, X_b W>_F / (nu_a nu_b)
+                = Tr(Gamma X_a^dag X_b) / (nu_a nu_b).
+
+    W is densified once per sector and contracted in column blocks, and
+    images shared by words with a common suffix are computed once per block.
     """
+    items = list(sector_items)
+    if not items:
+        return np.zeros((0, 0))
     step, apply = (1, apply_creation) if create else (-1, apply_annihilation)
-    length = len(words[0])
+    words = list(itertools.combinations_with_replacement(range(items[0][0].J), order))
     G = np.zeros((len(words), len(words)))
-    for basis, probs, vectors in sector_items:
-        if basis.n + step * length < 0 or not np.any(probs):
+    for basis, probs, vectors in items:
+        k_max, n = basis.k_max, basis.n
+        if n + step * order < 0 or not np.any(probs):
             continue
-        root = np.sqrt(probs)
-        W = vectors.toarray() * root
-        sectors = [basis] + [enumerate_sector(basis.k_max, basis.n + step * d)
-                             for d in range(1, length + 1)]
-        width = max(1, _BLOCK_ENTRIES // (len(words) * sectors[-1].dim))
+        W = vectors.toarray() * np.sqrt(probs)
+        width = max(1, _BLOCK_ENTRIES // (len(words) * sector_dimension(k_max, n + step * order)))
         for start in range(0, W.shape[1], width):
             # images[suffix] = X_suffix W_block, built one letter at a time
             images = {(): W[:, start:start + width]}
-            for d in range(1, length + 1):
-                for suffix in sorted({word[length - d:] for word in words}):
-                    images[suffix] = apply(images[suffix[1:]], sectors[d - 1], sectors[d],
+            for d in range(1, order + 1):
+                for suffix in sorted({word[order - d:] for word in words}):
+                    images[suffix] = apply(images[suffix[1:]], k_max, n + step * (d - 1),
                                            suffix[0])
             S = np.stack([images[word] for word in words]).reshape(len(words), -1)
             G = G + S.conj() @ S.T
-    return G
+    nu = np.array([math.sqrt(math.prod(math.factorial(word.count(p)) for p in set(word)))
+                   for word in words])
+    return G / np.outer(nu, nu)
 
 
 def one_body_matrix(sector_items) -> np.ndarray:
@@ -240,9 +245,5 @@ def one_body_matrix(sector_items) -> np.ndarray:
     occupation basis itself).  The result is PSD with trace equal to the
     mean particle number.
     """
-    items = list(sector_items)
-    if not items:
-        return np.zeros((0, 0))
-    J = items[0][0].J
-    # G_{ij} = <a_j psi, a_i psi>: the gram of the words (i,), transposed
-    return np.ascontiguousarray(ladder_gram(items, [(p,) for p in range(J)]).T)
+    # G_{ij} = <a_j psi, a_i psi>: the order-1 gram, transposed
+    return np.ascontiguousarray(ladder_gram(sector_items, 1).T)

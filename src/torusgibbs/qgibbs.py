@@ -278,11 +278,8 @@ def reduced_density_matrix(blocks: GibbsStateBlocks, k: int, scaled: bool = Fals
         G = fock.one_body_matrix(blocks.sector_items())
         return (math.factorial(1) / tau) * G if scaled else G
 
-    J = blocks.params.J
-    pairs = [(i, j) for i in range(J) for j in range(i, J)]
-    nu = np.array([math.sqrt(2.0) if i == j else 1.0 for (i, j) in pairs])
-    # M[(i,j),(k,l)] = <a_k a_l psi, a_i a_j psi>, normalized to the pair basis
-    M = fock.ladder_gram(blocks.sector_items(), pairs) / np.outer(nu, nu)
+    # M[(i,j),(k,l)] = <a_i a_j psi, a_k a_l psi> on the pair basis (i <= j)
+    M = fock.ladder_gram(blocks.sector_items(), 2)
     return (math.factorial(2) / tau**2) * M if scaled else M
 
 

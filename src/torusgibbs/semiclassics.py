@@ -49,7 +49,10 @@ __all__ = [
 
 
 def poisson_truncation(mean: float, tol: float = 1e-12) -> int:
-    """Smallest N whose Poisson(mean) tail mass beyond N is < tol."""
+    """Smallest N whose Poisson(mean) tail mass beyond N is < tol.  Raises
+    InvalidConfigError for a mean that is not finite."""
+    if not math.isfinite(mean):
+        raise InvalidConfigError(f"Poisson mean must be finite, got {mean}")
     if mean <= 0:
         return 0
     n = max(8, int(mean))
@@ -115,7 +118,8 @@ def _coherent_amplitude_matrix(occ: np.ndarray, vs: np.ndarray) -> np.ndarray:
     so no overflow for any sector.
     """
     vs = np.atleast_2d(np.asarray(vs, dtype=complex))
-    logfac = special.gammaln(occ + 1.0).sum(axis=-1)  # (..., D)
+    # log nu! by table lookup: the same values as gammaln(occ + 1.0)
+    logfac = special.gammaln(np.arange(occ.max(initial=0) + 1.0) + 1.0)[occ].sum(axis=-1)
     with np.errstate(divide="ignore"):
         logv = np.log(vs)  # (..., S, J): log|v| + i arg v
     # a zero coefficient must kill amplitudes with nu_j >= 1 but leave
@@ -383,17 +387,6 @@ def tail_moment(blocks: GibbsStateBlocks, R: float, tau: float | None = None) ->
 # quantitative de Finetti gap
 # ------------------------------------------------------------------
 
-def _creation_gram(blocks: GibbsStateBlocks, order: int):
-    """Gram matrix of order-fold creations: for order 1,
-    A[i,j] = Tr(Gamma a_i adag_j); for order 2 over unordered pairs,
-    A[(i1,i2),(j1,j2)] = Tr(Gamma a_{i1} a_{i2} adag_{j1} adag_{j2}).
-    Returns A and its index words ((i,) or (i1, i2))."""
-    J = blocks.params.J
-    words = ([(p,) for p in range(J)] if order == 1
-             else [(i, j) for i in range(J) for j in range(i, J)])
-    return fock.ladder_gram(blocks.sector_items(), words, create=True), words
-
-
 def definetti_gap(blocks: GibbsStateBlocks, varsigma: float, k: int):
     """Trace-norm distance between k! varsigma^k Gamma^{(k)} and the k-th
     moment matrix of the lower symbol, against its combinatorial bound.
@@ -407,17 +400,10 @@ def definetti_gap(blocks: GibbsStateBlocks, varsigma: float, k: int):
     if k not in (1, 2):
         raise InvalidConfigError(f"de Finetti gap supports k in {{1,2}}, got {k}")
     J = blocks.params.J
-    A, cols = _creation_gram(blocks, k)
-    if k == 1:
-        moment = varsigma * A
-        rdm = reduced_density_matrix(blocks, 1)
-        D = moment - varsigma * rdm
-    else:
-        nu = np.array([math.sqrt(2.0) if i == j else 1.0 for (i, j) in cols])
-        c = math.sqrt(2.0) / nu
-        moment = varsigma**2 * np.outer(c, c) * A
-        rdm = reduced_density_matrix(blocks, 2)
-        D = moment - 2.0 * varsigma**2 * rdm
+    # the moment matrix is k! varsigma^k A, A the anti-normal gram
+    # Tr(Gamma a_i1 .. a_ik adag_j1 .. adag_jk) on the RDM's basis i1 <= .. <= ik
+    A = fock.ladder_gram(blocks.sector_items(), k, create=True)
+    D = math.factorial(k) * varsigma**k * (A - reduced_density_matrix(blocks, k))
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (D + D.conj().T)))))
 
     probs = blocks.sector_probabilities()

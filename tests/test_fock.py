@@ -55,49 +55,61 @@ class TestEnumeration:
 
 class TestLadder:
     def test_create_on_vacuum(self):
-        vacuum, one = fock.enumerate_sector(0, 0), fock.enumerate_sector(0, 1)
-        out = fock.apply_creation(np.array([1.0]), vacuum, one, 0)
+        out = fock.apply_creation(np.array([1.0]), 0, 0, 0)
         assert out.shape == (1,) and out[0] == 1.0
 
     def test_annihilate_sqrt3(self):
-        three, two = fock.enumerate_sector(0, 3), fock.enumerate_sector(0, 2)
-        out = fock.apply_annihilation(np.array([1.0]), three, two, 0)
+        out = fock.apply_annihilation(np.array([1.0]), 0, 3, 0)
         assert out[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
         assert out[0] == pytest.approx(1.73205, abs=1e-5)
 
     def test_annihilate_vacuum(self):
         # a_0 on |1, 0, 0>: the k = 0 mode is empty, so the image is zero
-        one, vacuum = fock.enumerate_sector(1, 1), fock.enumerate_sector(1, 0)
+        one = fock.enumerate_sector(1, 1)
         e = np.zeros(one.dim)
         e[one.rank((1, 0, 0))] = 1.0
-        out = fock.apply_annihilation(e, one, vacuum, 1)
+        out = fock.apply_annihilation(e, 1, 1, 1)
         assert out.shape == (1,) and out[0] == 0.0
 
     @pytest.mark.parametrize("k_max,n", [(0, 3), (1, 3), (2, 2)])
     def test_block_matches_columns(self, rng, k_max, n):
         # a column block goes through exactly as its columns one at a time
+        dim = fock.sector_dimension(k_max, n)
+        block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+        for p in range(2 * k_max + 1):
+            for apply in (fock.apply_annihilation, fock.apply_creation):
+                stacked = np.stack([apply(col, k_max, n, p) for col in block.T], axis=1)
+                assert np.array_equal(apply(block, k_max, n, p), stacked)
+                assert np.array_equal(apply(block.real, k_max, n, p), stacked.real)
+
+    @pytest.mark.parametrize("k_max,n", [(0, 3), (1, 3), (2, 2)])
+    def test_annihilation_map_matches_tensor_oracle(self, rng, k_max, n):
+        # on dense symmetric tensors a_p psi = sqrt(n) psi[p, ...], and adag_p phi
+        # is e_p put on each of the n legs in turn, over sqrt(n); the oracle
+        # embeds occupation states by their permutations, not by rank
         basis = fock.enumerate_sector(k_max, n)
         down = fock.enumerate_sector(k_max, n - 1)
-        up = fock.enumerate_sector(k_max, n + 1)
-        block = rng.normal(size=(basis.dim, 4)) + 1j * rng.normal(size=(basis.dim, 4))
+        psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        phi = rng.normal(size=down.dim) + 1j * rng.normal(size=down.dim)
+        dense, dense_phi = embed_symmetric(basis, psi), embed_symmetric(down, phi)
         for p in range(basis.J):
-            for apply, target in ((fock.apply_annihilation, down), (fock.apply_creation, up)):
-                stacked = np.stack([apply(col, basis, target, p) for col in block.T], axis=1)
-                assert np.array_equal(apply(block, basis, target, p), stacked)
-                assert np.array_equal(apply(block.real, basis, target, p), stacked.real)
+            a = fock.annihilation_map(k_max, n, p)
+            assert a.shape == (down.dim, basis.dim)
+            image = embed_symmetric(down, a @ psi)
+            assert np.abs(image - math.sqrt(n) * dense[p]).max() <= 1e-12
+            created = fock.apply_creation(phi, k_max, n - 1, p)
+            assert np.array_equal(a.T @ phi, created)
+            leg = np.multiply.outer(np.eye(basis.J)[p], dense_phi)
+            oracle = sum(np.moveaxis(leg, 0, k) for k in range(n)) / math.sqrt(n)
+            assert np.abs(embed_symmetric(basis, created) - oracle).max() <= 1e-12
 
     def test_ccr(self):
-        # || [a_i, adag_j] - delta_ij || over an embedded sector pair
-        basis = fock.enumerate_sector(1, 2)
-        down = fock.enumerate_sector(1, 1)
-        up = fock.enumerate_sector(1, 3)
-        eye = np.eye(basis.dim)
+        # || [a_i, adag_j] - delta_ij || on the k_max = 1, n = 2 sector
+        eye = np.eye(fock.sector_dimension(1, 2))
         for i in range(3):
             for j in range(3):
-                first = fock.apply_annihilation(fock.apply_creation(eye, basis, up, j),
-                                                up, basis, i)
-                second = fock.apply_creation(fock.apply_annihilation(eye, basis, down, i),
-                                             down, basis, j)
+                first = fock.apply_annihilation(fock.apply_creation(eye, 1, 2, j), 1, 3, i)
+                second = fock.apply_creation(fock.apply_annihilation(eye, 1, 2, i), 1, 1, j)
                 assert np.abs(first - second - float(i == j) * eye).max() <= 1e-10
 
     def test_creation_gram_past_default_cap(self, rng):
@@ -106,9 +118,8 @@ class TestLadder:
         basis = fock.enumerate_sector(1, 99)
         vecs = np.linalg.qr(rng.normal(size=(basis.dim, 3)))[0]
         items = [(basis, np.array([0.5, 0.3, 0.2]), sparse.csc_array(vecs))]
-        words = [(p,) for p in range(3)]
-        create = fock.ladder_gram(items, words, create=True)
-        annihilate = fock.ladder_gram(items, words)
+        create = fock.ladder_gram(items, 1, create=True)
+        annihilate = fock.ladder_gram(items, 1)
         assert np.abs(create - np.eye(3) - annihilate.T).max() <= 1e-10 * 99
 
 

@@ -279,6 +279,8 @@ class TestBadInput:
                                                  np.array([0.0, -math.inf, 0.0]), blocks=b),
         lambda b: sc.definetti_gap(b, -0.05, 1),
         lambda b: sc.definetti_gap(b, math.nan, 2),
+        lambda b: sc.poisson_truncation(math.nan),
+        lambda b: sc.poisson_truncation(math.inf),
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
             "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
             "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
@@ -287,7 +289,7 @@ class TestBadInput:
             "coherent_nan_field", "coherent_inf_field", "density_nan_field",
             "density_inf_field", "poisson_nan_field", "poisson_inf_field",
             "definetti_negative_varsigma",
-            "definetti_nan_varsigma"])
+            "definetti_nan_varsigma", "truncation_nan_mean", "truncation_inf_mean"])
     def test_raises_invalid_config(self, call):
         with pytest.raises(InvalidConfigError):
             call(interacting_state(tau=20.0, k_max=1))
@@ -421,7 +423,7 @@ class TestDeFinetti:
         vs = 1.0 / 20.0
         us = sc.sample_husimi(b, vs, 40000, rng)
         emp = np.mean(np.abs(us) ** 2, axis=0)
-        A, _ = sc._creation_gram(b, 1)
+        A = fock.ladder_gram(b.sector_items(), 1, create=True)
         pred = vs * np.diag(A).real
         for j in range(3):
             col = np.abs(us[:, j]) ** 2
@@ -437,11 +439,13 @@ class TestDeFinetti:
         b = interacting_state(tau=tau, k_max=k_max)
         J = 2 * k_max + 1
         G1 = qgibbs.reduced_density_matrix(b, 1)  # G1[i, j] = Tr(Gamma adag_j a_i)
-        A1, _ = sc._creation_gram(b, 1)
+        A1 = fock.ladder_gram(b.sector_items(), 1, create=True)
         assert np.abs(A1 - (np.eye(J) + G1)).max() <= 1e-12 * max(1.0, np.abs(A1).max())
 
-        A2, pairs = sc._creation_gram(b, 2)
+        # both grams come on the orthonormal pair basis; undo its sqrt(2) on i = j
+        pairs = [(i, j) for i in range(J) for j in range(i, J)]
         nu = np.array([math.sqrt(2.0) if i == j else 1.0 for (i, j) in pairs])
+        A2 = fock.ladder_gram(b.sector_items(), 2, create=True) * np.outer(nu, nu)
         G2 = qgibbs.reduced_density_matrix(b, 2) * np.outer(nu, nu)
         d = np.eye(J)
         oracle = G2.copy()
