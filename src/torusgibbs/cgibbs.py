@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidConfigError
+from .errors import (DegenerateInputError, InvalidConfigError, NumericalFailureError,
+                     UnsupportedOrderError)
 from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues, mode_numbers
 
 __all__ = [
@@ -117,25 +118,17 @@ _SHARD = 1 << 16
 _GROUPS = 16  # row groups per shard, the jackknife's deletion units
 
 
-def _shard_sizes(n_samples: int) -> list[int]:
-    full, rem = divmod(n_samples, _SHARD)
-    return [_SHARD] * full + ([rem] if rem else [])
-
-
-def _iter_shard_rngs(seed: int, n_samples: int):
-    sizes = _shard_sizes(n_samples)
-    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
-    for size, sq in zip(sizes, seqs):
-        yield size, np.random.default_rng(sq)
-
-
 def _map_shards(seed: int, n_samples: int, fn, threads: int = 1) -> list:
-    """Run fn(size, rng) over the derived-seed shards.
+    """Run fn(size, rng) over shards of at most _SHARD rows, each with its
+    own generator spawned from `seed`.
 
     Results come back in shard order whatever the execution order, so the
     merged estimate is identical for any thread count.
     """
-    jobs = list(_iter_shard_rngs(seed, n_samples))
+    full, rem = divmod(n_samples, _SHARD)
+    sizes = [_SHARD] * full + ([rem] if rem else [])
+    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
+    jobs = [(size, np.random.default_rng(sq)) for size, sq in zip(sizes, seqs)]
     if threads <= 1 or len(jobs) <= 1:
         return [fn(size, rng) for size, rng in jobs]
     from concurrent.futures import ThreadPoolExecutor
@@ -182,37 +175,39 @@ def _group_sums(x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(x, np.arange(g) * len(x) // g, axis=0)
 
 
-def _mc_ratio(seed: int, n_samples: int, draw, threads: int):
+def _mc_ratio(seed: int, n: int, draw, threads: int):
     """The estimator core: derived-seed shards -> row-group sums -> delta method.
 
-    draw(size, rng) returns (a, b) for `size` free-field rows: a is the
-    per-row numerator, shape (size,) or (size, J, J); b is the per-row
+    draw(size, rng) returns real (a, b) for `size` of the n free-field rows:
+    a is the per-row numerator, shape (size,) or (size, J); b is the per-row
     denominator, shape (size,), or None for b = 1.  Returns the ratio of
     means E[a] / E[b], its delta-method standard error (entrywise for array
     a), and the sums of a and of b over each row group of each shard, in
     shard order, for callers that jackknife.  Every sum is the same
     elementwise product summed the same way, so a == b gives a ratio of
-    exactly 1 and a standard error of exactly 0.
+    exactly 1 and a standard error of exactly 0.  Raises InvalidConfigError
+    for n < 2 and NumericalFailureError for a zero mean b.
     """
+    if n < 2:
+        raise InvalidConfigError(f"n_samples must be >= 2, got {n}")
+
     def shard(size, rng):
         a, b = draw(size, rng)
         if b is None:
             b = np.ones(size)
-        b_rows = b.reshape(b.shape + (1,) * (a.ndim - 1))
-        return tuple(_group_sums(x) for x in (a, np.abs(a) ** 2, b, b * b, a * b_rows))
+        return tuple(_group_sums(x) for x in (a, a * a, b, b * b, (a.T * b).T))
 
-    parts = _map_shards(seed, n_samples, shard, threads)
+    parts = _map_shards(seed, n, shard, threads)
     ga, gaa, gb, gbb, gab = (np.concatenate([p[i] for p in parts]) for i in range(5))
     sa, saa, sb, sbb, sab = (g.sum(axis=0) for g in (ga, gaa, gb, gbb, gab))
-    n = n_samples
     ma, mb = sa / n, sb / n
+    if not mb > 0.0:
+        raise NumericalFailureError(f"mean weight {mb}: no sample carried weight")
     r = ma / mb
-    var_a = np.maximum(saa / n - np.abs(ma) ** 2, 0.0)
+    var_a = np.maximum(saa / n - ma * ma, 0.0)
     var_b = max(sbb / n - mb * mb, 0.0)
     cov_ab = sab / n - ma * mb
-    var_r = np.maximum(
-        var_a - 2.0 * (np.conj(r) * cov_ab).real + np.abs(r) ** 2 * var_b, 0.0
-    )
+    var_r = np.maximum(var_a - 2.0 * r * cov_ab + r * r * var_b, 0.0)
     return r, np.sqrt(var_r / n) / mb, ga, gb
 
 
@@ -266,26 +261,27 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
                             seed: int, kernel: KernelSpec | None = None,
                             threads: int = 1):
     """First moment matrix M[i,j] = E_mu[ alpha_i * conj(alpha_j) ] of the
-    reweighted measure.
+    reweighted measure, which is invariant under the translations
+    alpha_k -> e^{2 pi i k y} alpha_k: M is diagonal, its off-diagonal
+    entries exactly 0, and each row is scored by its mode masses only.
 
-    Returns (M, M_stderr, group_nums, group_dens).  M is the ratio of the
-    weighted outer-product mean to the weight mean; M_stderr holds the
-    entrywise delta-method error of that ratio.  The numerator and weight
-    sums over each row group are kept so callers can jackknife nonlinear
-    functionals (trace norms) of M.
-    Only k = 1 is supported.
+    Returns (M, M_stderr, group_nums, group_dens): the real diagonal J x J
+    ratio of weighted mode-mass means to the weight mean, its diagonal
+    delta-method error, and the mode-mass sums, shape (G, J), and weight
+    sums, shape (G,), over each row group, so callers can jackknife
+    nonlinear functionals (trace norms) of M.  Only k = 1 is supported.
     """
     if k != 1:
-        raise InvalidConfigError("moment matrices are implemented for k = 1")
+        raise UnsupportedOrderError(f"moment matrices support k = 1, got {k}")
     _check_focusing_config(interaction, cutoff)
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng)
         w, _ = _weights_for(coeffs, interaction, params, cutoff, kernel)
-        outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
-        return w[:, None, None] * outer, w
+        return w[:, None] * (coeffs.real**2 + coeffs.imag**2), w
 
-    return _mc_ratio(seed, n_samples, draw, threads)
+    M, M_err, group_nums, group_dens = _mc_ratio(seed, n_samples, draw, threads)
+    return np.diag(M), np.diag(M_err), group_nums, group_dens
 
 
 # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each driver sweeps parameters, runs the quantum and classical engines, and
 returns a list of ordered-dict rows; `write_csv` serializes them with one
 header row, '.' decimals, and a sibling stderr column for every stochastic
 quantity.  Determinism contract: identical config + seed => byte-identical
-CSV.
+CSV.  The classical estimators read only k_max and eps from their params, so
+a convergence sweep estimates its classical reference once, for every tau.
 """
 
 from __future__ import annotations
@@ -165,17 +166,17 @@ def _params_for(cfg: ExperimentConfig, tau: float, eps: float, eta: float,
 def exp_partition_convergence(cfg: ExperimentConfig) -> list:
     """Quantum cutoff-partition ratio against the classical reweighted
     normalization, per tau.  Columns: tau, q_ratio, c_value, c_stderr,
-    abs_diff."""
+    abs_diff; the classical columns are the same on every row."""
     eps, eta = cfg.eps_values[0], cfg.eta_values[0]
+    cutoff = CutoffProfile.smooth(cfg.K, eta)
+    c = cgibbs.partition_ratio(_params_for(cfg, cfg.tau_values[0], eps, eta), "hartree",
+                               cutoff, cfg.n_samples, cfg.seed, threads=cfg.threads)
     rows = []
     for tau in cfg.tau_values:
         params = _params_for(cfg, tau, eps, eta)
-        cutoff = CutoffProfile.smooth(cfg.K, eta)
         z_int = qgibbs.build_gibbs(params, True, cutoff).Z
         z_free = qgibbs.build_gibbs(params, False, cutoff).Z
         q_ratio = z_int / z_free
-        c = cgibbs.partition_ratio(params, "hartree", cutoff, cfg.n_samples, cfg.seed,
-                                   threads=cfg.threads)
         rows.append({
             "tau": tau,
             "q_ratio": q_ratio,
@@ -193,28 +194,27 @@ def _trace_norm(M: np.ndarray) -> float:
 
 def exp_density_convergence(cfg: ExperimentConfig) -> list:
     """Trace-norm distance between the scaled one-body matrix of the Gibbs
-    state and the classical moment matrix, with jackknife error bars."""
+    state and the classical moment matrix, with jackknife error bars.  The
+    classical matrix is diagonal by translation invariance, so
+    herm_defect_classical is 0 and min_eig_classical its least diagonal mean."""
     eps, eta = cfg.eps_values[0], cfg.eta_values[0]
+    cutoff = CutoffProfile.smooth(cfg.K, eta)
+    M, _, group_num, group_den = cgibbs.classical_moment_matrix(
+        _params_for(cfg, cfg.tau_values[0], eps, eta), "hartree", cutoff, 1,
+        cfg.n_samples, cfg.seed, threads=cfg.threads)
+    # delete-one-group means, for the jackknife stderr of the nonlinear trace norm
+    loo = (group_num.sum(axis=0) - group_num) / (group_den.sum() - group_den)[:, None]
+    herm_c = float(np.abs(M - M.T).max())
+    min_eig_c = float(M.diagonal().min())
     rows = []
     for tau in cfg.tau_values:
-        params = _params_for(cfg, tau, eps, eta)
-        cutoff = CutoffProfile.smooth(cfg.K, eta)
-        blocks = qgibbs.build_gibbs(params, True, cutoff)
+        blocks = qgibbs.build_gibbs(_params_for(cfg, tau, eps, eta), True, cutoff)
         Q1 = qgibbs.reduced_density_matrix(blocks, 1, scaled=True)
-        M, M_err, group_num, group_den = cgibbs.classical_moment_matrix(
-            params, "hartree", cutoff, 1, cfg.n_samples, cfg.seed,
-            threads=cfg.threads)
         dist = _trace_norm(Q1 - M)
-        # delete-one-group jackknife for the stderr of the nonlinear trace norm
-        G = len(group_den)
-        tots, totd = group_num.sum(axis=0), group_den.sum()
-        loo = np.array([_trace_norm(Q1 - (tots - group_num[i]) / (totd - group_den[i]))
-                        for i in range(G)])
-        dist_err = math.sqrt((G - 1) / G * float(np.sum((loo - loo.mean()) ** 2)))
+        dists = np.array([_trace_norm(Q1 - np.diag(m)) for m in loo])
+        dist_err = math.sqrt((len(loo) - 1) * float(np.var(dists)))
         herm_q = float(np.abs(Q1 - Q1.conj().T).max())
         min_eig_q = float(np.linalg.eigvalsh(0.5 * (Q1 + Q1.conj().T)).min())
-        herm_c = float(np.abs(M - M.conj().T).max())
-        min_eig_c = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
         rows.append({
             "tau": tau,
             "trace_dist": dist,
@@ -235,9 +235,7 @@ def exp_blowup(cfg: ExperimentConfig) -> list:
     for label, K in (("super", cfg.K_blowup), ("control", cfg.K_control)):
         cutoff = CutoffProfile.sharp(K)
         for eps in cfg.eps_values:
-            params = ModelParams(tau=max(cfg.tau_values), eps=eps,
-                                 eta=eta_frac * K**2, K=K, k_max=cfg.k_max,
-                                 n_max=max(1, math.floor(K**2 * max(cfg.tau_values))))
+            params = _params_for(cfg, max(cfg.tau_values), eps, eta_frac * K**2, K=K)
             est = cgibbs.capped_partition(params, cfg.R_cap, cutoff,
                                           cfg.n_samples, cfg.seed,
                                           threads=cfg.threads)
@@ -255,12 +253,11 @@ def exp_tail_decay(cfg: ExperimentConfig) -> list:
     """Deterministic lower-symbol tail moments of the interacting state, and
     their logs, per tau."""
     eps, eta = cfg.eps_values[0], cfg.eta_values[0]
+    cutoff = CutoffProfile.smooth(cfg.K, eta)
+    R = cfg.K**2 + cfg.R_offset
     rows = []
     for tau in cfg.tau_values:
-        params = _params_for(cfg, tau, eps, eta)
-        cutoff = CutoffProfile.smooth(cfg.K, eta)
-        blocks = qgibbs.build_gibbs(params, True, cutoff)
-        R = cfg.K**2 + cfg.R_offset
+        blocks = qgibbs.build_gibbs(_params_for(cfg, tau, eps, eta), True, cutoff)
         tail = semiclassics.tail_moment(blocks, R)
         rows.append({"tau": tau, "R": R, "tail_moment": tail,
                      "log_tail": math.log(tail) if tail > 0 else float("-inf")})
@@ -337,8 +334,7 @@ def exp_threshold_suite(cfg: ExperimentConfig) -> list:
                  "value_stderr": 0.0, "target": 0.0})
 
     for k_max in cfg.k_max_values:
-        params = ModelParams(tau=20.0, eps=0.5, eta=0.1, K=cfg.K_sub, k_max=k_max,
-                             n_max=max(1, math.floor(cfg.K_sub**2 * 20.0)))
+        params = _params_for(cfg, 20.0, 0.5, 0.1, K=cfg.K_sub, k_max=k_max)
         est = cgibbs.subcritical_moment(params, cfg.K_sub, cfg.varsigma,
                                         cfg.n_samples, cfg.seed,
                                         threads=cfg.threads)

@@ -19,6 +19,7 @@ from scipy import sparse
 
 from . import fock
 from .errors import (
+    InvalidConfigError,
     NumericalFailureError,
     ResourceLimitError,
     SupportMismatchError,
@@ -194,12 +195,19 @@ def free_sector_weights(k_max: int, tau: float, n_max: int) -> np.ndarray:
     return z
 
 
+def _check_free_window(k_max: int, tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0.0 and k_max >= 0):
+        raise InvalidConfigError(f"need finite tau > 0 and k_max >= 0, got {tau}, {k_max}")
+
+
 def certified_free_nmax(k_max: int, tau: float, tol: float = 1e-12) -> int:
     """Smallest n_max whose neglected free tail is provably below tol * Z.
 
     Tail bound: Z_n <= C(n+J-1, J-1) * q0^n with q0 the slowest mode weight;
     the geometric-with-polynomial tail is summed in closed bound form.
+    Raises InvalidConfigError for a tau not finite and > 0 or k_max < 0.
     """
+    _check_free_window(k_max, tau)
     J = 2 * k_max + 1
     q0 = math.exp(-0.5 / tau)
     Z_exact = float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(k_max) / tau))))
@@ -233,14 +241,12 @@ class FreeProductState:
     @staticmethod
     def build(k_max: int, tau: float, cutoff: CutoffProfile | None = None,
               n_max: int | None = None) -> "FreeProductState":
+        _check_free_window(k_max, tau)
         if cutoff is None:
             cutoff = CutoffProfile.one()
         if n_max is None:
             bound = cutoff.support_bound
-            if bound is not None:
-                n_max = int(math.floor(bound * tau))
-            else:
-                n_max = certified_free_nmax(k_max, tau)
+            n_max = certified_free_nmax(k_max, tau) if bound is None else math.floor(bound * tau)
         z = free_sector_weights(k_max, tau, n_max)
         return FreeProductState(k_max=k_max, tau=tau, cutoff=cutoff,
                                 n_max=n_max, sector_weights=z)

@@ -29,6 +29,7 @@ from .errors import (
     InvalidConfigError,
     QuadratureFailureError,
     SupportViolationError,
+    UnsupportedOrderError,
 )
 from .model import CutoffProfile, KernelSpec, ModelParams
 from .cgibbs import MCEstimate, _mc_estimate
@@ -394,11 +395,11 @@ def definetti_gap(blocks: GibbsStateBlocks, varsigma: float, k: int):
     The moment matrix is evaluated exactly through anti-normally ordered
     ladder traces (no sampling).  Returns (lhs_trace_norm, rhs_bound).
     Raises InvalidConfigError for a varsigma that is not finite and
-    positive.
+    positive, and UnsupportedOrderError for k not in {1, 2}.
     """
     _check_varsigma(varsigma)
     if k not in (1, 2):
-        raise InvalidConfigError(f"de Finetti gap supports k in {{1,2}}, got {k}")
+        raise UnsupportedOrderError(f"de Finetti gap supports k in {{1,2}}, got {k}")
     J = blocks.params.J
     # the moment matrix is k! varsigma^k A, A the anti-normal gram
     # Tr(Gamma a_i1 .. a_ik adag_j1 .. adag_jk) on the RDM's basis i1 <= .. <= ik

@@ -6,6 +6,8 @@ and attribute name, and it patches `cgibbs._map_shards`,
 `model.CutoffProfile.smooth` by name, calling the first two with positional
 arguments.  A traced benchmark
 run crashes when one of them is renamed, so each must resolve here first.
+Its estimator counters read the call arguments and results, so they must
+accept what the estimators take and return.
 The harness source is read and executed in memory; nothing under tgbench/
 is written.
 """
@@ -16,25 +18,30 @@ import inspect
 import os
 import types
 
+import numpy as np
 import pytest
 
 from torusgibbs import cgibbs, semiclassics
+from torusgibbs.model import CutoffProfile, ModelParams
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tgbench", "spans.py")
 
 
-def _harness_table() -> list:
+def _harness() -> types.ModuleType:
     module = types.ModuleType("tgbench_spans")
     with open(SPANS, encoding="utf-8") as fh:
         exec(compile(fh.read(), SPANS, "exec"), module.__dict__)
-    return [(mod, attr) for mod, attr, *_ in module.WRAPPED]
+    return module
 
 
-BOUND = _harness_table() + [("cgibbs", "_map_shards"),
-                            ("semiclassics", "_tensor_power_coeffs"),
-                            ("semiclassics", "sample_husimi"),
-                            ("model", "CutoffProfile.smooth")]
+HARNESS = _harness()
+BOUND = [(mod, attr) for mod, attr, *_ in HARNESS.WRAPPED] + [
+    ("cgibbs", "_map_shards"),
+    ("semiclassics", "_tensor_power_coeffs"),
+    ("semiclassics", "sample_husimi"),
+    ("model", "CutoffProfile.smooth"),
+]
 
 
 @pytest.mark.parametrize("module,attr", BOUND, ids=[f"{m}.{a}" for m, a in BOUND])
@@ -49,3 +56,12 @@ def test_patched_helpers_take_the_harness_arguments():
     # tensor_power(occupations, v)
     inspect.signature(cgibbs._map_shards).bind(0, 1, None, 1)
     inspect.signature(semiclassics._tensor_power_coeffs).bind(None, None)
+
+
+def test_moment_matrix_counter_reads_the_call():
+    # the relvar counter takes n_samples from args[4] and divides the squared
+    # stderr matrix by the squared moment matrix
+    params = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=3)
+    args = (params, "hartree", CutoffProfile.smooth(0.6, 0.1), 1, 3000, 5)
+    counts = HARNESS._relvar(args, {}, cgibbs.classical_moment_matrix(*args))
+    assert np.isfinite(counts["relvar"]) and counts["relvar"] > 0.0

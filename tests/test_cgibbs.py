@@ -8,8 +8,8 @@ import pytest
 from scipy import integrate
 
 from conftest import GATE_R, GATE_Z, box_periodized
-from torusgibbs import cgibbs
-from torusgibbs.errors import DegenerateInputError, InvalidConfigError
+from torusgibbs import cgibbs, semiclassics
+from torusgibbs.errors import DegenerateInputError, InvalidConfigError, NumericalFailureError
 from torusgibbs.model import (
     CutoffProfile,
     KernelSpec,
@@ -224,8 +224,8 @@ class TestMomentMatrix:
             assert M[i, i].real == pytest.approx(1.0 / lam[i], abs=GATE_Z * M_err[i, i])
             for j in range(3):
                 if i != j:
-                    # off-diagonal entries are circular complex means
-                    assert abs(M[i, j]) <= GATE_R * M_err[i, j] + 1e-12
+                    # translation invariance makes the off-diagonal means exactly 0
+                    assert M[i, j] == 0.0 and M_err[i, j] == 0.0
 
     def test_hermitian_psd(self):
         M, _, _, _ = cgibbs.classical_moment_matrix(
@@ -237,6 +237,63 @@ class TestMomentMatrix:
         M, _, _, _ = cgibbs.classical_moment_matrix(
             params(), "local", CutoffProfile.sharp(0.6), 1, 100000, 29)
         assert np.trace(M).real <= 0.36
+
+    def test_diagonal_matches_outer_product_draw(self):
+        # the full (rows, J, J) outer-product estimate, scored on the same
+        # draws, has the mode-mass estimate as its diagonal
+        p, cut = params(), CutoffProfile.smooth(0.6, 0.1)
+
+        def outer_draw(size, rng):
+            coeffs = cgibbs.sample_free_fields(p.k_max, size, rng)
+            w, _ = cgibbs._weights_for(coeffs, "hartree", p, cut, None)
+            outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
+            return w[:, None, None] * outer, w
+
+        n, seed = 70000, 59  # two shards
+        full, full_err, full_num, full_den = cgibbs._mc_ratio(seed, n, outer_draw, 1)
+        M, M_err, group_num, group_den = cgibbs.classical_moment_matrix(
+            p, "hartree", cut, 1, n, seed)
+        assert M.dtype == M_err.dtype == np.float64
+        assert group_num.shape == (len(group_den), 3)
+        assert np.array_equal(group_den, full_den)
+        off = ~np.eye(3, dtype=bool)
+        assert np.all(M[off] == 0.0) and np.all(M_err[off] == 0.0)
+        np.testing.assert_allclose(np.diag(M), np.diag(full).real, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(np.diag(M_err), np.diag(full_err), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(group_num, np.diagonal(full_num, axis1=1, axis2=2).real,
+                                   rtol=1e-14, atol=0)
+
+
+# every estimator on the shared MC core, as a function of (n_samples, seed)
+MC_ESTIMATORS = {
+    "classical_partition": lambda n, s: cgibbs.classical_partition(
+        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), n, s),
+    "partition_ratio": lambda n, s: cgibbs.partition_ratio(
+        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), n, s),
+    "classical_moment_matrix": lambda n, s: cgibbs.classical_moment_matrix(
+        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), 1, n, s),
+    "capped_partition": lambda n, s: cgibbs.capped_partition(
+        params(), 6.0, CutoffProfile.sharp(0.6), n, s),
+    "subcritical_moment": lambda n, s: cgibbs.subcritical_moment(params(), 0.6, 0.0, n, s),
+    "antiwick_radial_scalar_mc": lambda n, s: semiclassics.antiwick_radial_scalar_mc(
+        lambda x: x, 2, 3, 10.0, n, s),
+}
+
+
+class TestMCCore:
+    @pytest.mark.parametrize("n_samples", [-3, 0, 1])
+    @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
+    def test_too_few_samples(self, estimator, n_samples):
+        with pytest.raises(InvalidConfigError):
+            MC_ESTIMATORS[estimator](n_samples, 7)
+
+    @pytest.mark.parametrize("estimator", ["partition_ratio", "classical_moment_matrix"])
+    def test_zero_mean_weight(self, estimator):
+        # a cutoff support far below the typical free mass: no draw carries weight
+        order = (1,) if estimator == "classical_moment_matrix" else ()
+        with pytest.raises(NumericalFailureError):
+            getattr(cgibbs, estimator)(params(K=0.05, eta=0.001), "hartree",
+                                       CutoffProfile.smooth(0.05, 0.001), *order, 10, 7)
 
 
 class TestMassDensity:

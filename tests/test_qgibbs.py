@@ -7,8 +7,9 @@ import pytest
 from scipy import sparse
 
 from conftest import embed_symmetric, partial_trace_first
-from torusgibbs import fock, qgibbs
+from torusgibbs import cgibbs, fock, qgibbs, semiclassics
 from torusgibbs.errors import (
+    InvalidConfigError,
     NumericalFailureError,
     ResourceLimitError,
     SupportMismatchError,
@@ -168,6 +169,18 @@ class TestFreeProductState:
         assert fp.particle_moment(0) == pytest.approx(1.0, abs=1e-12)
         assert fp.particle_moment(1) == pytest.approx(1.950416, abs=1e-5)
 
+    @pytest.mark.parametrize("k_max,tau", [(1, -1.0), (1, 0.0), (1, math.nan), (1, math.inf),
+                                           (-1, 5.0)],
+                             ids=["negative_tau", "zero_tau", "nan_tau", "inf_tau",
+                                  "negative_k_max"])
+    @pytest.mark.parametrize("cutoff", [CutoffProfile.one(), CutoffProfile.smooth(0.6, 0.05)],
+                             ids=["unbounded", "bounded"])
+    def test_rejects_bad_window(self, k_max, tau, cutoff):
+        with pytest.raises(InvalidConfigError):
+            qgibbs.FreeProductState.build(k_max, tau, cutoff)
+        with pytest.raises(InvalidConfigError):
+            qgibbs.certified_free_nmax(k_max, tau)
+
 
 class TestReducedDensity:
     def test_vacuum_supported(self):
@@ -248,9 +261,14 @@ class TestReducedDensity:
             float(np.dot(probs, ns * (ns - 1) / 2.0)), rel=1e-10)
 
     def test_unsupported_order(self):
-        b = qgibbs.build_gibbs(params(), False, CutoffProfile.smooth(0.6, 0.05))
+        cut = CutoffProfile.smooth(0.6, 0.05)
+        b = qgibbs.build_gibbs(params(), False, cut)
         with pytest.raises(UnsupportedOrderError):
             qgibbs.reduced_density_matrix(b, 3)
+        with pytest.raises(UnsupportedOrderError):
+            semiclassics.definetti_gap(b, 0.1, 3)
+        with pytest.raises(UnsupportedOrderError):
+            cgibbs.classical_moment_matrix(params(), "hartree", cut, 2, 100, 1)
 
 
 class TestParticleMoment:
