@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cgibbs, qgibbs, semiclassics
 from .errors import DegenerateInputError, InvalidConfigError
-from .model import CutoffProfile, KernelSpec, ModelParams, _shooting_norms, soliton
+from .model import CutoffProfile, KernelSpec, ModelParams, _shooting_norms, eigenvalues, soliton
 
 __all__ = [
     "ExperimentConfig",
@@ -267,8 +267,9 @@ def exp_tail_decay(cfg: ExperimentConfig) -> list:
 def exp_free_state_rate(cfg: ExperimentConfig) -> list:
     """Quantum mass-cutoff expectation of the free state against its exact
     classical counterpart, per tau.  Both sides are deterministic: the
-    quantum side sums geometric sector weights, the classical side
-    integrates the cutoff against the exact mass density."""
+    quantum side contracts the cutoff with the geometric sector weights and
+    divides by the exact free trace prod_k (1 - e^{-lambda_k/tau})^{-1}, the
+    classical side integrates the cutoff against the exact mass density."""
     from scipy import integrate as _int
 
     eta = cfg.rate_eta
@@ -280,9 +281,10 @@ def exp_free_state_rate(cfg: ExperimentConfig) -> list:
     cside = float(_int.simpson(dens * cutoff(grid), x=grid))
     rows = []
     for tau in cfg.tau_values:
-        free = qgibbs.FreeProductState.build(cfg.k_max, tau, cutoff)
-        qside = free.partition / qgibbs.FreeProductState.build(
-            cfg.k_max, tau, CutoffProfile.one()).partition
+        n_max = math.floor(K**2 * tau)
+        weights = qgibbs.free_sector_weights(cfg.k_max, tau, n_max)
+        qside = (float(cutoff(np.arange(n_max + 1) / tau) @ weights)
+                 * float(np.prod(1.0 - np.exp(-eigenvalues(cfg.k_max) / tau))))
         rows.append({"tau": tau, "quantum": qside, "classical": cside,
                      "error": abs(qside - cside)})
     return rows
@@ -358,7 +360,6 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
     interpolation inequality.
     """
     from . import fock
-    from .model import eigenvalues
 
     rng = np.random.default_rng(seed)
     results = []

@@ -23,16 +23,11 @@ __all__ = [
     "CutoffProfile",
     "KernelSpec",
     "SolitonProfile",
-    "eigenvalue",
+    "eigenvalues",
     "trace_h_inverse",
     "soliton",
     "critical_mass",
 ]
-
-
-def eigenvalue(k: int) -> float:
-    """Eigenvalue of h on the mode e^{2*pi*i*k*x}: (1/2)((2*pi*k)^2 + 1)."""
-    return 0.5 * ((2.0 * np.pi * k) ** 2 + 1.0)
 
 
 def mode_numbers(k_max: int) -> np.ndarray:
@@ -41,7 +36,8 @@ def mode_numbers(k_max: int) -> np.ndarray:
 
 
 def eigenvalues(k_max: int) -> np.ndarray:
-    """Eigenvalues on the retained modes, in `mode_numbers` order."""
+    """Eigenvalues of h on the retained modes e^{2*pi*i*k*x}, in
+    `mode_numbers` order: (1/2)((2*pi*k)^2 + 1)."""
     return 0.5 * ((2.0 * np.pi * mode_numbers(k_max)) ** 2 + 1.0)
 
 

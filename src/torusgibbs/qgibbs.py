@@ -12,7 +12,7 @@ columns hold their block's rows only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -29,13 +29,11 @@ from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues
 
 __all__ = [
     "GibbsStateBlocks",
-    "FreeProductState",
     "build_gibbs",
     "reduced_density_matrix",
     "particle_moment",
     "relative_entropy",
     "free_sector_weights",
-    "certified_free_nmax",
 ]
 
 
@@ -176,96 +174,30 @@ def build_gibbs(
 
 
 # ------------------------------------------------------------------
-# free reference state: product structure, no sector enumeration
+# free reference state: a product over modes, no sector enumeration
 # ------------------------------------------------------------------
 
 def free_sector_weights(k_max: int, tau: float, n_max: int) -> np.ndarray:
-    """Z_n = sum over occupations with total n of prod_k e^{-lambda_k n_k / tau}.
+    """Z_n = sum over occupations with total n of prod_k e^{-lambda_k n_k / tau},
+    for n = 0..n_max.
 
     Sequential convolution with one geometric series per mode, run as an
     IIR filter; O(J * n_max) and numerically benign since all q_k < 1.
+    The cutoff-free total is the product prod_k (1 - e^{-lambda_k/tau})^{-1},
+    so a free trace needs no truncated tail.  Raises InvalidConfigError for
+    a tau that is not finite and positive, or a negative k_max or n_max.
     """
     from scipy.signal import lfilter
 
+    if not (math.isfinite(tau) and tau > 0.0 and k_max >= 0 and n_max >= 0):
+        raise InvalidConfigError(
+            f"need finite tau > 0, k_max >= 0 and n_max >= 0, got {tau}, {k_max}, {n_max}")
     q = np.exp(-eigenvalues(k_max) / tau)
     z = np.zeros(n_max + 1)
     z[0] = 1.0
     for qk in q:
         z = lfilter([1.0], [1.0, -qk], z)
     return z
-
-
-def _check_free_window(k_max: int, tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0.0 and k_max >= 0):
-        raise InvalidConfigError(f"need finite tau > 0 and k_max >= 0, got {tau}, {k_max}")
-
-
-def certified_free_nmax(k_max: int, tau: float, tol: float = 1e-12) -> int:
-    """Smallest n_max whose neglected free tail is provably below tol * Z.
-
-    Tail bound: Z_n <= C(n+J-1, J-1) * q0^n with q0 the slowest mode weight;
-    the geometric-with-polynomial tail is summed in closed bound form.
-    Raises InvalidConfigError for a tau not finite and > 0 or k_max < 0.
-    """
-    _check_free_window(k_max, tau)
-    J = 2 * k_max + 1
-    q0 = math.exp(-0.5 / tau)
-    Z_exact = float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(k_max) / tau))))
-    n = max(8, int(tau))
-    while True:
-        ratio = q0 * (n + 1 + J) / (n + 2)
-        if ratio < 1.0:
-            head = math.comb(n + J, J - 1) * q0 ** (n + 1)
-            tail = head / (1.0 - ratio)
-            if tail <= tol * Z_exact:
-                return n
-        n = int(1.3 * n) + 8
-        if n > 10**9:
-            raise NumericalFailureError("free tail certification did not converge")
-
-
-@dataclass(frozen=True)
-class FreeProductState:
-    """Free Gibbs state in product form: sector weights only, no bases.
-
-    Scales to huge n_max (tau up to 1e6) because nothing is enumerated;
-    per-sector weights come from geometric-series convolutions.
-    """
-
-    k_max: int
-    tau: float
-    cutoff: CutoffProfile
-    n_max: int
-    sector_weights: np.ndarray = field(repr=False, default=None)
-
-    @staticmethod
-    def build(k_max: int, tau: float, cutoff: CutoffProfile | None = None,
-              n_max: int | None = None) -> "FreeProductState":
-        _check_free_window(k_max, tau)
-        if cutoff is None:
-            cutoff = CutoffProfile.one()
-        if n_max is None:
-            bound = cutoff.support_bound
-            n_max = certified_free_nmax(k_max, tau) if bound is None else math.floor(bound * tau)
-        z = free_sector_weights(k_max, tau, n_max)
-        return FreeProductState(k_max=k_max, tau=tau, cutoff=cutoff,
-                                n_max=n_max, sector_weights=z)
-
-    @property
-    def partition(self) -> float:
-        """Tr( e^{-H_{tau,0}} f(N/tau) ) over the retained sectors."""
-        f = self.cutoff(np.arange(self.n_max + 1) / self.tau)
-        return float(np.dot(f, self.sector_weights))
-
-    @property
-    def partition_product_formula(self) -> float:
-        """Closed form prod_k (1 - e^{-lambda_k/tau})^{-1}, cutoff-free."""
-        return float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(self.k_max) / self.tau))))
-
-    def particle_moment(self, ell: int) -> float:
-        ns = np.arange(self.n_max + 1)
-        f = self.cutoff(ns / self.tau)
-        return float(np.dot((ns / self.tau) ** ell * f, self.sector_weights) / self.partition)
 
 
 def reduced_density_matrix(blocks: GibbsStateBlocks, k: int, scaled: bool = False):

@@ -9,9 +9,12 @@ The coherent amplitudes have one kernel, assembled in log space on an
 array of occupation rows; the tensor-power coefficients are the same
 amplitudes with their Poisson prefactor divided out.  Every block state
 stores its eigenvectors as one sparse array per sector, so each quantity
-below contracts them on one path.  `sample_husimi` draws in product form
-for eigenstates that are single occupation states and by batched
-rejection for the others; a rejection proposal is scored on its
+below contracts them on one path, on the state's own sectors: no coherent
+vector is built or truncated.  The lower symbol is `husimi_density_batch`,
+and `poisson_decomposition_check` compares it with a second route, the
+Poisson average of tensor-power Rayleigh quotients.  `sample_husimi` draws
+in product form for eigenstates that are single occupation states and by
+batched rejection for the others; a rejection proposal is scored on its
 eigenvector's total-momentum block, padded to the widest in its batch, so
 a batch is one kernel call over that width, not over the sector.
 """
@@ -19,7 +22,6 @@ a batch is one kernel call over that width, not over the sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, sparse, special
@@ -36,9 +38,6 @@ from .cgibbs import MCEstimate, _mc_estimate
 from .qgibbs import GibbsStateBlocks, build_gibbs, reduced_density_matrix, relative_entropy
 
 __all__ = [
-    "CoherentVector",
-    "coherent_vector",
-    "poisson_truncation",
     "sample_husimi",
     "poisson_decomposition_check",
     "antiwick_radial_scalar",
@@ -49,65 +48,9 @@ __all__ = [
 ]
 
 
-def poisson_truncation(mean: float, tol: float = 1e-12) -> int:
-    """Smallest N whose Poisson(mean) tail mass beyond N is < tol.  Raises
-    InvalidConfigError for a mean that is not finite."""
-    if not math.isfinite(mean):
-        raise InvalidConfigError(f"Poisson mean must be finite, got {mean}")
-    if mean <= 0:
-        return 0
-    n = max(8, int(mean))
-    while special.pdtrc(n, mean) >= tol:
-        n = int(1.5 * n) + 8
-    # walk back down to the boundary
-    while n > 0 and special.pdtrc(n - 1, mean) < tol:
-        n -= 1
-    return n
-
-
-@dataclass(frozen=True)
-class CoherentVector:
-    """Sector-truncated coherent state targeting field u at scale varsigma.
-
-    The sector-n amplitude block is e^{-||u||^2/(2 varsigma)}
-    (u/sqrt(varsigma))^{tensor n} / sqrt(n!); its squared norm is the
-    Poisson(||u||^2/varsigma) mass at n, so `deficit` is the truncated
-    Poisson tail.
-    """
-
-    u: np.ndarray
-    varsigma: float
-    N_trunc: int
-    amps: tuple
-    deficit: float
-
-
 def _check_varsigma(varsigma: float) -> None:
     if not (math.isfinite(varsigma) and varsigma > 0.0):
         raise InvalidConfigError(f"varsigma must be finite and > 0, got {varsigma}")
-
-
-def coherent_vector(u: np.ndarray, varsigma: float, N_trunc: int | None = None,
-                    tol: float = 1e-12) -> CoherentVector:
-    """The coherent vector of field u (2k_max+1 mode coefficients) at scale
-    varsigma, truncated at N_trunc or where the Poisson tail drops below
-    tol.  Raises InvalidConfigError for a varsigma that is not finite and
-    positive or a u of even length or with a non-finite coefficient."""
-    _check_varsigma(varsigma)
-    u = np.asarray(u, dtype=complex)
-    if len(u) % 2 == 0:
-        raise InvalidConfigError(f"u needs 2k_max+1 mode coefficients, got {len(u)}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidConfigError("u has a non-finite mode coefficient")
-    k_max = (len(u) - 1) // 2
-    v = u / math.sqrt(varsigma)
-    if N_trunc is None:
-        N_trunc = poisson_truncation(float(np.sum(np.abs(v) ** 2)), tol)
-    amps = tuple(_coherent_amplitude_matrix(fock.enumerate_sector(k_max, n).occupations,
-                                            v)[0] for n in range(N_trunc + 1))
-    total = sum(float(np.sum(np.abs(a) ** 2)) for a in amps)
-    return CoherentVector(u=u, varsigma=varsigma, N_trunc=N_trunc,
-                          amps=amps, deficit=max(0.0, 1.0 - total))
 
 
 def _coherent_amplitude_matrix(occ: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -263,12 +206,12 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
                                 blocks: GibbsStateBlocks | None = None):
     """Two routes to <xi(sqrt(tau) u), e^{-H_tau} f(N/tau) xi(sqrt(tau) u)>.
 
-    Route one contracts the coherent amplitudes directly with the sector
-    propagators.  Route two expands the same quantity as a Poisson(
-    tau*||u||^2) average of normalized tensor-power Rayleigh quotients
-    weighted by the cutoff.  Returns (lhs, rhs).  Raises
-    InvalidConfigError for a u that does not have params.J modes or has a
-    non-finite one.
+    Route one is the lower symbol itself: Z (pi/tau)^J times the Husimi
+    density at u and varsigma = 1/tau, from `husimi_density_batch`.  Route
+    two expands the same quantity as a Poisson(tau*||u||^2) average of
+    normalized tensor-power Rayleigh quotients weighted by the cutoff.
+    Returns (lhs, rhs).  Raises InvalidConfigError for a u that does not
+    have params.J modes or has a non-finite one.
     """
     u = np.asarray(u, dtype=complex)
     if len(u) != params.J:
@@ -282,13 +225,8 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
     if blocks is None:
         blocks = build_gibbs(params, interacting, cutoff, kernel)
 
-    coh = coherent_vector(u * math.sqrt(tau), 1.0, N_trunc=blocks.params.n_max)
-    lhs = 0.0
-    for b in blocks.blocks:
-        if b.cutoff_value == 0.0 or b.n > coh.N_trunc:
-            continue
-        rot = b.vectors.T @ coh.amps[b.n]
-        lhs += b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
+    lhs = blocks.Z * (math.pi / tau) ** params.J * float(
+        husimi_density_batch(blocks, 1.0 / tau, u)[0])
 
     if mass == 0.0:
         rhs = float(cutoff(0.0))

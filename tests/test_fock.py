@@ -16,7 +16,7 @@ from conftest import (
     three_body_entry_quadrature,
 )
 from torusgibbs import fock
-from torusgibbs.model import KernelSpec, eigenvalue, eigenvalues
+from torusgibbs.model import KernelSpec, eigenvalues
 
 TRIANGLE = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None), 0.25)
 
@@ -229,7 +229,7 @@ class TestOneBodyMatrix:
 
     def test_thermal_single_mode(self):
         # geometric-series oracle on the untruncated single-mode free state
-        tau, lam = 10.0, eigenvalue(0)
+        tau, lam = 10.0, float(eigenvalues(0)[0])
         q = math.exp(-lam / tau)
         n_max = 2000
         probs = (1 - q) * q ** np.arange(n_max + 1)

@@ -13,7 +13,6 @@ from torusgibbs.model import (
     ModelParams,
     _shooting_norms,
     critical_mass,
-    eigenvalue,
     eigenvalues,
     kernel_fourier_table,
     soliton,
@@ -22,30 +21,33 @@ from torusgibbs.model import (
 
 
 class TestEigenvalues:
+    # eigenvalues(k_max) lists modes -k_max..k_max, so mode k sits at index k + k_max
     def test_k0(self):
-        assert eigenvalue(0) == 0.5
+        assert eigenvalues(0)[0] == 0.5
 
     def test_k1(self):
-        assert eigenvalue(1) == pytest.approx(0.5 * (4 * math.pi**2 + 1), rel=0, abs=1e-12)
-        assert eigenvalue(1) == pytest.approx(20.23921, abs=5e-6)
+        lam1 = eigenvalues(1)[2]
+        assert lam1 == pytest.approx(0.5 * (4 * math.pi**2 + 1), rel=0, abs=1e-12)
+        assert lam1 == pytest.approx(20.23921, abs=5e-6)
 
     def test_even(self):
-        for k in range(1, 9):
-            assert eigenvalue(-k) == eigenvalue(k)
+        lam = eigenvalues(8)
+        assert np.array_equal(lam, lam[::-1])
 
     def test_strictly_increasing(self):
-        vals = [eigenvalue(k) for k in range(0, 65)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+        vals = eigenvalues(64)[64:]
+        assert np.all(np.diff(vals) > 0)
 
     def test_symbol_oracle(self):
         # independent route: apply (1/2)(-d^2/dx^2 + 1) symbolically
         import sympy as sp
 
         x = sp.symbols("x", real=True)
+        lam_all = eigenvalues(64)
         for k in range(-64, 65, 8):
             u = sp.exp(2 * sp.pi * sp.I * k * x)
             lam = sp.simplify((-sp.diff(u, x, 2) + u) / (2 * u))
-            assert eigenvalue(k) == pytest.approx(float(lam), rel=1e-14)
+            assert lam_all[k + 64] == pytest.approx(float(lam), rel=1e-14)
 
 
 class TestTraceHInverse:

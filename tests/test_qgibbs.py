@@ -42,8 +42,8 @@ class TestBuild:
 
     def test_free_three_modes_product_formula(self):
         tau = 10.0
-        n_max = qgibbs.certified_free_nmax(1, tau, 1e-12)
-        z = qgibbs.free_sector_weights(1, tau, n_max)
+        # the slowest mode weight is e^{-1/20}: past n = 1500 the tail is below 1e-25
+        z = qgibbs.free_sector_weights(1, tau, 1500)
         prod = float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(1) / tau))))
         assert np.sum(z) == pytest.approx(prod, rel=1e-10)
 
@@ -137,49 +137,57 @@ class TestEigenvectorStorage:
                 assert np.array_equal(V.data, identity.data)
 
 
+def free_trace(k_max, tau):
+    """The cutoff-free free partition function prod_k (1 - e^{-lambda_k/tau})^{-1}."""
+    return float(np.prod(1.0 / (1.0 - np.exp(-eigenvalues(k_max) / tau))))
+
+
 class TestRelativePartition:
     # the block build's Z against the cutoff-free free partition function
     def test_free_no_cutoff_is_one(self):
         p = ModelParams(tau=5.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=600)
         z = qgibbs.build_gibbs(p, False, CutoffProfile.one()).Z
-        free = qgibbs.FreeProductState.build(0, 5.0, CutoffProfile.one())
-        assert z / free.partition_product_formula == pytest.approx(1.0, abs=1e-10)
+        assert z / free_trace(0, 5.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_cutoff_no_interaction(self):
         # with at most 2 particles the attraction is identically zero
         p = ModelParams(tau=5.0, eps=0.5, eta=0.02, K=0.7, k_max=1, n_max=2)
-        free = qgibbs.FreeProductState.build(1, 5.0, CutoffProfile.one())
-        ratio = qgibbs.build_gibbs(p, True, CutoffProfile.sharp(0.7)).Z / free.partition
+        ratio = qgibbs.build_gibbs(p, True, CutoffProfile.sharp(0.7)).Z / free_trace(1, 5.0)
         z = qgibbs.free_sector_weights(1, 5.0, 2)   # sectors n = 0, 1, 2 survive
         assert 0.0 < ratio < 1.0
-        assert ratio == pytest.approx(np.sum(z) / free.partition, rel=1e-12)
+        assert ratio == pytest.approx(np.sum(z) / free_trace(1, 5.0), rel=1e-12)
 
 
 class TestFreeProductState:
+    # the free state as a product over modes: sector weights, no bases
     def test_cutoff_expectation_matches_dense(self):
         tau = 10.0
         cut = CutoffProfile.smooth(0.6, 0.05)
-        fp = qgibbs.FreeProductState.build(1, tau, cut)
         p = params(tau=tau)
+        z = qgibbs.free_sector_weights(1, tau, p.n_max)
         dense = qgibbs.build_gibbs(p, False, cut)
-        assert fp.partition == pytest.approx(dense.Z, rel=1e-12)
+        assert float(cut(np.arange(p.n_max + 1) / tau) @ z) == pytest.approx(dense.Z, rel=1e-12)
 
     def test_particle_moment(self):
-        fp = qgibbs.FreeProductState.build(0, 10.0, CutoffProfile.one())
-        assert fp.particle_moment(0) == pytest.approx(1.0, abs=1e-12)
-        assert fp.particle_moment(1) == pytest.approx(1.950416, abs=1e-5)
+        # single mode: the sector weights are q^n, and the exact trace normalizes them
+        z = qgibbs.free_sector_weights(0, 10.0, 2000)
+        ns = np.arange(2001) / 10.0
+        assert float(np.sum(z)) / free_trace(0, 10.0) == pytest.approx(1.0, abs=1e-12)
+        assert float(ns @ z) / free_trace(0, 10.0) == pytest.approx(1.950416, abs=1e-5)
 
     @pytest.mark.parametrize("k_max,tau", [(1, -1.0), (1, 0.0), (1, math.nan), (1, math.inf),
                                            (-1, 5.0)],
                              ids=["negative_tau", "zero_tau", "nan_tau", "inf_tau",
                                   "negative_k_max"])
-    @pytest.mark.parametrize("cutoff", [CutoffProfile.one(), CutoffProfile.smooth(0.6, 0.05)],
-                             ids=["unbounded", "bounded"])
-    def test_rejects_bad_window(self, k_max, tau, cutoff):
+    @pytest.mark.parametrize("n_max", [4, 2000], ids=["bounded", "unbounded"])
+    def test_rejects_bad_window(self, k_max, tau, n_max):
+        # a short sector window and one long enough for a cutoff-free trace
         with pytest.raises(InvalidConfigError):
-            qgibbs.FreeProductState.build(k_max, tau, cutoff)
+            qgibbs.free_sector_weights(k_max, tau, n_max)
+
+    def test_rejects_negative_n_max(self):
         with pytest.raises(InvalidConfigError):
-            qgibbs.certified_free_nmax(k_max, tau)
+            qgibbs.free_sector_weights(1, 5.0, -1)
 
 
 class TestReducedDensity:

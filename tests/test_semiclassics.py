@@ -32,25 +32,18 @@ def interacting_state(tau=20.0, k_max=1):
 
 
 class TestCoherentVector:
+    # the coherent amplitudes e^{-|v|^2/2} v^nu / sqrt(nu!) on a sector's occupation rows
     def test_vacuum_target(self):
-        cv = sc.coherent_vector(np.zeros(3, dtype=complex), 1.0)
-        assert cv.N_trunc == 0
-        assert cv.amps[0][0] == pytest.approx(1.0)
-        assert cv.deficit <= 1e-12
+        occ = fock.enumerate_sector(1, 0).occupations
+        assert sc._coherent_amplitude_matrix(occ, np.zeros(3))[0, 0] == 1.0
 
     def test_poisson_sector_weights(self):
-        u = np.array([math.sqrt(3.0)], dtype=complex)
-        cv = sc.coherent_vector(u, 1.0, N_trunc=50)
-        w3 = float(np.sum(np.abs(cv.amps[3]) ** 2))
+        # the squared norm of sector n is the Poisson(|v|^2) mass at n
+        occ = fock.enumerate_sector(0, 3).occupations
+        amps = sc._coherent_amplitude_matrix(occ, np.array([math.sqrt(3.0)]))
+        w3 = float(np.sum(np.abs(amps) ** 2))
         assert w3 == pytest.approx(math.exp(-3.0) * 27.0 / 6.0, rel=1e-12)
         assert w3 == pytest.approx(0.224042, abs=1e-6)
-
-    def test_certified_truncation(self):
-        u = np.array([0.4, 0.5 + 0.2j, -0.3j])
-        cv = sc.coherent_vector(u, 0.25)
-        assert cv.deficit < 1e-10
-        total = sum(float(np.sum(np.abs(a) ** 2)) for a in cv.amps)
-        assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_resolution_of_identity_mc(self, rng):
         # pi^{-J} int |xi(u)><xi(u)| du = identity, tested entrywise (J = 1)
@@ -266,11 +259,7 @@ class TestBadInput:
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 1, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 0, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.0, 100, 0),
-        lambda b: sc.coherent_vector(np.ones(3), -1.0),
-        lambda b: sc.coherent_vector(np.ones(4), 1.0),
         lambda b: sc.poisson_decomposition_check(b.params, b.cutoff, np.ones(5), blocks=b),
-        lambda b: sc.coherent_vector(np.array([1.0, math.nan, 1.0]), 1.0),
-        lambda b: sc.coherent_vector(np.array([1.0, math.inf, 1.0]), 1.0),
         lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, math.nan, 0.0])),
         lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, 1j, math.inf])),
         lambda b: sc.poisson_decomposition_check(b.params, b.cutoff,
@@ -279,17 +268,13 @@ class TestBadInput:
                                                  np.array([0.0, -math.inf, 0.0]), blocks=b),
         lambda b: sc.definetti_gap(b, -0.05, 1),
         lambda b: sc.definetti_gap(b, math.nan, 2),
-        lambda b: sc.poisson_truncation(math.nan),
-        lambda b: sc.poisson_truncation(math.inf),
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
             "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
             "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
             "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
-            "coherent_negative_varsigma", "coherent_even_length", "poisson_wrong_mode_count",
-            "coherent_nan_field", "coherent_inf_field", "density_nan_field",
-            "density_inf_field", "poisson_nan_field", "poisson_inf_field",
-            "definetti_negative_varsigma",
-            "definetti_nan_varsigma", "truncation_nan_mean", "truncation_inf_mean"])
+            "poisson_wrong_mode_count", "density_nan_field", "density_inf_field",
+            "poisson_nan_field", "poisson_inf_field", "definetti_negative_varsigma",
+            "definetti_nan_varsigma"])
     def test_raises_invalid_config(self, call):
         with pytest.raises(InvalidConfigError):
             call(interacting_state(tau=20.0, k_max=1))
@@ -455,6 +440,21 @@ class TestDeFinetti:
                                  + d[i2, j1] * G1[i1, j2] + d[i1, j1] * G1[i2, j2]
                                  + d[i2, j2] * G1[i1, j1] + d[i1, j2] * G1[i2, j1])
         assert np.abs(A2 - oracle).max() <= 1e-12 * max(1.0, np.abs(A2).max())
+
+    @pytest.mark.parametrize("interacting", [True, False], ids=["interacting", "free"])
+    @pytest.mark.parametrize("tau,k_max", [(20.0, 0), (20.0, 1), (17.0, 2), (12.0, 3)])
+    def test_closed_form_from_ccr(self, tau, k_max, interacting):
+        # the CCR leave only the delta terms of the anti-normal grams, which
+        # are positive: lhs_1 = varsigma J and lhs_2 = varsigma^2 (J+1)(J+2<N>),
+        # for any state, without a ladder operator
+        p = params(tau=tau, k_max=k_max)
+        b = qgibbs.build_gibbs(p, interacting, CutoffProfile.smooth(0.6, 0.05))
+        J, mean_n = p.J, tau * qgibbs.particle_moment(b, 1)
+        for vs in (1.0 / tau, 0.37):
+            lhs1, _ = sc.definetti_gap(b, vs, 1)
+            lhs2, _ = sc.definetti_gap(b, vs, 2)
+            assert lhs1 == pytest.approx(vs * J, rel=1e-12)
+            assert lhs2 == pytest.approx(vs**2 * (J + 1) * (J + 2 * mean_n), rel=1e-12)
 
     def test_sweep_random_states(self, rng):
         # mixed random block states: bound holds with nonnegative slack
