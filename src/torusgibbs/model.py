@@ -219,13 +219,15 @@ class KernelSpec:
     The default is the box w = 1_{[-1/2, 1/2]}.  A general box(a) is
     1/(2a) on [-a, a] (a <= 1/2 keeps the eps-scaled support inside one
     period for all eps <= 1).  Custom profiles are normalized at
-    construction and transformed by quadrature.
+    construction and transformed by quadrature.  Two custom specs are equal
+    (and hash equal) only when they share the profile object and the
+    support, so distinct profiles never share cached sector spectra.
     """
 
     shape: str
     a: float | None = None
-    _profile: object = field(default=None, repr=False, compare=False)
-    _support: float | None = field(default=None, repr=False, compare=False)
+    _profile: object = field(default=None, repr=False)
+    _support: float | None = field(default=None, repr=False)
     _norm: float = field(default=1.0, repr=False, compare=False)
 
     @staticmethod

@@ -7,11 +7,23 @@ spectrum of H_tau = H_0/tau - W/tau^3 restricted to the sector.  H_tau also
 conserves total momentum, so each sector is diagonalized one momentum block
 at a time, and its eigenvectors are stored as one sparse array whose
 columns hold their block's rows only.
+
+Each interacting sector n >= 3 is solved once per process.  Its spectrum
+depends only on (k_max, n, tau, eps, kernel), not on the cutoff or n_max,
+so solved sectors are kept in an LRU cache under that key: a hit skips the
+assembly, the eigensolve and the residual check, and returns the energies,
+vectors and residual measured when the sector was solved.  The cache holds
+at most _CACHE_BYTES = 256 MiB of stored arrays (energies plus the vectors'
+data, indices and indptr) and evicts the least recently used sectors past
+that; a sector larger than the whole budget is returned uncached.  The
+arrays are shared between states, so they are read-only: writing to them
+raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +58,9 @@ class SectorBlock:
     total-momentum block in ascending order.  Sectors diagonal in the
     occupation basis (free Hamiltonians, and n < 3 with the interaction)
     carry the identity, with energies in basis order; sectors outside the
-    cutoff support carry an empty (dim, 0) array.
+    cutoff support carry an empty (dim, 0) array.  residual is the largest
+    eigenpair residual ||H v - e v|| measured when the sector was solved,
+    0 for the sectors that need no eigensolve.
     """
 
     n: int
@@ -54,6 +68,7 @@ class SectorBlock:
     energies: np.ndarray
     vectors: sparse.csc_array
     cutoff_value: float
+    residual: float = 0.0
 
     @property
     def boltzmann(self) -> np.ndarray:
@@ -90,18 +105,20 @@ class GibbsStateBlocks:
 
 
 def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
-                    n: int) -> tuple[np.ndarray, sparse.csc_array]:
+                    n: int) -> tuple[np.ndarray, sparse.csc_array, float]:
     """Eigenpairs of a sector Hamiltonian that conserves total momentum:
     one dense eigh per momentum block, blocks in ascending momentum.  Each
     block's eigenvectors become columns stored on the block's rows.
 
     Every eigenpair is checked against the whole sector matrix, so a
-    coupling between blocks would show as a residual too.
+    coupling between blocks would show as a residual too.  Returns the
+    energies, the vectors and the largest residual.
     """
     order = np.argsort(momenta, kind="stable")  # rows grouped by ascending momentum
     blocks = np.split(order, np.flatnonzero(np.diff(momenta[order])) + 1)
     energies, data = [], []
     scale = max(1.0, float(H.max()), -float(H.min()))
+    residual = 0.0
     for rows in blocks:
         H_rows = H[rows]
         e, v = np.linalg.eigh(H_rows[:, rows])
@@ -113,6 +130,7 @@ def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
                 f"eigensolve residual {res:.2e} in sector n={n}, "
                 f"momentum {momenta[rows[0]]} (scale {scale:.2e})"
             )
+        residual = max(residual, res)
         energies.append(e)
         data.append(v.T.ravel())  # column by column
     # a block of m states has m columns, each stored on the block's m rows
@@ -120,7 +138,44 @@ def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
     indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, sizes))))
     indices = np.concatenate([rows for rows in blocks for _ in rows])
     V = sparse.csc_array((np.concatenate(data), indices, indptr), shape=H.shape)
-    return np.concatenate(energies), V
+    return np.concatenate(energies), V, residual
+
+
+_CACHE_BYTES = 256 << 20  # stored bytes of solved sectors kept per process
+
+
+class _SpectrumCache:
+    """Solved interacting sectors, least recently used first, keyed by
+    (k_max, n, tau, eps, kernel); `nbytes` counts the stored arrays and
+    stays within _CACHE_BYTES."""
+
+    def __init__(self):
+        self.entries = OrderedDict()  # key -> (energies, vectors, residual, nbytes)
+        self.nbytes = 0
+
+    def spectrum(self, basis: fock.SectorBasis, tau: float, eps: float,
+                 kernel: KernelSpec) -> tuple[np.ndarray, sparse.csc_array, float]:
+        key = (basis.k_max, basis.n, tau, eps, kernel)
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key][:3]
+        H = fock.assemble_interaction(basis, kernel, eps)
+        H /= -tau**3
+        H[np.diag_indices(basis.dim)] += fock.kinetic_diagonal(basis) / tau
+        E, V, residual = _eigendecompose(H, basis.momenta, basis.n)
+        arrays = (E, V.data, V.indices, V.indptr)
+        for a in arrays:
+            a.flags.writeable = False
+        size = sum(a.nbytes for a in arrays)
+        if size <= _CACHE_BYTES:
+            self.entries[key] = (E, V, residual, size)
+            self.nbytes += size
+            while self.nbytes > _CACHE_BYTES:
+                self.nbytes -= self.entries.popitem(last=False)[1][3]
+        return E, V, residual
+
+
+_SPECTRA = _SpectrumCache()
 
 
 def build_gibbs(
@@ -136,6 +191,13 @@ def build_gibbs(
     carry no spectral data (they are outside the state's support).  Raises
     ResourceLimitError, before any work, when the largest sector n_max is
     bigger than `params.sector_dim_cap`.
+
+    Interacting sectors n >= 3 come from the per-process spectrum cache,
+    keyed by (k_max, n, tau, eps, kernel): a second state at the same tau,
+    eps and kernel, whatever its cutoff or n_max, re-solves none of the
+    sectors it shares with the first.  Their energies and vectors are
+    read-only and shared between the states; the cache keeps at most
+    256 MiB of them (see the module docstring).
     """
     if kernel is None:
         kernel = KernelSpec.box()
@@ -156,15 +218,13 @@ def build_gibbs(
                                       vectors=sparse.csc_array((basis.dim, 0)),
                                       cutoff_value=0.0))
             continue
-        kin = fock.kinetic_diagonal(basis)
         if interacting and n >= 3:
-            H = fock.assemble_interaction(basis, kernel, params.eps)
-            H /= -tau**3
-            H[np.diag_indices(basis.dim)] += kin / tau
-            E, V = _eigendecompose(H, basis.momenta, n)
+            E, V, residual = _SPECTRA.spectrum(basis, tau, params.eps, kernel)
         else:
-            E, V = kin / tau, sparse.eye_array(basis.dim, format="csc")
-        blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=fval)
+            E, V = fock.kinetic_diagonal(basis) / tau, sparse.eye_array(basis.dim, format="csc")
+            residual = 0.0
+        blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=fval,
+                          residual=residual)
         blocks.append(blk)
         Z += blk.weight
     if not Z > 0:

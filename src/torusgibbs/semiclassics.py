@@ -122,6 +122,18 @@ _PROPOSAL_ENTRIES = 1 << 16
 _MAX_TRIES = 200000
 
 
+def _block_diagonal(vectors) -> sparse.csc_array:
+    """sparse.block_diag of csc arrays, format="csc", in one pass: each
+    array's indptr, indices and data concatenated with entry and row
+    offsets."""
+    rows = np.cumsum([0] + [v.shape[0] for v in vectors])
+    entries = np.cumsum([0] + [v.indptr[-1] for v in vectors])
+    indptr = np.concatenate([[0]] + [v.indptr[1:] + e for v, e in zip(vectors, entries)])
+    indices = np.concatenate([v.indices + r for v, r in zip(vectors, rows)])
+    data = np.concatenate([v.data for v in vectors])
+    return sparse.csc_array((data, indices, indptr), shape=(rows[-1], len(indptr) - 1))
+
+
 def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Exact draws from the lower symbol of a block state.
@@ -152,7 +164,7 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     J = blocks.params.J
     live = [b for b in blocks.blocks if b.weight != 0.0]
     # every live eigenvector as one column, on the live sectors' rows stacked
-    V = sparse.block_diag([b.vectors for b in live], format="csc")
+    V = _block_diagonal([b.vectors for b in live])
     occupations = np.concatenate([b.basis.occupations for b in live])
     ptr, stored = V.indptr, np.diff(V.indptr)
     head = V.indices[ptr[:-1]]  # first stored row of each column

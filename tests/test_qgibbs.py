@@ -97,6 +97,7 @@ class TestBuild:
             V = V.copy()
             V[:, -1] += 1e-3 * V[:, 0]
             return E, V
+        monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericalFailureError):
             qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
@@ -109,6 +110,124 @@ class TestBuild:
         b = qgibbs.build_gibbs(p, False, table)
         assert b.blocks[3].cutoff_value == 0.0
         assert all(np.all(blk.boltzmann >= 0.0) for blk in b.blocks)
+
+
+@pytest.fixture()
+def spectra(monkeypatch):
+    """An empty spectrum cache for one test."""
+    cache = qgibbs._SpectrumCache()
+    monkeypatch.setattr(qgibbs, "_SPECTRA", cache)
+    return cache
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """Calls made to the interaction assembly and to the dense eigensolver."""
+    calls = []
+    assemble, eigh = fock.assemble_interaction, np.linalg.eigh
+
+    def spy_assemble(*args):
+        calls.append("assemble_interaction")
+        return assemble(*args)
+
+    def spy_eigh(*args):
+        calls.append("eigh")
+        return eigh(*args)
+    monkeypatch.setattr(fock, "assemble_interaction", spy_assemble)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    return calls
+
+
+def solved_sectors(state):
+    return [b for b in state.blocks if b.n >= 3 and b.cutoff_value != 0.0]
+
+
+class TestSpectrumCache:
+    # each interacting sector is solved once per (k_max, n, tau, eps, kernel)
+    def test_second_build_solves_nothing(self, spectra, solves):
+        p, cut = params(tau=20.0, eta=0.1), CutoffProfile.smooth(0.6, 0.1)
+        first = qgibbs.build_gibbs(p, True, cut)
+        assert solves.count("assemble_interaction") == len(solved_sectors(first)) >= 3
+        solves.clear()
+        second = qgibbs.build_gibbs(p, True, cut)
+        assert solves == []
+        assert second.Z == first.Z
+        for x, y in zip(first.blocks, second.blocks):
+            assert np.array_equal(x.energies, y.energies)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(x.vectors, attr), getattr(y.vectors, attr))
+            assert x.residual == y.residual
+
+    def test_cutoffs_share_sectors(self, spectra, solves):
+        p = params(tau=20.0, eta=0.1)
+        smooth = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
+        solves.clear()
+        sharp = qgibbs.build_gibbs(p, True, CutoffProfile.sharp(0.6))
+        assert solves == []
+        shared = list(zip(solved_sectors(smooth), solved_sectors(sharp)))
+        assert len(shared) >= 3 and sharp.Z != smooth.Z
+        for x, y in shared:
+            assert x.n == y.n and x.energies is y.energies and x.vectors is y.vectors
+
+    def test_cached_arrays_read_only(self, spectra):
+        b = qgibbs.build_gibbs(params(tau=20.0), True, CutoffProfile.smooth(0.6, 0.05))
+        blk = solved_sectors(b)[-1]
+        for array in (blk.energies, blk.vectors.data, blk.vectors.indices,
+                      blk.vectors.indptr):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(ValueError):
+            blk.vectors.data *= 2.0
+
+    def test_eviction_bounds_stored_bytes(self, spectra, monkeypatch):
+        p, cut = params(tau=40.0, eta=0.1), CutoffProfile.smooth(0.6, 0.1)
+        full = qgibbs.build_gibbs(p, True, cut)
+        sizes = {b.n: b.energies.nbytes + b.vectors.data.nbytes + b.vectors.indices.nbytes
+                 + b.vectors.indptr.nbytes for b in solved_sectors(full)}
+        budget = max(sizes.values()) - 1  # the largest sector alone is past it
+        monkeypatch.setattr(qgibbs, "_CACHE_BYTES", budget)
+        small = qgibbs._SpectrumCache()
+        monkeypatch.setattr(qgibbs, "_SPECTRA", small)
+        b = qgibbs.build_gibbs(p, True, cut)
+        assert b.Z == full.Z
+        kept = [key[1] for key in small.entries]
+        assert 0 < len(kept) < len(sizes)
+        assert small.nbytes == sum(sizes[n] for n in kept) <= budget
+        assert max(sizes, key=sizes.get) not in kept
+        # the most recently solved sectors that fit are the ones kept
+        fitting = [n for n in sorted(sizes) if sizes[n] <= budget]
+        assert kept == fitting[len(fitting) - len(kept):]
+
+    def test_residuals(self, spectra):
+        tau = 20.0
+        p = params(tau=tau, k_max=2, eta=0.1)
+        b = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
+        for blk in b.blocks:
+            if blk.n < 3 or blk.cutoff_value == 0.0:
+                assert blk.residual == 0.0
+                continue
+            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
+            H = np.diag(fock.kinetic_diagonal(blk.basis) / tau) - W / tau**3
+            widest = np.unique(blk.basis.momenta, return_counts=True)[1].max()
+            bound = 1e-9 * max(1.0, np.abs(H).max()) * math.sqrt(widest)
+            assert 0.0 < blk.residual <= bound
+        free = qgibbs.build_gibbs(p, False, CutoffProfile.smooth(0.6, 0.1))
+        assert all(blk.residual == 0.0 for blk in free.blocks)
+
+    def test_distinct_custom_kernels(self, spectra, monkeypatch):
+        triangle = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None),
+                                           0.25)
+        bump = KernelSpec.from_profile(lambda x: np.cos(2.0 * np.pi * x) ** 2, 0.25)
+        assert triangle != bump and len({triangle, bump}) == 2
+        assert triangle.line_fourier(2.0) != bump.line_fourier(2.0)
+        p, cut = params(tau=10.0), CutoffProfile.smooth(0.6, 0.05)
+        cached = [qgibbs.build_gibbs(p, True, cut, kernel).Z for kernel in (triangle, bump)]
+        uncached = []
+        for kernel in (triangle, bump):
+            monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
+            uncached.append(qgibbs.build_gibbs(p, True, cut, kernel).Z)
+        assert cached == uncached
+        assert cached[0] != cached[1]
 
 
 class TestEigenvectorStorage:

@@ -220,6 +220,22 @@ class TestSampler:
             assert n.size == 1
             assert occ.shape[1] <= largest[int(n[0])]
 
+    @pytest.mark.parametrize("state", [
+        lambda: interacting_state(tau=40.0, k_max=1),
+        lambda: interacting_state(tau=17.0, k_max=2),
+        lambda: qgibbs.build_gibbs(params(tau=20.0), False, CutoffProfile.smooth(0.6, 0.05)),
+        lambda: qgibbs.build_gibbs(ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0,
+                                               n_max=400), False, CutoffProfile.one()),
+    ], ids=["interacting_k1", "interacting_k2", "free_k1", "free_k0_401_sectors"])
+    def test_block_diagonal_matches_scipy(self, state):
+        # the sampler's one-pass stacking of the live sectors' eigenvectors
+        vectors = [blk.vectors for blk in state().blocks if blk.weight != 0.0]
+        got = sc._block_diagonal(vectors)
+        want = sparse.block_diag(vectors, format="csc")
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
     @pytest.mark.parametrize("k_max,n", [(0, 5), (1, 4), (2, 3)])
     def test_batched_tensor_power_coeffs(self, rng, k_max, n):
         basis = fock.enumerate_sector(k_max, n)
