@@ -24,7 +24,6 @@ __all__ = [
     "KernelSpec",
     "SolitonProfile",
     "eigenvalues",
-    "trace_h_inverse",
     "soliton",
     "critical_mass",
 ]
@@ -39,18 +38,6 @@ def eigenvalues(k_max: int) -> np.ndarray:
     """Eigenvalues of h on the retained modes e^{2*pi*i*k*x}, in
     `mode_numbers` order: (1/2)((2*pi*k)^2 + 1)."""
     return 0.5 * ((2.0 * np.pi * mode_numbers(k_max)) ** 2 + 1.0)
-
-
-def trace_h_inverse(k_max: int | None = None) -> float:
-    """Trace of h^{-1}, either truncated to |k| <= k_max or over all modes.
-
-    The full sum has the closed form coth(1/2): with lambda_k =
-    ((2*pi*k)^2 + 1)/2 the sum over k of 1/lambda_k telescopes through
-    sum_k (a^2 + k^2)^{-1} = pi*coth(pi*a)/a at a = 1/(2*pi).
-    """
-    if k_max is None:
-        return 1.0 / math.tanh(0.5)
-    return float(np.sum(1.0 / eigenvalues(k_max)))
 
 
 @dataclass(frozen=True)
@@ -134,25 +121,36 @@ class CutoffProfile:
         derivative bounds scale like powers of 1/eta.
     kind = "sharp":   indicator of [0, K^2].
     kind = "one":     constant 1 (no mass cutoff).
-    kind = "table":   user-supplied grid/value table, interpolated.
+
+    Equality and hashing read (kind, K, eta); the smooth ramp's interpolant
+    is a function of (K, eta) alone.
     """
 
     kind: str
     K: float | None = None
     eta: float | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
+    _interp: object = field(default=None, init=False, repr=False, compare=False)
 
-    @staticmethod
-    def smooth(K: float, eta: float) -> "CutoffProfile":
-        if not 0 < eta < 0.5 * K**2:
+    def __post_init__(self):
+        if self.kind not in ("smooth", "sharp", "one"):
+            raise InvalidConfigError(f"unknown cutoff kind {self.kind!r}")
+        if self.kind != "one" and not (self.K is not None and self.K > 0):
+            raise InvalidConfigError(f"{self.kind} cutoff needs K > 0, got {self.K}")
+        if self.kind != "smooth":
+            return
+        K, eta = self.K, self.eta
+        if eta is None or not 0 < eta < 0.5 * K**2:
             raise InvalidConfigError(f"need 0 < eta < K^2/2, got eta={eta}, K={K}")
         # f(x) = 1 - Theta(z), z = 2(x - K^2)/eta + 1, Theta the bump CDF on [-1, 1].
         z = np.linspace(-1.0, 1.0, 4096)
         cdf = integrate.cumulative_simpson(_bump(z), x=z, initial=0.0)
         cdf /= cdf[-1]  # kill the ~1e-14 quadrature residue so endpoints are exact
         x = K**2 + 0.5 * eta * (z - 1.0)
-        interp = PchipInterpolator(x, 1.0 - cdf)
-        return CutoffProfile(kind="smooth", K=K, eta=eta, _interp=interp)
+        object.__setattr__(self, "_interp", PchipInterpolator(x, 1.0 - cdf))
+
+    @staticmethod
+    def smooth(K: float, eta: float) -> "CutoffProfile":
+        return CutoffProfile(kind="smooth", K=K, eta=eta)
 
     @staticmethod
     def sharp(K: float) -> "CutoffProfile":
@@ -162,29 +160,10 @@ class CutoffProfile:
     def one() -> "CutoffProfile":
         return CutoffProfile(kind="one")
 
-    @staticmethod
-    def from_table(x: np.ndarray, values: np.ndarray) -> "CutoffProfile":
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.shape != values.shape or len(x) < 2:
-            raise InvalidConfigError("table cutoff needs matching 1-d x/value arrays")
-        if not np.all(np.diff(x) > 0):
-            raise InvalidConfigError("table cutoff x must be strictly increasing")
-        if np.any(values < 0) or np.any(values > 1):
-            raise InvalidConfigError("cutoff values must lie in [0, 1]")
-        interp = PchipInterpolator(x, values)
-        sup = float(x[-1]) if values[-1] == 0.0 else None
-        K = math.sqrt(sup) if sup is not None else None
-        return CutoffProfile(kind="table", K=K, _interp=interp)
-
     @property
     def support_bound(self) -> float | None:
         """Upper edge of the support (K^2), or None for unbounded profiles."""
-        if self.kind in ("smooth", "sharp"):
-            return self.K**2
-        if self.kind == "table" and self.K is not None:
-            return self.K**2
-        return None
+        return None if self.kind == "one" else self.K**2
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -194,16 +173,12 @@ class CutoffProfile:
             out = np.ones_like(s)
         elif self.kind == "sharp":
             out = (s <= self.K**2).astype(float)
-        elif self.kind == "smooth":
+        else:  # smooth
             out = np.ones_like(s)
             lo, hi = self.K**2 - self.eta, self.K**2
             out[s > hi] = 0.0
             mid = (s > lo) & (s <= hi)
             out[mid] = np.clip(self._interp(s[mid]), 0.0, 1.0)
-        else:  # table
-            xs = self._interp.x
-            # beyond the last node the (clipped) end value holds
-            out = np.clip(self._interp(np.clip(s, xs[0], xs[-1])), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
 
@@ -213,71 +188,25 @@ class CutoffProfile:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Even, nonnegative, compactly supported interaction profile w with
-    unit integral.
-
-    The default is the box w = 1_{[-1/2, 1/2]}.  A general box(a) is
-    1/(2a) on [-a, a] (a <= 1/2 keeps the eps-scaled support inside one
-    period for all eps <= 1).  Custom profiles are normalized at
-    construction and transformed by quadrature.  Two custom specs are equal
-    (and hash equal) only when they share the profile object and the
-    support, so distinct profiles never share cached sector spectra.
+    """The box kernel w = 1/(2a) on [-a, a], even, nonnegative and of unit
+    integral; the default a = 1/2 is w = 1_{[-1/2, 1/2]}.  a <= 1/2 keeps
+    the eps-scaled support inside one period for all eps <= 1.
     """
 
-    shape: str
-    a: float | None = None
-    _profile: object = field(default=None, repr=False)
-    _support: float | None = field(default=None, repr=False)
-    _norm: float = field(default=1.0, repr=False, compare=False)
+    a: float = 0.5
+
+    def __post_init__(self):
+        if not 0 < self.a <= 0.5:
+            raise InvalidConfigError(f"box half-width must lie in (0, 1/2], got {self.a}")
 
     @staticmethod
     def box(a: float = 0.5) -> "KernelSpec":
-        if not 0 < a <= 0.5:
-            raise InvalidConfigError(f"box half-width must lie in (0, 1/2], got {a}")
-        return KernelSpec(shape="box", a=a)
-
-    @staticmethod
-    def from_profile(profile, support: float) -> "KernelSpec":
-        """Custom even nonnegative profile supported in [-support, support]."""
-        if not 0 < support <= 0.5:
-            raise InvalidConfigError("custom kernel support must lie in (0, 1/2]")
-        norm = integrate.quad(profile, -support, support, limit=200)[0]
-        if norm <= 0:
-            raise InvalidConfigError("kernel profile must have positive integral")
-        return KernelSpec(shape="custom", _profile=profile, _support=support, _norm=norm)
-
-    @property
-    def support(self) -> float:
-        return self.a if self.shape == "box" else self._support
+        return KernelSpec(a=a)
 
     def line_fourier(self, xi) -> np.ndarray:
         """Fourier transform of w on the real line at frequency xi."""
         xi = np.asarray(xi, dtype=float)
-        if self.shape == "box":
-            return np.sinc(2.0 * self.a * xi)
-        out = np.empty(xi.shape)
-        for idx, x in np.ndenumerate(xi):
-            out[idx] = integrate.quad(
-                lambda y: self._profile(y) * math.cos(2.0 * math.pi * x * y),
-                -self._support, self._support, limit=200,
-            )[0] / self._norm
-        return out
-
-    def periodized(self, x, eps: float) -> np.ndarray:
-        """The eps-scaled kernel wrapped onto the torus: sum_m w((x+m)/eps)/eps."""
-        x = np.asarray(x, dtype=float)
-        reach = int(math.ceil(eps * self.support)) + 1
-        out = np.zeros_like(x)
-        for m in range(-reach, reach + 1):
-            y = (x + m) / eps
-            if self.shape == "box":
-                out += (np.abs(y) <= self.a) / (2.0 * self.a * eps)
-            else:
-                inside = np.abs(y) <= self._support
-                if np.any(inside):
-                    vals = np.asarray(self._profile(y[inside]), dtype=float)
-                    out[inside] += vals / (self._norm * eps)
-        return out
+        return np.sinc(2.0 * self.a * xi)
 
 
 def kernel_fourier_table(spec: KernelSpec, eps: float, m_max: int) -> np.ndarray:

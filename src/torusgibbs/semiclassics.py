@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, sparse, special
+from scipy import sparse, special
 
 from . import fock
 from .errors import (
@@ -34,14 +34,12 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .model import CutoffProfile, KernelSpec, ModelParams
-from .cgibbs import MCEstimate, _mc_estimate
+from .cgibbs import MCEstimate
 from .qgibbs import GibbsStateBlocks, build_gibbs, reduced_density_matrix, relative_entropy
 
 __all__ = [
     "sample_husimi",
     "poisson_decomposition_check",
-    "antiwick_radial_scalar",
-    "antiwick_radial_scalar_mc",
     "tail_moment",
     "definetti_gap",
     "berezin_lieb_check",
@@ -257,56 +255,6 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
         rot = b.vectors.T @ _tensor_power_coeffs(b.basis.occupations, direction)
         rhs += pmf * b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
     return lhs, rhs
-
-
-# ------------------------------------------------------------------
-# radial anti-Wick calculus
-# ------------------------------------------------------------------
-
-def antiwick_radial_scalar(G, n: int, J: int, tau: float,
-                           breakpoints: tuple = ()) -> float:
-    """Sector-n scalar of the anti-Wick quantization of a radial weight:
-    E[ G(Y/tau) ] with Y ~ Gamma(n + J, 1).
-
-    `G` maps mass values to reals; `breakpoints` lists mass values where G
-    jumps so the quadrature can split there.
-    """
-    a = n + J
-
-    def pdf(y):
-        return np.exp(special.xlogy(a - 1.0, y) - y - special.gammaln(a))
-
-    points = sorted(tau * b for b in breakpoints)
-    lo = 0.0
-    total = 0.0
-    err = 0.0
-    for b in points + [np.inf]:
-        val, e = integrate.quad(lambda y: G(y / tau) * pdf(y), lo, b, limit=400)
-        total += val
-        err += e
-        lo = b
-    if err > 1e-8 * max(1.0, abs(total)):
-        raise QuadratureFailureError(f"anti-Wick quadrature error {err:.2e} too large")
-    return total
-
-
-def antiwick_radial_scalar_mc(G, n: int, J: int, tau: float, n_samples: int,
-                              seed: int) -> MCEstimate:
-    """Independent coherent-state route to the same sector scalar.
-
-    Writes the scalar as a Gaussian integral against the coherent family
-    (trace of the quantized weight over the sector, divided by the sector
-    dimension) and estimates it by direct sampling on the shared MC core.
-    """
-    D = math.comb(n + J - 1, n)
-    logfac_n = special.gammaln(n + 1.0)
-
-    def draw(size, rng):
-        g = rng.standard_normal((size, J)) + 1j * rng.standard_normal((size, J))
-        s = np.sum(np.abs(g) ** 2, axis=1) / (2.0 * tau)
-        return np.array([G(x) for x in s]) * np.exp(n * np.log(tau * s) - logfac_n) / D, None
-
-    return _mc_estimate(seed, n_samples, draw, threads=1)
 
 
 def tail_moment(blocks: GibbsStateBlocks, R: float, tau: float | None = None) -> float:

@@ -18,8 +18,6 @@ from conftest import (
 from torusgibbs import fock
 from torusgibbs.model import KernelSpec, eigenvalues
 
-TRIANGLE = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None), 0.25)
-
 
 class TestEnumeration:
     @pytest.mark.parametrize("k_max,n,size", [(0, 3, 1), (1, 2, 6), (1, 0, 1)])
@@ -167,8 +165,8 @@ class TestInteraction:
             evals = np.linalg.eigvalsh(W)
             assert evals.min() >= -1e-8 * max(1.0, np.abs(W).max())
 
-    @pytest.mark.parametrize("spec", [KernelSpec.box(0.5), KernelSpec.box(0.3), TRIANGLE],
-                             ids=["box0.5", "box0.3", "triangle"])
+    @pytest.mark.parametrize("spec", [KernelSpec.box(0.5), KernelSpec.box(0.3)],
+                             ids=["box0.5", "box0.3"])
     @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
     def test_matches_loop_oracle(self, spec, eps):
         sectors = [(k_max, n) for k_max in (0, 1, 2) for n in range(11)]

@@ -16,7 +16,6 @@ from torusgibbs.model import (
     eigenvalues,
     kernel_fourier_table,
     soliton,
-    trace_h_inverse,
 )
 
 
@@ -48,21 +47,6 @@ class TestEigenvalues:
             u = sp.exp(2 * sp.pi * sp.I * k * x)
             lam = sp.simplify((-sp.diff(u, x, 2) + u) / (2 * u))
             assert lam_all[k + 64] == pytest.approx(float(lam), rel=1e-14)
-
-
-class TestTraceHInverse:
-    def test_k0(self):
-        assert trace_h_inverse(0) == pytest.approx(2.0, abs=1e-14)
-
-    def test_k1(self):
-        assert trace_h_inverse(1) == pytest.approx(2.09882, abs=5e-6)
-
-    def test_full_sum_closed_form(self):
-        # brute-force partial sums up to |k| = 1e6
-        ks = np.arange(1, 10**6 + 1)
-        partial = 2.0 + np.sum(2.0 / (0.5 * ((2 * np.pi * ks) ** 2 + 1.0)))
-        assert trace_h_inverse() == pytest.approx(1.0 / math.tanh(0.5), rel=1e-14)
-        assert trace_h_inverse() == pytest.approx(partial, abs=2e-7)
 
 
 class TestModelParams:
@@ -128,19 +112,27 @@ class TestCutoff:
         one = CutoffProfile.one()
         assert one(123.0) == 1.0 and one.support_bound is None
 
-    def test_table_zero_beyond_last_node(self):
-        # past a last node of value 0 the table is exactly 0, as support_bound says
-        table = CutoffProfile.from_table(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
-                                         np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
-        assert table.support_bound == pytest.approx(0.2)
-        assert table(0.3) == 0.0
-        assert np.all(table(np.array([0.2, 0.2001, 0.3, 5.0])) == 0.0)
+    def test_equality_reads_kind_and_parameters(self):
+        smooth = CutoffProfile.smooth(0.6, 0.1)
+        twin = CutoffProfile.smooth(0.6, 0.1)
+        assert smooth == twin and hash(smooth) == hash(twin)
+        assert smooth != CutoffProfile.smooth(0.6, 0.05)
+        assert smooth != CutoffProfile.sharp(0.6)
 
-    @pytest.mark.parametrize("x", [[0.0, 0.1, 0.1, 0.2], [0.0, 0.2, 0.1, 0.3]],
-                             ids=["repeated", "decreasing"])
-    def test_table_needs_increasing_x(self, x):
-        with pytest.raises(InvalidConfigError, match="strictly increasing"):
-            CutoffProfile.from_table(np.array(x), np.array([1.0, 0.8, 0.4, 0.0]))
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(kind="table"), "unknown cutoff kind"),
+        (dict(kind="sharp"), "needs K > 0"),
+        (dict(kind="sharp", K=0.0), "needs K > 0"),
+        (dict(kind="smooth", K=0.6), "eta"),
+    ], ids=["table", "sharp_without_K", "sharp_K0", "smooth_without_eta"])
+    def test_constructor_rejects(self, kwargs, match):
+        with pytest.raises(InvalidConfigError, match=match):
+            CutoffProfile(**kwargs)
+
+    def test_plain_constructor_builds_the_ramp(self):
+        s = np.linspace(0.2, 0.4, 41)
+        assert np.array_equal(CutoffProfile(kind="smooth", K=0.6, eta=0.1)(s),
+                              CutoffProfile.smooth(0.6, 0.1)(s))
 
 
 class TestKernel:
@@ -170,18 +162,13 @@ class TestKernel:
                 -0.5, 0.5, points=[-a_edge, a_edge], limit=200)
             assert table[32 + k] == pytest.approx(re, abs=1e-10)
 
-    def test_custom_profile(self):
-        tri = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None), 0.25)
-        assert kernel_fourier_table(tri, 0.5, 0)[0] == pytest.approx(1.0, abs=1e-9)
-        # triangle transform is sinc^2
-        got = kernel_fourier_table(tri, 0.8, 3)[6]
-        assert got == pytest.approx(np.sinc(0.8 * 3 / 4.0) ** 2, abs=1e-9)
-
-    def test_periodized_integrates_to_one(self):
-        spec = KernelSpec.box(0.5)
-        x = (np.arange(4096) + 0.5) / 4096
-        for eps in (0.25, 0.5, 1.0):
-            assert np.mean(spec.periodized(x, eps)) == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("a", [0.7, 0.0])
+    def test_half_width_checked_by_constructor(self, a):
+        # beyond 1/2 the eps-scaled support leaves the period; 0 is no kernel
+        with pytest.raises(InvalidConfigError, match="half-width"):
+            KernelSpec(a=a)
+        with pytest.raises(InvalidConfigError, match="half-width"):
+            KernelSpec.box(a)
 
 
 class TestSoliton:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import embed_symmetric, partial_trace_first
+from conftest import embed_symmetric, partial_trace_first, table_cutoff
 from torusgibbs import cgibbs, fock, qgibbs, semiclassics
 from torusgibbs.errors import (
     InvalidConfigError,
@@ -103,12 +103,11 @@ class TestBuild:
             qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
 
     def test_table_cutoff_blocks_nonnegative(self):
-        # a table ending in 0 charges no sector past its last node
+        # a sector where the cutoff vanishes carries no weight and no eigenvectors
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.45, k_max=0, n_max=3)
-        table = CutoffProfile.from_table(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
-                                         np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        table = table_cutoff([0.0, 0.05, 0.1, 0.15, 0.2], [0.0, 0.5, 1.0, 0.5, 0.0])
         b = qgibbs.build_gibbs(p, False, table)
-        assert b.blocks[3].cutoff_value == 0.0
+        assert b.blocks[3].cutoff_value == 0.0 and b.blocks[3].vectors.shape[1] == 0
         assert all(np.all(blk.boltzmann >= 0.0) for blk in b.blocks)
 
 
@@ -214,16 +213,14 @@ class TestSpectrumCache:
         free = qgibbs.build_gibbs(p, False, CutoffProfile.smooth(0.6, 0.1))
         assert all(blk.residual == 0.0 for blk in free.blocks)
 
-    def test_distinct_custom_kernels(self, spectra, monkeypatch):
-        triangle = KernelSpec.from_profile(lambda x: np.clip(1.0 - np.abs(4.0 * x), 0.0, None),
-                                           0.25)
-        bump = KernelSpec.from_profile(lambda x: np.cos(2.0 * np.pi * x) ** 2, 0.25)
-        assert triangle != bump and len({triangle, bump}) == 2
-        assert triangle.line_fourier(2.0) != bump.line_fourier(2.0)
+    def test_distinct_kernels(self, spectra, monkeypatch):
+        wide, narrow = KernelSpec.box(0.5), KernelSpec.box(0.3)
+        assert wide != narrow and len({wide, narrow}) == 2
+        assert wide == KernelSpec() and hash(wide) == hash(KernelSpec())
         p, cut = params(tau=10.0), CutoffProfile.smooth(0.6, 0.05)
-        cached = [qgibbs.build_gibbs(p, True, cut, kernel).Z for kernel in (triangle, bump)]
+        cached = [qgibbs.build_gibbs(p, True, cut, kernel).Z for kernel in (wide, narrow)]
         uncached = []
-        for kernel in (triangle, bump):
+        for kernel in (wide, narrow):
             monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
             uncached.append(qgibbs.build_gibbs(p, True, cut, kernel).Z)
         assert cached == uncached

@@ -1,5 +1,5 @@
-"""Coherent states, lower symbols, the radial anti-Wick calculus, moment
-comparisons, and the entropy inequality."""
+"""Coherent states, lower symbols, tail and moment comparisons, and the
+entropy inequality."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse, special, stats
 
 from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
-                      husimi_product_form_oracle, tensor_power_oracle)
+                      husimi_product_form_oracle, table_cutoff, tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
 from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
                                SupportViolationError)
@@ -73,8 +73,7 @@ class TestHusimi:
 
     def test_pure_one_particle_density(self):
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.45, k_max=0, n_max=2)
-        table = CutoffProfile.from_table(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
-                                         np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        table = table_cutoff([0.0, 0.05, 0.1, 0.15, 0.2], [0.0, 0.5, 1.0, 0.5, 0.0])
         b = qgibbs.build_gibbs(p, False, table)
         assert b.sector_probabilities()[1] == pytest.approx(1.0)
         vs = 0.3
@@ -332,28 +331,6 @@ class TestPoissonDecomposition:
                                            np.zeros(3, dtype=complex))
 
 
-class TestAntiWick:
-    def test_total_mass(self):
-        assert sc.antiwick_radial_scalar(lambda x: 1.0, 3, 2, 7.0) == pytest.approx(1.0, rel=1e-10)
-
-    def test_gamma_mean(self):
-        got = sc.antiwick_radial_scalar(lambda x: x, 2, 3, 10.0)
-        assert got == pytest.approx(0.5, rel=1e-12)
-
-    def test_incomplete_gamma_tail(self):
-        got = sc.antiwick_radial_scalar(lambda x: x**3 * (x > 1.0), 0, 3, 10.0,
-                                        breakpoints=(1.0,))
-        closed = special.gammaincc(6, 10.0) * special.gamma(6.0) / 2000.0
-        assert got == pytest.approx(closed, abs=1e-10)
-        assert got == pytest.approx(0.0040251578, abs=1e-8)
-
-    @pytest.mark.parametrize("n,J", [(0, 1), (2, 1), (1, 2), (4, 2)])
-    def test_mc_route_agrees(self, n, J):
-        det = sc.antiwick_radial_scalar(lambda x: x * x, n, J, 5.0)
-        mc = sc.antiwick_radial_scalar_mc(lambda x: x * x, n, J, 5.0, 200000, seed=61)
-        assert abs(mc.value - det) <= GATE_Z * mc.stderr
-
-
 class TestTailMoment:
     def test_vacuum_pinned_value(self):
         b = vacuum_state()
@@ -407,8 +384,7 @@ class TestDeFinetti:
     def test_pure_one_particle_small_case(self):
         # J = 1, state |1>: k=1 and k=2 both saturate the bound
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.45, k_max=0, n_max=3)
-        table = CutoffProfile.from_table(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
-                                         np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
+        table = table_cutoff([0.0, 0.05, 0.1, 0.15, 0.2], [0.0, 0.5, 1.0, 0.5, 0.0])
         b = qgibbs.build_gibbs(p, False, table)
         vs = 0.2
         lhs1, rhs1 = sc.definetti_gap(b, vs, 1)
