@@ -2,10 +2,14 @@
 energies, importance-sampling estimators, mass density, sharp interpolation
 inequality.
 
-The free measure factorizes over modes: Re and Im of each coefficient are
-independent centered Gaussians with variance 1/(2*lambda_k).  All estimators
-sample it exactly and reweight, so error bars are honest and reproducibility
-is bit-exact for a fixed (seed, n_samples, params).
+The free measure factorizes over modes: |a_k|^2 ~ Exp(lambda_k) with an
+independent uniform phase, i.e. Re and Im of a_k are independent centered
+Gaussians with variance 1/(2*lambda_k).  An estimator whose weight vanishes
+above a mass bound (its cutoff's support, or K_s^2) draws |a_0|^2 first and
+completes only the rows whose zero mode alone stays within the bound; a row
+left partial scores exactly 0.  The rows that carry weight are exact free
+draws, so error bars are honest, and reproducibility is bit-exact for a
+fixed (seed, n_samples, params).
 
 Both sextic energies are trigonometric polynomials of degree 6*k_max in x,
 so the mean over M = 6*k_max + 1 grid points integrates them exactly.  The
@@ -49,13 +53,36 @@ class MCEstimate:
     seed: int
 
 
-def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw (n_samples, J) coefficient rows from the free Gaussian measure."""
+def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
+                       max_mass: float | None = None) -> np.ndarray:
+    """Draw (n_samples, J) coefficient rows of the free Gaussian measure,
+    complete wherever the mass can be at most `max_mass` (None: everywhere).
+
+    One standard_exponential call draws every row's r_0 = |a_0|^2 ~
+    Exp(lambda_0) and stores the real a_0 = sqrt(r_0).  The rows with
+    a_0^2 <= max_mass then take all J modes from one standard_normal call
+    (Re and Im of each mode interleaved, scaled to variance 1/(2 lambda_k)),
+    and their a_0 is rescaled to modulus sqrt(r_0); a complex Gaussian's
+    phase is uniform and independent of its modulus, so these rows are
+    exact free draws.  Every other row is zero but for its real a_0, and its
+    mass a_0^2, exactly what a caller recomputes from the row, exceeds
+    max_mass.  So the mean of any weight that vanishes above max_mass is
+    that of the plain free draw.
+    """
     lam = eigenvalues(k_max)
-    out = np.empty((n_samples, len(lam)), dtype=complex)
-    out.real = rng.standard_normal(out.shape)
-    out.imag = rng.standard_normal(out.shape)
-    out *= 1.0 / np.sqrt(2.0 * lam)
+    out = np.zeros((n_samples, len(lam)), dtype=complex)
+    a0 = out[:, k_max].real
+    a0[:] = rng.standard_exponential(n_samples)
+    a0 /= lam[k_max]
+    np.sqrt(a0, out=a0)
+    rows = np.flatnonzero(a0 * a0 <= (np.inf if max_mass is None else max_mass))
+    full = rng.standard_normal((len(rows), 2 * len(lam)))
+    full *= np.repeat(1.0 / np.sqrt(2.0 * lam), 2)
+    full = full.view(complex)
+    scale = a0[rows]
+    np.divide(scale, np.abs(full[:, k_max]), out=scale)
+    full[:, k_max] *= scale
+    out[rows] = full
     return out
 
 
@@ -150,7 +177,8 @@ def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
                  cutoff: CutoffProfile, kernel: KernelSpec | None,
                  cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row weights e^{energy} * f and the cutoff values f = cutoff(mass)."""
-    f = cutoff(np.sum(np.abs(coeffs) ** 2, axis=1))
+    x = coeffs.view(float)
+    f = cutoff(np.einsum("ij,ij->i", x, x))
     if interaction == "none":
         return f, f
     # exponentiate only inside the cutoff support; outside it the energy can
@@ -231,7 +259,7 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
     _check_focusing_config(interaction, cutoff)
 
     def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng)
+        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
         return _weights_for(coeffs, interaction, params, cutoff, kernel)[0], None
 
     return _mc_estimate(seed, n_samples, draw, threads)
@@ -250,7 +278,7 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
     _check_focusing_config(interaction, cutoff)
 
     def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng)
+        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
         return _weights_for(coeffs, interaction, params, cutoff, kernel)
 
     return _mc_estimate(seed, n_samples, draw, threads)
@@ -276,7 +304,7 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
     _check_focusing_config(interaction, cutoff)
 
     def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng)
+        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
         w, _ = _weights_for(coeffs, interaction, params, cutoff, kernel)
         return w[:, None] * (coeffs.real**2 + coeffs.imag**2), w
 
@@ -360,7 +388,7 @@ def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
         raise InvalidConfigError(f"R_cap must be >= 0, got {R_cap}")
 
     def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng)
+        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
         return _weights_for(coeffs, "hartree", params, cutoff, kernel, cap=R_cap)[0], None
 
     return _mc_estimate(seed, n_samples, draw, threads)
@@ -379,8 +407,9 @@ def subcritical_moment(params: ModelParams, K_s: float, varsigma: float,
         )
 
     def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng)
-        live = np.sum(np.abs(coeffs) ** 2, axis=1) <= K_s**2
+        coeffs = sample_free_fields(params.k_max, size, rng, K_s**2)
+        x = coeffs.view(float)
+        live = np.einsum("ij,ij->i", x, x) <= K_s**2
         w = np.zeros(size)
         if np.any(live):
             en = 6.0 * local_energy_batch(coeffs[live])  # ||u||_L6^6

@@ -22,11 +22,13 @@ Gate evaluations per run, by test:
     test_cgibbs.py
         TestSampler::test_moments                                    5
             (1 mean |a_0|^2, 3 complex means on GATE_R, 1 mean mass)
+        TestSampler::test_gated_rows_contract                        2
+            (1 KS against the exact CDF, 1 circular mean on GATE_R)
         TestClassicalPartition::test_mass_probability_vs_inverted_cdf 1
         TestClassicalPartition::test_local_regression_baseline       1
         TestPartitionRatio::test_single_mode_quadrature_oracle       1
-        TestMomentMatrix::test_free_measure_diagonal                 9
-            (3 diagonal, 6 complex off-diagonal on GATE_R)
+        TestMomentMatrix::test_free_measure_diagonal                 3
+            (3 diagonal; the 6 off-diagonal entries are exact zeros)
         TestMassDensity::test_histogram_agreement                   40
         TestCappedPartition::test_large_cap_matches_uncapped         1
     test_semiclassics.py
@@ -40,7 +42,7 @@ Gate evaluations per run, by test:
         TestBerezinLieb::test_two_free_states (one-sided)            1
         TestBerezinLieb::test_diagonal_pair_sweep (one-sided)       30
                                                                    ---
-                                                                   111
+                                                                   107
 
 Adding a seeded gate, or changing how often one is evaluated, means updating
 N_GATES and this tally in the same change; the gate widths then follow.
@@ -57,7 +59,7 @@ from torusgibbs import semiclassics as sc
 from torusgibbs.model import kernel_fourier_table
 
 SUITE_ALPHA = 1e-3
-N_GATES = 111
+N_GATES = 107
 GATE_ALPHA = SUITE_ALPHA / N_GATES
 GATE_Z = float(norm.isf(GATE_ALPHA / 2.0))
 GATE_R = math.sqrt(math.log(1.0 / GATE_ALPHA))

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
-from conftest import GATE_R, GATE_Z, box_periodized
+from conftest import GATE_ALPHA, GATE_R, GATE_Z, box_periodized
 from torusgibbs import cgibbs
 from torusgibbs.errors import DegenerateInputError, InvalidConfigError, NumericalFailureError
 from torusgibbs.model import (
@@ -44,13 +44,48 @@ class TestSampler:
 
     @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
     def test_draws_match_product_expression(self, k_max):
-        # the draws are bit-identical to (re + 1j*im) * sd from the same two calls
-        got = cgibbs.sample_free_fields(k_max, 1000, np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        re = rng.standard_normal((1000, 2 * k_max + 1))
-        im = rng.standard_normal((1000, 2 * k_max + 1))
-        sd = 1.0 / np.sqrt(2.0 * eigenvalues(k_max))
-        assert np.array_equal(got, (re + 1j * im) * sd)
+        # bit-identical to the gated draw written out from the same calls:
+        # every |a_0|^2, the Gaussian rows at or below the bound, then a_0's rescale
+        n, J = 1000, 2 * k_max + 1
+        lam = eigenvalues(k_max)
+        for max_mass in (None, 0.36):
+            got = cgibbs.sample_free_fields(k_max, n, np.random.default_rng(7), max_mass)
+            rng = np.random.default_rng(7)
+            a0 = np.sqrt(rng.standard_exponential(n) / lam[k_max])
+            keep = a0 * a0 <= (math.inf if max_mass is None else max_mass)
+            g = rng.standard_normal((np.count_nonzero(keep), J, 2))
+            z = (g[..., 0] + 1j * g[..., 1]) * (1.0 / np.sqrt(2.0 * lam))
+            z[:, k_max] *= a0[keep] / np.abs(z[:, k_max])
+            want = np.zeros((n, J), dtype=complex)
+            want[:, k_max] = a0
+            want[keep] = z
+            assert np.array_equal(got, want)
+            assert keep.all() if max_mass is None else 0 < keep.sum() < n
+
+    def test_gated_rows_contract(self, rng):
+        n, bound = 200000, 0.36
+        coeffs = cgibbs.sample_free_fields(1, n, rng, bound)
+        a0 = coeffs[:, 1]
+        full = np.all(coeffs != 0.0, axis=1)
+        partial = (np.all(coeffs[:, [0, 2]] == 0.0, axis=1) & (a0.imag == 0.0)
+                   & (a0.real**2 > bound))
+        assert np.all(full ^ partial)
+        assert np.all(np.abs(a0[full]) ** 2 <= bound * (1.0 + 1e-14))
+        # the masses at or below the bound follow the free law, the rate-lambda_0
+        # exponential convolved with Gamma(2, lambda_1), truncated to [0, bound]
+        l0, l1 = eigenvalues(1)[1:]
+        d = l1 - l0
+
+        def cdf(x):
+            inner = (-np.expm1(-d * x) - d * x * np.exp(-d * x)) / d**2
+            return special.gammainc(2, l1 * x) - l1**2 * np.exp(-l0 * x) * inner
+
+        mass = np.sum(np.abs(coeffs) ** 2, axis=1)
+        low = mass[mass <= bound]
+        assert stats.kstest(low, lambda x: cdf(x) / cdf(bound)).pvalue >= GATE_ALPHA
+        # a_0's phase on the full rows is uniform: a circular mean
+        phase = a0[full] / np.abs(a0[full])
+        assert abs(phase.mean()) * math.sqrt(len(phase)) <= GATE_R
 
 
 class TestEnergies:
@@ -172,13 +207,6 @@ class TestClassicalPartition:
         assert est.value > cgibbs.classical_partition(
             params(), "none", CutoffProfile.sharp(0.6), 200000, 99).value
 
-    def test_threads_bit_identical(self):
-        a = cgibbs.classical_partition(params(), "local", CutoffProfile.sharp(0.6),
-                                       100000, 7, threads=1)
-        b = cgibbs.classical_partition(params(), "local", CutoffProfile.sharp(0.6),
-                                       100000, 7, threads=3)
-        assert a == b
-
 
 class TestPartitionRatio:
     @pytest.mark.parametrize("n_samples", [100000, 1000000])
@@ -243,7 +271,7 @@ class TestMomentMatrix:
         p, cut = params(), CutoffProfile.smooth(0.6, 0.1)
 
         def outer_draw(size, rng):
-            coeffs = cgibbs.sample_free_fields(p.k_max, size, rng)
+            coeffs = cgibbs.sample_free_fields(p.k_max, size, rng, cut.support_bound)
             w, _ = cgibbs._weights_for(coeffs, "hartree", p, cut, None)
             outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
             return w[:, None, None] * outer, w
@@ -265,15 +293,16 @@ class TestMomentMatrix:
 
 # every estimator on the shared MC core, as a function of (n_samples, seed)
 MC_ESTIMATORS = {
-    "classical_partition": lambda n, s: cgibbs.classical_partition(
-        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), n, s),
-    "partition_ratio": lambda n, s: cgibbs.partition_ratio(
-        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), n, s),
-    "classical_moment_matrix": lambda n, s: cgibbs.classical_moment_matrix(
-        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), 1, n, s),
-    "capped_partition": lambda n, s: cgibbs.capped_partition(
-        params(), 6.0, CutoffProfile.sharp(0.6), n, s),
-    "subcritical_moment": lambda n, s: cgibbs.subcritical_moment(params(), 0.6, 0.0, n, s),
+    "classical_partition": lambda n, s, threads=1: cgibbs.classical_partition(
+        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), n, s, threads=threads),
+    "partition_ratio": lambda n, s, threads=1: cgibbs.partition_ratio(
+        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), n, s, threads=threads),
+    "classical_moment_matrix": lambda n, s, threads=1: cgibbs.classical_moment_matrix(
+        params(), "hartree", CutoffProfile.smooth(0.6, 0.1), 1, n, s, threads=threads),
+    "capped_partition": lambda n, s, threads=1: cgibbs.capped_partition(
+        params(), 6.0, CutoffProfile.sharp(0.6), n, s, threads=threads),
+    "subcritical_moment": lambda n, s, threads=1: cgibbs.subcritical_moment(
+        params(), 0.6, 0.0, n, s, threads=threads),
 }
 
 
@@ -283,6 +312,15 @@ class TestMCCore:
     def test_too_few_samples(self, estimator, n_samples):
         with pytest.raises(InvalidConfigError):
             MC_ESTIMATORS[estimator](n_samples, 7)
+
+    @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
+    def test_threads_bit_identical(self, estimator):
+        n = 2 * cgibbs._SHARD + 1000  # three shards
+        one, three = (MC_ESTIMATORS[estimator](n, 7, threads=t) for t in (1, 3))
+        if isinstance(one, cgibbs.MCEstimate):
+            assert one == three
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(one, three, strict=True))
 
     @pytest.mark.parametrize("estimator", ["partition_ratio", "classical_moment_matrix"])
     def test_zero_mean_weight(self, estimator):
