@@ -14,9 +14,10 @@ vector is built or truncated.  The lower symbol is `husimi_density_batch`,
 and `poisson_decomposition_check` compares it with a second route, the
 Poisson average of tensor-power Rayleigh quotients.  `sample_husimi` draws
 in product form for eigenstates that are single occupation states and by
-batched rejection for the others; a rejection proposal is scored on its
-eigenvector's total-momentum block, padded to the widest in its batch, so
-a batch is one kernel call over that width, not over the sector.
+batched rejection for the others.  A rejection proposal is the product-form
+draw of one row of its eigenvector's total-momentum block, so it is accepted
+with probability 1/width of that block, not 1/dim of the sector, and a
+batch is one kernel call over the block width.
 """
 
 from __future__ import annotations
@@ -113,11 +114,12 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     return out / (varsigma * math.pi) ** J
 
 
-# amplitude entries a sector's rejection batch would cover at full sector
-# width (the batch size is this over the sector dimension), and the
-# proposals one draw may spend before the sampler gives up
+# amplitude entries one rejection batch may score, and the proposals one
+# draw may spend, in units of its block width, before the sampler gives up:
+# with acceptance 1/width a working kernel spends that many with
+# probability (1 - 1/width)^(100 width) < e^-100
 _PROPOSAL_ENTRIES = 1 << 16
-_MAX_TRIES = 200000
+_MAX_WIDTHS = 100
 
 
 def _block_diagonal(vectors) -> sparse.csc_array:
@@ -143,18 +145,30 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     free state, the sectors n < 3 of an interacting one, and its 1 x 1
     momentum blocks).  Those picks sample in product form, all in one step:
     each |v_j|^2 is Gamma(nu_j + 1) with a uniform phase, and
-    u = sqrt(varsigma) v.  For the other picks u = sqrt(varsigma s) omega
-    with s ~ Gamma(n + J) and a unit direction omega accepted with
-    probability |<psi_i, omega^{tensor n}>|^2, whose mean is the reciprocal
-    sector dimension.  Each pending draw gets a batch of proposals at a
-    time and keeps its first accepted one.  A proposal is scored on the
-    rows its eigenvector stores, one total-momentum block; a batch pads
-    these to its widest block, (rows, L) amplitudes on (rows, L, J)
-    occupations, and is scored by one kernel call.  The columns and rows
-    are those of one block-diagonal array of all live sectors' eigenvectors.
+    u = sqrt(varsigma) v.
+
+    The other picks sample by rejection from their eigenvector psi's
+    total-momentum block B, the w rows its column stores.  A proposal picks
+    a row nu of B uniformly and draws v in the product form above; it is
+    accepted with probability a(v) = |sum_B psi_nu c_nu(v)|^2 / sum_B
+    |c_nu(v)|^2, c_nu(v) = e^{-|v|^2/2} v^nu / sqrt(nu!) the coherent
+    amplitudes, and then u = sqrt(varsigma) v.  This is exact: the proposal
+    density is q = w^{-1} sum_B pi^{-J} |c_nu(v)|^2, the target is
+    p = pi^{-J} |<psi, xi(v)>|^2 = w a q, and a <= 1 by Cauchy-Schwarz, so
+    a proposal is accepted with probability 1/w.  Numerator and denominator
+    of a are homogeneous of the same degree in v, so a is scored on the
+    direction v/|v| with the tensor-power coefficients; under every row's
+    product form the radius |v|^2 ~ Gamma(n + J) is independent of that
+    direction, so the accepted draws keep the target's mass law.  Each
+    pending draw of a sector gets as many proposals at a time as the widest
+    block among the sector's pending draws, and keeps its first accepted
+    one.  A batch pads its blocks to that width, (rows, L) amplitudes on
+    (rows, L, J) occupations, and is scored by one kernel call.  The
+    columns and rows are those of one block-diagonal array of all live
+    sectors' eigenvectors.
     Raises InvalidConfigError for a varsigma that is not finite and
     positive or a negative n_samples, and QuadratureFailureError when a
-    draw stalls.
+    draw stalls, having spent _MAX_WIDTHS times its block width in proposals.
     """
     _check_varsigma(varsigma)
     if n_samples < 0:
@@ -180,33 +194,37 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
 
     tries = np.zeros(n_samples, dtype=np.int64)
-    for k, b in enumerate(live):
+    for k in range(len(live)):
         pending = np.flatnonzero((sector == k) & ~single)
-        budget = max(1, _PROPOSAL_ENTRIES // b.basis.dim)
         while pending.size:
-            per_row = max(1, budget // pending.size)
-            rows = pending[:budget // per_row]
-            shape = (rows.size, per_row)
-            g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
-            omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
-            s_rad = rng.gamma(shape=b.n + J, size=shape)
+            # a proposal is accepted with probability 1/width, so each draw
+            # gets as many proposals as the sector's widest pending block has rows
+            width = stored[column[pending]].max()
+            rows = pending[:max(1, _PROPOSAL_ENTRIES // width**2)]
+            cols = column[rows]
+            shape = (rows.size, width)
             # each column's stored rows, padded to the widest with zero
             # amplitudes on its last row, so every row stays in its block
-            cols = column[rows]
-            width = np.arange(stored[cols].max())
-            at = ptr[cols, None] + np.minimum(width, stored[cols, None] - 1)
-            psi = np.where(width < stored[cols, None], V.data[at], 0.0)
-            overlap = np.einsum("rqd,rd->rq",
-                                _tensor_power_coeffs(occupations[V.indices[at]], omega), psi)
-            accept = rng.random(shape) < np.abs(overlap) ** 2
+            inside = np.arange(width) < stored[cols, None]
+            at = ptr[cols, None] + np.minimum(np.arange(width), stored[cols, None] - 1)
+            psi = np.where(inside, V.data[at], 0.0)
+            pick = ptr[cols, None] + rng.integers(stored[cols, None], size=shape)
+            radii_sq = rng.gamma(shape=occupations[V.indices[pick]] + 1.0)
+            uniform = rng.random(shape + (J + 1,))  # J phases and the accept draw
+            v = np.sqrt(radii_sq) * np.exp(2j * np.pi * uniform[..., :J])
+            coeffs = _tensor_power_coeffs(occupations[V.indices[at]],
+                                          v / np.linalg.norm(v, axis=-1, keepdims=True))
+            overlap = np.einsum("rql,rl->rq", coeffs, psi)
+            norm_sq = np.einsum("rql,rl->rq", np.abs(coeffs) ** 2, inside.astype(float))
+            accept = uniform[..., J] * norm_sq < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
             first = accept.argmax(axis=1)[hit]
-            out[rows[hit]] = (np.sqrt(varsigma * s_rad[hit, first])[:, None]
-                              * omega[hit, first])
-            tries[rows] += per_row
-            if tries[rows[~hit]].max(initial=0) >= _MAX_TRIES:
+            out[rows[hit]] = math.sqrt(varsigma) * v[hit, first]
+            tries[rows] += width
+            missed = rows[~hit]
+            if np.any(tries[missed] >= _MAX_WIDTHS * stored[column[missed]]):
                 raise QuadratureFailureError("husimi rejection sampler stalled")
-            pending = np.concatenate((pending[rows.size:], rows[~hit]))
+            pending = np.concatenate((pending[rows.size:], missed))
     return out
 
 

@@ -37,12 +37,14 @@ Gate evaluations per run, by test:
         TestHusimi::test_normalization_mc                            1
         TestHusimi::test_sampler_matches_density_moments             2
             (exact mean and variance, KS against the exact CDF)
+        TestSampler::test_pure_eigenstate_anti_normal_moments        9
+            (3 means of |u_i|^2, 6 of |u_i|^2 |u_j|^2 with i <= j)
         TestDeFinetti::test_husimi_moment_matches_mc                 3
         TestBerezinLieb::test_identical_states                       1
         TestBerezinLieb::test_two_free_states (one-sided)            1
         TestBerezinLieb::test_diagonal_pair_sweep (one-sided)       30
                                                                    ---
-                                                                   107
+                                                                   116
 
 Adding a seeded gate, or changing how often one is evaluated, means updating
 N_GATES and this tally in the same change; the gate widths then follow.
@@ -59,7 +61,7 @@ from torusgibbs import semiclassics as sc
 from torusgibbs.model import kernel_fourier_table
 
 SUITE_ALPHA = 1e-3
-N_GATES = 107
+N_GATES = 116
 GATE_ALPHA = SUITE_ALPHA / N_GATES
 GATE_Z = float(norm.isf(GATE_ALPHA / 2.0))
 GATE_R = math.sqrt(math.log(1.0 / GATE_ALPHA))
@@ -241,16 +243,12 @@ def tensor_power_oracle(basis, v):
     return out
 
 
-def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
-    """Lower-symbol draws of any block state with every rejection proposal
-    scored against all dim occupation amplitudes of its sector, through the
-    dense eigenvector matrix.  It consumes the generator exactly as the
-    sampler does, so the sampler, which scores one momentum block, must
-    reproduce these draws bit for bit.  The amplitudes come from the
-    library's kernel, which test_batched_tensor_power_coeffs holds to
-    tensor_power_oracle; what stays independent here is the scoring over
-    the whole sector."""
-    J = blocks.params.J
+def husimi_eigenstate_picks(blocks, n_samples, rng):
+    """The sampler's first draw: an eigenstate per sample with its Gibbs
+    weight, each sector's eigenstates listed by their first stored row.
+    Returns, per sample, the index of its sector among the live ones and its
+    column there, whether that column has one stored entry, and, for those
+    that do, the occupation row it stores."""
     live = [b for b in blocks.blocks if b.weight != 0.0]
     heads = [b.vectors.indices[b.vectors.indptr[:-1]] for b in live]
     order = [np.argsort(h, kind="stable") for h in heads]
@@ -260,12 +258,30 @@ def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
     starts = np.cumsum([0] + [b.basis.dim for b in live])
     which = np.searchsorted(starts, picks, side="right") - 1
     column = np.concatenate(order)[picks]
-    out = np.empty((n_samples, J), dtype=complex)
-
     single = np.concatenate([np.diff(b.vectors.indptr)[o] == 1
                              for b, o in zip(live, order)])[picks]
     nu = np.concatenate([b.basis.occupations[h[o]]
                          for b, h, o in zip(live, heads, order)])[picks[single]]
+    return which, column, single, nu
+
+
+def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
+    """Lower-symbol draws of any block state, each rejection proposal read
+    off its eigenvector's momentum block B, the rows of the sector whose
+    total momentum is the eigenvector's.  A proposal picks a row nu of B
+    uniformly, draws v with |v_j|^2 ~ Gamma(nu_j + 1) and a uniform phase,
+    and is accepted with probability |<psi, c(v)>|^2 / sum_B |c_nu(v)|^2.
+    The numerator is contracted over all dim amplitudes of the sector,
+    through the dense eigenvector matrix, and the denominator is summed over
+    the rows of B found from basis.momenta.  It consumes the generator
+    exactly as the sampler does, so the sampler, which reads B off its
+    sparse layout, must reproduce these draws bit for bit.  The amplitudes
+    come from the library's kernel, which test_batched_tensor_power_coeffs
+    holds to tensor_power_oracle."""
+    J = blocks.params.J
+    live = [b for b in blocks.blocks if b.weight != 0.0]
+    which, column, single, nu = husimi_eigenstate_picks(blocks, n_samples, rng)
+    out = np.empty((n_samples, J), dtype=complex)
     radii_sq = rng.gamma(shape=nu + 1.0)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
     out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
@@ -273,20 +289,27 @@ def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
     for k, b in enumerate(live):
         pending = np.flatnonzero((which == k) & ~single)
         V = b.vectors.toarray()
-        budget = max(1, sc._PROPOSAL_ENTRIES // b.basis.dim)
+        # each column's block: the rows whose total momentum is that of its
+        # largest amplitude, listed first in basis order
+        in_block = b.basis.momenta == b.basis.momenta[np.argmax(np.abs(V), axis=0)][:, None]
+        block_rows = np.argsort(~in_block, axis=1, kind="stable")
         while pending.size:
-            per_row = max(1, budget // pending.size)
-            rows = pending[:budget // per_row]
-            shape = (rows.size, per_row)
-            g = rng.standard_normal(shape + (J,)) + 1j * rng.standard_normal(shape + (J,))
-            omega = g / np.linalg.norm(g, axis=-1, keepdims=True)
-            s_rad = rng.gamma(shape=b.n + J, size=shape)
-            coeffs = sc._tensor_power_coeffs(b.basis.occupations, omega)
-            overlap = np.einsum("rqd,dr->rq", coeffs, V[:, column[rows]])
-            accept = rng.random(shape) < np.abs(overlap) ** 2
+            width = in_block[column[pending]].sum(axis=1).max()
+            rows = pending[:max(1, sc._PROPOSAL_ENTRIES // width**2)]
+            cols = column[rows]
+            shape = (rows.size, width)
+            pick = rng.integers(in_block[cols].sum(axis=1)[:, None], size=shape)
+            nu = b.basis.occupations[np.take_along_axis(block_rows[cols], pick, axis=1)]
+            radii_sq = rng.gamma(shape=nu + 1.0)
+            uniform = rng.random(shape + (J + 1,))
+            v = np.sqrt(radii_sq) * np.exp(2j * np.pi * uniform[..., :J])
+            coeffs = sc._tensor_power_coeffs(b.basis.occupations,
+                                             v / np.linalg.norm(v, axis=-1, keepdims=True))
+            overlap = np.einsum("rqd,dr->rq", coeffs, V[:, cols])
+            norm_sq = np.einsum("rqd,rd->rq", np.abs(coeffs) ** 2, in_block[cols].astype(float))
+            accept = uniform[..., J] * norm_sq < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
             first = accept.argmax(axis=1)[hit]
-            out[rows[hit]] = (np.sqrt(varsigma * s_rad[hit, first])[:, None]
-                              * omega[hit, first])
+            out[rows[hit]] = math.sqrt(varsigma) * v[hit, first]
             pending = np.concatenate((pending[rows.size:], rows[~hit]))
     return out

@@ -7,7 +7,8 @@ and attribute name, and it patches `cgibbs._map_shards`,
 arguments.  A traced benchmark
 run crashes when one of them is renamed, so each must resolve here first.
 Its estimator counters read the call arguments and results, so they must
-accept what the estimators take and return.
+accept what the estimators take and return, and its generator proxy counts
+the rows of sized `uniform` calls as the sampler's product-form draws.
 The harness source is read and executed in memory; nothing under tgbench/
 is written.
 """
@@ -21,7 +22,8 @@ import types
 import numpy as np
 import pytest
 
-from torusgibbs import cgibbs, semiclassics
+from conftest import husimi_eigenstate_picks
+from torusgibbs import cgibbs, qgibbs, semiclassics
 from torusgibbs.model import CutoffProfile, ModelParams
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -65,3 +67,17 @@ def test_moment_matrix_counter_reads_the_call():
     args = (params, "hartree", CutoffProfile.smooth(0.6, 0.1), 1, 3000, 5)
     counts = HARNESS._relvar(args, {}, cgibbs.classical_moment_matrix(*args))
     assert np.isfinite(counts["relvar"]) and counts["relvar"] > 0.0
+
+
+def test_phase_rows_count_product_form_draws():
+    # accept_ratio = (draws - product-form draws) / proposals: the sampler
+    # takes one sized uniform row per draw from a single-entry column and no
+    # sized uniform call in its rejection loop
+    params = ModelParams(tau=20.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=7)
+    blocks = qgibbs.build_gibbs(params, True, CutoffProfile.smooth(0.6, 0.05))
+    tracer = HARNESS.Tracer()
+    sampler = tracer.wrap(semiclassics.sample_husimi, "semiclassics.sample_husimi")
+    sampler(blocks, 0.05, 400, HARNESS._PhaseCountingRng(tracer, np.random.default_rng(9)))
+    single = husimi_eigenstate_picks(blocks, 400, np.random.default_rng(9))[2]
+    assert 0 < single.sum() < 400
+    assert tracer.layer_metrics()["semiclassics.sample_husimi.product_draws"] == single.sum()

@@ -113,13 +113,15 @@ class TestHusimi:
         """The sampled mass |u|^2 follows its exact law, the mixture
         sum_n P(n) * varsigma * Gamma(n + J) over the sector probabilities.
 
-        The sampler picks an eigenstate with its Gibbs weight, then draws the
-        radius s ~ Gamma(n + J) (per-mode Gamma(nu_j + 1) on occupation
-        eigenstates) independently of the angular rejection step.  So the
-        mass marginal does not exercise the rejection step;
-        test_husimi_moment_matches_mc does.  The mean is gated on the exact
-        mean and variance, varsigma^2 (E[n + J] + Var(n)), and the whole
-        law by a one-sample KS test against the exact CDF
+        The sampler picks an eigenstate with its Gibbs weight, then draws v
+        in product form, |v_j|^2 ~ Gamma(nu_j + 1), for one occupation row nu
+        of the eigenstate's momentum block.  Every row of sector n gives
+        |v|^2 ~ Gamma(n + J), independent of the direction v / |v|, and the
+        rejection step reads the direction alone.  So the mass marginal does
+        not exercise the rejection step; test_husimi_moment_matches_mc and
+        test_pure_eigenstate_anti_normal_moments do.  The mean is gated on
+        the exact mean and variance, varsigma^2 (E[n + J] + Var(n)), and the
+        whole law by a one-sample KS test against the exact CDF
         F(x) = sum_n P(n) gammainc(n + J, x / varsigma).
         """
         b = interacting_state()
@@ -182,6 +184,39 @@ class TestSampler:
         got = sc.sample_husimi(b, 1.0 / tau, 300, np.random.default_rng(seed))
         want = husimi_dense_scoring_oracle(b, 1.0 / tau, 300, np.random.default_rng(seed))
         assert np.array_equal(got, want)
+
+    def test_pure_eigenstate_anti_normal_moments(self, rng):
+        """Every draw of a pure interacting eigenstate goes through the
+        rejection step, here on a momentum block of 6 of the sector's 66
+        rows.  The sampled moments of u = sqrt(varsigma) z are the anti-normal
+        ones: E|u_i|^2 = varsigma ||adag_i psi||^2 and E|u_i|^2 |u_j|^2 =
+        varsigma^2 ||adag_j adag_i psi||^2, with each adag the transpose of
+        an annihilation map.  Nine means, each gated at GATE_Z.  Drawing each
+        proposal from the wrong row of the block, or accepting without the
+        block norm, moves them by more than 20 standard errors."""
+        tau, k_max, n = 40.0, 1, 10
+        b = interacting_state(tau=tau, k_max=k_max)
+        blk = next(blk for blk in b.blocks if blk.n == n)
+        col = int(np.argmax(np.diff(blk.vectors.indptr)))
+        vector = blk.vectors[:, [col]]
+        assert vector.nnz >= 4
+        pure = qgibbs.SectorBlock(n=n, basis=blk.basis, energies=np.zeros(1),
+                                  vectors=sparse.csc_array(vector), cutoff_value=1.0)
+        state = qgibbs.GibbsStateBlocks(params=b.params, interacting=True, cutoff=b.cutoff,
+                                        blocks=(pure,), Z=1.0)
+        vs = 1.0 / tau
+        us = sc.sample_husimi(state, vs, 50000, rng)
+        mass = np.abs(us) ** 2
+        psi = vector.toarray().ravel()
+        up = [fock.annihilation_map(k_max, n + 1, i).T @ psi for i in range(3)]
+        for i in range(3):
+            pred = vs * np.sum(up[i] ** 2)
+            col_i = mass[:, i]
+            assert abs(np.mean(col_i) - pred) <= GATE_Z * np.std(col_i) / math.sqrt(len(us))
+            for j in range(i, 3):
+                pred = vs**2 * np.sum((fock.annihilation_map(k_max, n + 2, j).T @ up[i]) ** 2)
+                col_ij = mass[:, i] * mass[:, j]
+                assert abs(np.mean(col_ij) - pred) <= GATE_Z * np.std(col_ij) / math.sqrt(len(us))
 
     @pytest.mark.parametrize("tau,k_max", [(20.0, 1), (17.0, 2)])
     def test_proposals_scored_on_one_momentum_block(self, monkeypatch, tau, k_max):
