@@ -5,14 +5,15 @@ coherent family xi(u) at scale varsigma produces a classical probability
 density (the lower symbol), whose moments, tails, and relative entropies
 mirror the quantum ones up to explicitly computable corrections.
 
-The coherent amplitudes have one kernel, assembled in log space on an
-array of occupation rows; the tensor-power coefficients are the same
-amplitudes with their Poisson prefactor divided out.  Every block state
-stores its eigenvectors as one sparse array per sector, so each quantity
-below contracts them on one path, on the state's own sectors: no coherent
-vector is built or truncated.  The lower symbol is `husimi_density_batch`,
-and `poisson_decomposition_check` compares it with a second route, the
-Poisson average of tensor-power Rayleigh quotients.  `sample_husimi` draws
+The sector-n part of the coherent state xi(v) = e^{-|v|^2/2} e^{v.adag}|0>
+is a Poisson(|v|^2) amplitude times the n-th tensor power of d = v/|v|,
+which is n^{-1/2} (d.adag) applied to the (n-1)-th: `husimi_density_batch`
+walks the sectors upward on that recurrence and weighs each by its Poisson
+mass, exponentiated from its logarithm.  The sampler and the second
+route of `poisson_decomposition_check` use a second kernel, the amplitudes
+assembled in log space on an array of occupation rows.  Eigenvectors are
+stored as one sparse array per sector and contracted on the state's own
+sectors: no coherent vector is built or truncated.  `sample_husimi` draws
 in product form for eigenstates that are single occupation states and by
 batched rejection for the others.  A rejection proposal is the product-form
 draw of one row of its eigenvector's total-momentum block, so it is accepted
@@ -23,6 +24,7 @@ batch is one kernel call over the block width.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse, special
@@ -90,27 +92,71 @@ def _tensor_power_coeffs(occ: np.ndarray, v: np.ndarray) -> np.ndarray:
     return coeffs.reshape(v.shape[:-1] + coeffs.shape[-1:])
 
 
+@lru_cache(maxsize=None)
+def _lowered_rows(k_max: int, n: int):
+    """For each occupation row nu of sector n >= 1: its first occupied mode
+    j, the row of nu - e_j in sector n - 1, and sqrt(n / nu_j)."""
+    occ = fock.enumerate_sector(k_max, n).occupations
+    rows = np.arange(len(occ))
+    first = np.argmax(occ > 0, axis=1)
+    lowered = occ.copy()
+    lowered[rows, first] -= 1
+    parent = fock.enumerate_sector(k_max, n - 1).rank(lowered)
+    return first, parent, np.sqrt(n / occ[rows, first])
+
+
+def _tensor_powers(k_max: int, d: np.ndarray, n_top: int):
+    """Yield (n, T_n) for n = 0..n_top: T_n (dim_n, S) holds the
+    coefficients sqrt(n!/prod nu!) * prod d^nu of the tensor powers of the
+    S directions d (S, J) on sector n's occupation rows, built upward by
+    T_n[nu] = T_{n-1}[nu - e_j] * d_j * sqrt(n / nu_j), j the first
+    occupied mode of nu."""
+    T = np.ones((1, len(d)), dtype=complex)
+    for n in range(n_top + 1):
+        if n:
+            first, parent, scale = _lowered_rows(k_max, n)
+            T = T[parent] * d.T[first] * scale[:, None]
+        yield n, T
+
+
 def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
                          us: np.ndarray) -> np.ndarray:
     """Lower-symbol densities of a normalized block state for a batch of
     fields: (varsigma*pi)^{-J} <xi(u/sqrt(varsigma)), Gamma xi(...)>.
+
+    With v = u/sqrt(varsigma), r = |v|^2 and d = v/|v| (0 at v = 0), the
+    sector-n part of xi(v) is sqrt(pmf_n(r)) T_n, pmf_n(r) = e^{-r} r^n/n!
+    and T_n[nu] = sqrt(n!/prod nu!) prod d^nu.  T_{n-1}[nu - e_j] times
+    d_j sqrt(n/nu_j) is exactly T_n[nu], so `_tensor_powers` builds each
+    T_n from the last with one gather and one multiply.  Each live sector
+    adds pmf_n(r) |V^T T_n|^2 @ p, V its eigenvectors and p their Gibbs
+    weights.  T_n has unit norm and pmf_n is exponentiated from its
+    logarithm, so neither overflows in any sector.
     Raises InvalidConfigError for a varsigma that is not finite and
-    positive or fields whose last axis is not the state's J modes or that
-    hold a non-finite coefficient."""
+    positive, and for fields that are not one field (J,) or a batch (S, J)
+    of the state's J modes, that hold a non-finite coefficient, or whose
+    squared norm r is not finite."""
     _check_varsigma(varsigma)
     us = np.atleast_2d(np.asarray(us, dtype=complex))
     J = blocks.params.J
-    if us.shape[-1] != J:
-        raise InvalidConfigError(f"fields need {J} modes, got {us.shape[-1]}")
+    if us.ndim > 2 or us.shape[-1] != J:
+        raise InvalidConfigError(f"fields need shape ({J},) or (S, {J}), got {us.shape}")
     if not np.all(np.isfinite(us)):
         raise InvalidConfigError("fields hold a non-finite mode coefficient")
-    vs = us / math.sqrt(varsigma)
-    out = np.zeros(us.shape[0])
-    for b in blocks.blocks:
-        if b.weight == 0.0:
+    with np.errstate(over="ignore"):
+        vs = us / math.sqrt(varsigma)
+        r = np.sum(np.abs(vs) ** 2, axis=1)
+    if not np.all(np.isfinite(r)):
+        raise InvalidConfigError("fields have a squared norm |u|^2/varsigma that is not finite")
+    d = vs / np.sqrt(np.where(r > 0.0, r, 1.0))[:, None]
+    live = {b.n: b for b in blocks.blocks if b.weight != 0.0}
+    out = np.zeros(len(us))
+    for n, T in _tensor_powers(blocks.params.k_max, d, max(live, default=-1)):
+        b = live.get(n)
+        if b is None:
             continue
-        overlaps = _coherent_amplitude_matrix(b.basis.occupations, vs) @ b.vectors
-        out += np.abs(overlaps) ** 2 @ (b.boltzmann / blocks.Z)
+        pmf = np.exp(special.xlogy(n, r) - r - special.gammaln(n + 1.0))
+        out += pmf * ((b.boltzmann / blocks.Z) @ np.abs(b.vectors.T @ T) ** 2)
     return out / (varsigma * math.pi) ** J
 
 
@@ -235,11 +281,14 @@ def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
     """Two routes to <xi(sqrt(tau) u), e^{-H_tau} f(N/tau) xi(sqrt(tau) u)>.
 
     Route one is the lower symbol itself: Z (pi/tau)^J times the Husimi
-    density at u and varsigma = 1/tau, from `husimi_density_batch`.  Route
-    two expands the same quantity as a Poisson(tau*||u||^2) average of
-    normalized tensor-power Rayleigh quotients weighted by the cutoff.
-    Returns (lhs, rhs).  Raises InvalidConfigError for a u that does not
-    have params.J modes or has a non-finite one.
+    density at u and varsigma = 1/tau, from `husimi_density_batch` and its
+    sector recurrence.  Route two expands the same quantity as a
+    Poisson(tau*||u||^2) average of normalized tensor-power Rayleigh
+    quotients weighted by the cutoff, with the tensor powers from the
+    log-space kernel `_tensor_power_coeffs`.  The two routes share no
+    amplitude code, so the selftest's agreement check compares two code
+    paths.  Returns (lhs, rhs).  Raises InvalidConfigError for a u that
+    does not have params.J modes or has a non-finite one.
     """
     u = np.asarray(u, dtype=complex)
     if len(u) != params.J:

@@ -243,6 +243,24 @@ def tensor_power_oracle(basis, v):
     return out
 
 
+def husimi_density_oracle(blocks, varsigma, us):
+    """Lower-symbol densities (varsigma*pi)^{-J} <xi(v), Gamma xi(v)> at
+    v = u/sqrt(varsigma), each sector's coherent amplitudes assembled whole
+    in log space by the library's `_coherent_amplitude_matrix` (which
+    test_batched_tensor_power_coeffs holds to tensor_power_oracle), then
+    contracted with the sector's eigenvectors and weighed with their Gibbs
+    weights.  It shares no code with the sector recurrence of
+    husimi_density_batch."""
+    vs = np.atleast_2d(np.asarray(us, dtype=complex)) / math.sqrt(varsigma)
+    out = np.zeros(len(vs))
+    for b in blocks.blocks:
+        if b.weight == 0.0:
+            continue
+        overlaps = sc._coherent_amplitude_matrix(b.basis.occupations, vs) @ b.vectors
+        out += np.abs(overlaps) ** 2 @ (b.boltzmann / blocks.Z)
+    return out / (varsigma * math.pi) ** blocks.params.J
+
+
 def husimi_eigenstate_picks(blocks, n_samples, rng):
     """The sampler's first draw: an eigenstate per sample with its Gibbs
     weight, each sector's eigenstates listed by their first stored row.

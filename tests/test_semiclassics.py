@@ -8,7 +8,8 @@ import pytest
 from scipy import sparse, special, stats
 
 from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
-                      husimi_product_form_oracle, table_cutoff, tensor_power_oracle)
+                      husimi_density_oracle, husimi_product_form_oracle, table_cutoff,
+                      tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
 from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
                                SupportViolationError)
@@ -29,6 +30,12 @@ def vacuum_state(k_max=1):
 def interacting_state(tau=20.0, k_max=1):
     p = params(tau=tau, k_max=k_max)
     return qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.05))
+
+
+def lower_symbol_state(tau, k_max):
+    # the interacting states of the benchmark's lower-symbol workload
+    return qgibbs.build_gibbs(params(tau=tau, eta=0.1, k_max=k_max), True,
+                              CutoffProfile.smooth(0.6, 0.1))
 
 
 class TestCoherentVector:
@@ -89,15 +96,72 @@ class TestHusimi:
         b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
         lam = eigenvalues(1)
         q = np.exp(-lam / tau)
-        for _ in range(100):
-            u = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.4
-            dens = float(sc.husimi_density_batch(b, 1.0 / tau, u)[0])
+        us = np.array([(rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.4
+                       for _ in range(100)])
+        for u, dens in zip(us, sc.husimi_density_batch(b, 1.0 / tau, us)):
             closed = float(np.prod(tau * (1 - q) / math.pi
                                    * np.exp(-tau * (1 - q) * np.abs(u) ** 2)))
             assert dens == pytest.approx(closed, rel=1e-7)
             gauss = float(np.prod(lam / math.pi * np.exp(-lam * np.abs(u) ** 2)))
             bound = math.exp(lam.max() ** 2 * float(np.sum(np.abs(u) ** 2)) / tau)
             assert dens <= bound * gauss * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("state", [
+        lambda: interacting_state(tau=20.0, k_max=0),
+        lambda: interacting_state(tau=20.0, k_max=1),
+        lambda: interacting_state(tau=17.0, k_max=2),
+        lambda: interacting_state(tau=12.0, k_max=3),
+        lambda: lower_symbol_state(40.0, 1),
+        lambda: lower_symbol_state(17.0, 2),
+    ], ids=["interacting_k0", "interacting_k1", "interacting_k2", "interacting_k3",
+            "lower_symbol_k1", "lower_symbol_k2"])
+    def test_density_matches_log_space_oracle(self, rng, state):
+        b = state()
+        J, tau, n_max = b.params.J, b.params.tau, b.params.n_max
+        v = rng.standard_normal((8, J)) + 1j * rng.standard_normal((8, J))
+        # |v|^2 from n_max / 4 to 2 n_max, where the state's sectors sit
+        v *= np.sqrt(np.linspace(0.25, 2.0, 8) * n_max / np.sum(np.abs(v) ** 2, axis=1))[:, None]
+        v[0] = 0.0
+        v[1, J // 2] = 0.0  # one exactly-zero mode
+        v[2] *= math.sqrt((20 * n_max + 50) / np.sum(np.abs(v[2]) ** 2))  # |v|^2 >> n_max
+        us = v / math.sqrt(tau)
+        got = sc.husimi_density_batch(b, 1.0 / tau, us)
+        want = husimi_density_oracle(b, 1.0 / tau, us)
+        assert np.all(want > 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    def test_tensor_power_recurrence(self, rng, k_max):
+        # the sector walk of husimi_density_batch against the log-space kernel
+        J = 2 * k_max + 1
+        v = rng.standard_normal((4, J)) + 1j * rng.standard_normal((4, J))
+        if J > 1:
+            v[0, 0] = 0.0  # a zero mode kills exactly the nu_0 >= 1 rows
+        d = v / np.linalg.norm(v, axis=1, keepdims=True)
+        for n, T in sc._tensor_powers(k_max, d, 12):
+            want = sc._tensor_power_coeffs(fock.enumerate_sector(k_max, n).occupations, d)
+            assert np.abs(T.T - want).max() <= 1e-13
+            assert np.abs(np.sum(np.abs(T) ** 2, axis=0) - 1.0).max() <= 1e-13
+
+    def test_free_single_mode_large_sectors(self):
+        """On one mode the free state's sector weights are geometric,
+        (1 - q) q^n / (1 - q^{N+1}) for n <= N, so its density at
+        r = |v|^2 = tau |u|^2 is the truncated Poisson sum
+        (tau/pi) (1 - q) e^{-(1 - q) r} Q(N + 1, q r) / (1 - q^{N+1}),
+        Q the regularized upper incomplete Gamma function.  Fields up to
+        r = 600 put the coherent state's Poisson weight near and past the
+        last sector N = 400, with no overflow or underflow on the way."""
+        tau, n_max = 10.0, 400
+        p = ModelParams(tau=tau, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=n_max)
+        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        q = math.exp(-float(eigenvalues(0)[0]) / tau)
+        r = np.array([0.0, 1.0, 50.0, 200.0, 380.0, 420.0, 450.0, 600.0])
+        us = (np.sqrt(r / tau) * np.exp(0.7j))[:, None]
+        got = sc.husimi_density_batch(b, 1.0 / tau, us)
+        want = (tau / math.pi * (1.0 - q) * np.exp(-(1.0 - q) * r)
+                * special.gammaincc(n_max + 1.0, q * r) / (1.0 - q ** (n_max + 1)))
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     def test_normalization_mc(self, rng):
         b = interacting_state()
@@ -306,6 +370,8 @@ class TestBadInput:
         lambda b: sc.husimi_density_batch(b, 0.0, np.zeros(3)),
         lambda b: sc.husimi_density_batch(b, math.inf, np.zeros(3)),
         lambda b: sc.husimi_density_batch(b, 0.05, np.zeros((4, 5))),
+        lambda b: sc.husimi_density_batch(b, 0.05, np.zeros((2, 4, 3))),
+        lambda b: sc.husimi_density_batch(b, 0.05, np.array([1e200, 0.0, 0.0])),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 1, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 0, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.0, 100, 0),
@@ -321,6 +387,7 @@ class TestBadInput:
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
             "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
             "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
+            "density_three_axes", "density_norm_overflow",
             "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
             "poisson_wrong_mode_count", "density_nan_field", "density_inf_field",
             "poisson_nan_field", "poisson_inf_field", "definetti_negative_varsigma",
