@@ -6,7 +6,9 @@ in lexicographic order, and `SectorBasis.rank` finds the row of any of them
 by counting, with no lookup table.  Operators act in that row order: the
 interaction is a dense real-symmetric matrix, and the ladder operators are
 cached sparse arrays, one `annihilation_map` per (k_max, n, mode) whose
-transpose is the creator.
+transpose is the creator.  The one-body matrix of a state made of momentum
+eigenvectors is diagonal and is read off the occupations, with no ladder
+operator.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
+from .errors import InvalidConfigError
 from .model import KernelSpec, eigenvalues, kernel_fourier_table, mode_numbers
 
 __all__ = [
@@ -242,8 +245,30 @@ def one_body_matrix(sector_items) -> np.ndarray:
     `sector_items` iterates over (basis, probs, vectors) with `probs` the
     spectral weights of the sector block and `vectors` the matching
     orthonormal columns, a scipy.sparse array (the identity for the
-    occupation basis itself).  The result is PSD with trace equal to the
-    mean particle number.
+    occupation basis itself).  Every column must hold states of one total
+    momentum, as the eigenvectors of a translation-invariant state do;
+    adag_j a_i shifts the momentum by j - i, so G is then diagonal with
+    G_ii = <n_i>, and
+
+        diag G = sum over sectors  occ^T bincount(rows, p_col |v|^2)
+
+    over the stored entries v of `vectors` (row `rows`, column weight
+    p_col).  A column whose stored rows span two momenta raises
+    InvalidConfigError.  The result has trace equal to the mean particle
+    number.
     """
-    # G_{ij} = <a_j psi, a_i psi>: the order-1 gram, transposed
-    return np.ascontiguousarray(ladder_gram(sector_items, 1).T)
+    diag = []
+    for basis, probs, vectors in sector_items:
+        V = sparse.csc_array(vectors)
+        if not V.has_canonical_format:  # a duplicate entry would add |v|^2 twice
+            V = V.copy()
+            V.sum_duplicates()
+        cols = np.repeat(np.arange(V.shape[1]), np.diff(V.indptr))
+        if np.any((np.diff(basis.momenta[V.indices]) != 0) & (np.diff(cols) == 0)):
+            raise InvalidConfigError(
+                f"a column of sector n={basis.n} spans two total momenta: "
+                "the one-body matrix needs momentum eigenvectors")
+        weights = np.bincount(V.indices, np.asarray(probs)[cols] * np.abs(V.data) ** 2,
+                              minlength=basis.dim)
+        diag.append(weights @ basis.occupations)
+    return np.diag(np.sum(diag, axis=0)) if diag else np.zeros((0, 0))

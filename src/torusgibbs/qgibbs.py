@@ -4,9 +4,11 @@ A state is block-diagonal over particle sectors because the Hamiltonian
 commutes with the number operator.  Each block is stored through its
 eigendecomposition; Gibbs weights are exp(-E) * cutoff(n/tau) with E the
 spectrum of H_tau = H_0/tau - W/tau^3 restricted to the sector.  H_tau also
-conserves total momentum, so each sector is diagonalized one momentum block
-at a time, and its eigenvectors are stored as one sparse array whose
-columns hold their block's rows only.
+conserves total momentum, so each sector is diagonalized on its momentum
+blocks, the blocks of one size stacked into one eigh call, and its
+eigenvectors are stored as one sparse array whose columns hold their
+block's rows only.  Every eigenvector then has one total momentum, which
+makes the one-body matrix diagonal.
 
 Each interacting sector n >= 3 is solved once per process.  Its spectrum
 depends only on (k_max, n, tau, eps, kernel), not on the cutoff or n_max,
@@ -106,39 +108,52 @@ class GibbsStateBlocks:
 
 def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
                     n: int) -> tuple[np.ndarray, sparse.csc_array, float]:
-    """Eigenpairs of a sector Hamiltonian that conserves total momentum:
-    one dense eigh per momentum block, blocks in ascending momentum.  Each
-    block's eigenvectors become columns stored on the block's rows.
+    """Eigenpairs of a sector Hamiltonian that conserves total momentum,
+    solved on its momentum blocks: the blocks of one size m form a
+    (B, m, m) stack, and one eigh call solves the stack (LAPACK still runs
+    once per matrix, so every eigenpair is the one a per-block call gives).
+    The vectors keep the blocks in ascending momentum, each block's
+    eigenvectors as columns stored on the block's rows.
 
-    Every eigenpair is checked against the whole sector matrix, so a
-    coupling between blocks would show as a residual too.  Returns the
+    Every eigenpair is checked against the whole sector matrix, with one
+    batched product per stack, so a coupling between blocks would show as
+    a residual too; a residual past 1e-9 * scale * sqrt(m) raises
+    NumericalFailureError naming the sector and the block's momentum.
+    Block sizes are symmetric under k -> -k, so a stack holds a few blocks
+    and its (B, dim, m) product stays a small share of H.  Returns the
     energies, the vectors and the largest residual.
     """
     order = np.argsort(momenta, kind="stable")  # rows grouped by ascending momentum
-    blocks = np.split(order, np.flatnonzero(np.diff(momenta[order])) + 1)
-    energies, data = [], []
+    starts = np.flatnonzero(np.diff(momenta[order], prepend=momenta[order[0]] - 1))
+    sizes = np.diff(starts, append=len(order))
+    # block b holds energies [starts[b], +m) and vector data [entries[b], +m^2)
+    entries = np.cumsum(sizes**2) - sizes**2
+    energies, data = np.empty(len(order)), np.empty(int(np.sum(sizes**2)))
+    indices = np.empty(len(data), dtype=np.int64)
     scale = max(1.0, float(H.max()), -float(H.min()))
     residual = 0.0
-    for rows in blocks:
-        H_rows = H[rows]
-        e, v = np.linalg.eigh(H_rows[:, rows])
-        R = H_rows.T @ v  # H is symmetric: the block's columns of the whole sector
-        R[rows] -= v * e
-        res = float(np.linalg.norm(R, axis=0).max())
-        if res > 1e-9 * scale * math.sqrt(len(rows)):
+    for m in np.unique(sizes):
+        same = np.flatnonzero(sizes == m)  # the B blocks of size m
+        rows = order[starts[same][:, None] + np.arange(m)]  # (B, m)
+        e, v = np.linalg.eigh(H[rows[:, :, None], rows[:, None, :]])
+        # H is symmetric: each block's columns of the whole sector
+        R = np.swapaxes(H[rows], 1, 2) @ v  # (B, dim, m)
+        R[np.arange(len(same))[:, None], rows] -= v * e[:, None, :]
+        res = np.linalg.norm(R, axis=1).max(axis=1)
+        worst = int(np.argmax(res))
+        if res[worst] > 1e-9 * scale * math.sqrt(m):
             raise NumericalFailureError(
-                f"eigensolve residual {res:.2e} in sector n={n}, "
-                f"momentum {momenta[rows[0]]} (scale {scale:.2e})"
+                f"eigensolve residual {res[worst]:.2e} in sector n={n}, "
+                f"momentum {momenta[rows[worst, 0]]} (scale {scale:.2e})"
             )
-        residual = max(residual, res)
-        energies.append(e)
-        data.append(v.T.ravel())  # column by column
-    # a block of m states has m columns, each stored on the block's m rows
-    sizes = [len(rows) for rows in blocks]
+        residual = max(residual, float(res[worst]))
+        energies[starts[same][:, None] + np.arange(m)] = e
+        at = entries[same][:, None] + np.arange(m * m)
+        data[at] = np.swapaxes(v, 1, 2).reshape(len(same), -1)  # column by column
+        indices[at] = np.tile(rows, m)  # every column on the block's m rows
     indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, sizes))))
-    indices = np.concatenate([rows for rows in blocks for _ in rows])
-    V = sparse.csc_array((np.concatenate(data), indices, indptr), shape=H.shape)
-    return np.concatenate(energies), V, residual
+    V = sparse.csc_array((data, indices, indptr), shape=H.shape)
+    return energies, V, residual
 
 
 _CACHE_BYTES = 256 << 20  # stored bytes of solved sectors kept per process
@@ -187,7 +202,8 @@ def build_gibbs(
     """Assemble and diagonalize every retained sector, then normalize.
 
     Sector energies are spec((H_0 - W/tau^2)/tau); the interaction is
-    omitted in the free case.  Sectors whose cutoff value is exactly zero
+    omitted in the free case.  The cutoff is evaluated once, on the grid
+    n/tau for n = 0..n_max.  Sectors whose cutoff value is exactly zero
     carry no spectral data (they are outside the state's support).  Raises
     ResourceLimitError, before any work, when the largest sector n_max is
     bigger than `params.sector_dim_cap`.
@@ -208,10 +224,11 @@ def build_gibbs(
             f"sector (k_max={params.k_max}, n={params.n_max}) has dimension {dim_top} "
             f"> cap {params.sector_dim_cap}"
         )
+    fvals = cutoff(np.arange(params.n_max + 1) / tau)
     blocks = []
     Z = 0.0
     for n in range(params.n_max + 1):
-        fval = float(cutoff(n / tau))
+        fval = float(fvals[n])
         basis = fock.enumerate_sector(params.k_max, n)
         if fval == 0.0:
             blocks.append(SectorBlock(n=n, basis=basis, energies=np.empty(0),
@@ -265,7 +282,9 @@ def reduced_density_matrix(blocks: GibbsStateBlocks, k: int, scaled: bool = Fals
 
     Unscaled entries follow Tr(adag... a... Gamma); `scaled` multiplies by
     k!/tau^k, the normalization under which the classical moment matrices
-    appear in the semiclassical limit.  The k = 2 matrix is expressed in
+    appear in the semiclassical limit.  The k = 1 matrix is diagonal, the
+    mean occupations <n_i>, since every eigenvector carries one total
+    momentum (see `fock.one_body_matrix`).  The k = 2 matrix is expressed in
     the orthonormal pair basis (i <= j) of the two-particle symmetric
     space.
     """

@@ -24,6 +24,7 @@ batch is one kernel call over the block width.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -135,10 +136,18 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     Raises InvalidConfigError for a varsigma that is not finite and
     positive, and for fields that are not one field (J,) or a batch (S, J)
     of the state's J modes, that hold a non-finite coefficient, or whose
-    squared norm r is not finite."""
+    squared norm r is not finite.  It also raises InvalidConfigError for a
+    varsigma whose normalization (varsigma*pi)^J is not a normal positive
+    float, which would turn the densities into inf or 0."""
     _check_varsigma(varsigma)
     us = np.atleast_2d(np.asarray(us, dtype=complex))
     J = blocks.params.J
+    try:
+        norm = (varsigma * math.pi) ** J
+    except OverflowError:
+        norm = math.inf
+    if not sys.float_info.min <= norm < math.inf:
+        raise InvalidConfigError(f"(varsigma*pi)^J = ({varsigma:g}*pi)^{J} is out of range")
     if us.ndim > 2 or us.shape[-1] != J:
         raise InvalidConfigError(f"fields need shape ({J},) or (S, {J}), got {us.shape}")
     if not np.all(np.isfinite(us)):
@@ -157,7 +166,7 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
             continue
         pmf = np.exp(special.xlogy(n, r) - r - special.gammaln(n + 1.0))
         out += pmf * ((b.boltzmann / blocks.Z) @ np.abs(b.vectors.T @ T) ** 2)
-    return out / (varsigma * math.pi) ** J
+    return out / norm
 
 
 # amplitude entries one rejection batch may score, and the proposals one

@@ -206,6 +206,17 @@ def partial_trace_first(dense, keep=1):
     return psi @ psi.conj().T
 
 
+def random_momentum_eigenvectors(basis, rng):
+    """Random orthonormal basis of a sector made of momentum eigenvectors:
+    a Haar-like orthogonal matrix on the rows of each total-momentum block,
+    zero elsewhere, as a dense (dim, dim) array."""
+    vecs = np.zeros((basis.dim, basis.dim))
+    for k in np.unique(basis.momenta):
+        rows = np.flatnonzero(basis.momenta == k)
+        vecs[np.ix_(rows, rows)] = np.linalg.qr(rng.normal(size=(len(rows), len(rows))))[0]
+    return vecs
+
+
 @pytest.fixture()
 def rng():
     # function-scoped: every test sees the same fresh deterministic stream

@@ -13,9 +13,11 @@ from conftest import (
     embed_symmetric,
     interaction_loop_oracle,
     partial_trace_first,
+    random_momentum_eigenvectors,
     three_body_entry_quadrature,
 )
 from torusgibbs import fock
+from torusgibbs.errors import InvalidConfigError
 from torusgibbs.model import KernelSpec, eigenvalues
 
 
@@ -225,6 +227,16 @@ class TestOneBodyMatrix:
         G = fock.one_body_matrix([(basis, np.array([1.0]), sparse.eye_array(1, format="csc"))])
         assert G[0, 0] == pytest.approx(1.0)
 
+    def test_duplicate_entries_are_summed(self):
+        # an entry stored twice is one amplitude 0.5 + 0.5 = 1, not two of 0.5
+        basis = fock.enumerate_sector(0, 2)
+        twice = sparse.csc_array((np.array([0.5, 0.5]), np.array([0, 0]), np.array([0, 2])),
+                                 shape=(1, 1))
+        assert not twice.has_canonical_format
+        G = fock.one_body_matrix([(basis, np.array([1.0]), twice)])
+        assert G[0, 0] == 2.0
+        assert twice.indptr[-1] == 2  # the caller's array is left as it was
+
     def test_thermal_single_mode(self):
         # geometric-series oracle on the untruncated single-mode free state
         tau, lam = 10.0, float(eigenvalues(0)[0])
@@ -241,14 +253,24 @@ class TestOneBodyMatrix:
 
 class TestPartialTraceOracle:
     def test_one_body_matches_partial_trace(self, rng):
-        # ladder route vs dense-embedding partial trace on a random mixed state
+        # occupation route vs dense-embedding partial trace on a random mixed
+        # state of momentum eigenvectors: random orthonormal columns inside
+        # each momentum block, so the oracle also checks the zero off-diagonal
         basis = fock.enumerate_sector(1, 3)
-        vecs = np.linalg.qr(rng.normal(size=(basis.dim, 3)))[0]
-        probs = np.array([0.5, 0.3, 0.2])
+        vecs = random_momentum_eigenvectors(basis, rng)
+        probs = rng.dirichlet(np.ones(basis.dim))
         G = fock.one_body_matrix([(basis, probs, sparse.csc_array(vecs))])
         oracle = np.zeros((3, 3), dtype=complex)
         for p, psi in zip(probs, vecs.T):
             dense = embed_symmetric(basis, psi.astype(complex))
             oracle += p * 3 * partial_trace_first(dense, keep=1)
         assert np.abs(G - oracle).max() <= 1e-10
+
+    def test_one_body_rejects_mixed_momentum_column(self):
+        # (|3,0,0> + |0,3,0>)/sqrt(2) holds total momenta -3 and 0
+        basis = fock.enumerate_sector(1, 3)
+        vec = np.zeros((basis.dim, 1))
+        vec[basis.rank([[3, 0, 0], [0, 3, 0]]), 0] = math.sqrt(0.5)
+        with pytest.raises(InvalidConfigError, match="two total momenta"):
+            fock.one_body_matrix([(basis, np.array([1.0]), sparse.csc_array(vec))])
 

@@ -129,6 +129,18 @@ class TestCutoff:
         with pytest.raises(InvalidConfigError, match=match):
             CutoffProfile(**kwargs)
 
+    @pytest.mark.parametrize("prof", [CutoffProfile.smooth(0.6, 0.05),
+                                      CutoffProfile.smooth(0.6, 0.1),
+                                      CutoffProfile.sharp(0.6), CutoffProfile.one()],
+                             ids=["smooth_eta0.05", "smooth_eta0.1", "sharp", "one"])
+    @pytest.mark.parametrize("tau", [8.0, 10.0, 17.0, 20.0, 40.0, 80.0, 160.0])
+    def test_array_matches_scalar_bitwise(self, prof, tau):
+        # build_gibbs evaluates the n/tau grid in one call: each entry must be
+        # the scalar value bit for bit, past the support edge too
+        n_max = math.floor(0.36 * tau) + 10
+        grid = prof(np.arange(n_max + 1) / tau)
+        assert np.array_equal(grid, [prof(n / tau) for n in range(n_max + 1)])
+
     def test_plain_constructor_builds_the_ramp(self):
         s = np.linspace(0.2, 0.4, 41)
         assert np.array_equal(CutoffProfile(kind="smooth", K=0.6, eta=0.1)(s),

@@ -88,19 +88,45 @@ class TestBuild:
             checked += 1
         assert checked >= 3
 
+    def test_stacked_solve_matches_per_block_eigh(self):
+        # one eigh per stack of equal-size blocks gives, bit for bit, the
+        # energies and vectors of one eigh per block in ascending momentum
+        tau, basis = 17.0, fock.enumerate_sector(2, 6)
+        H = -fock.assemble_interaction(basis, KernelSpec.box(), 0.5) / tau**3
+        H[np.diag_indices(basis.dim)] += fock.kinetic_diagonal(basis) / tau
+        momenta, sizes = np.unique(basis.momenta, return_counts=True)
+        assert len(np.unique(sizes)) >= 5
+        energies, data, indices = [], [], []
+        for k in momenta:
+            rows = np.flatnonzero(basis.momenta == k)
+            e, v = np.linalg.eigh(H[np.ix_(rows, rows)])
+            energies.append(e)
+            data.append(v.T.ravel())
+            indices.append(np.tile(rows, len(rows)))
+        E, V, _ = qgibbs._eigendecompose(H, basis.momenta, basis.n)
+        assert np.array_equal(E, np.concatenate(energies))
+        assert np.array_equal(V.data, np.concatenate(data))
+        assert np.array_equal(V.indices, np.concatenate(indices))
+
     def test_perturbed_eigenvector_raises(self, monkeypatch):
-        # every eigenpair is checked: one bad vector in one block is enough
+        # every eigenpair is checked: one bad vector in one block is enough,
+        # so only the first stack of blocks with two or more states is touched
         eigh = np.linalg.eigh
+        touched = []
 
         def perturbed(H):
             E, V = eigh(H)
+            if H.shape[-1] < 2 or touched:
+                return E, V
+            touched.append(H.shape)
             V = V.copy()
-            V[:, -1] += 1e-3 * V[:, 0]
+            V[0, :, -1] += 1e-3 * V[0, :, 0]  # one column of one matrix in the stack
             return E, V
         monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericalFailureError):
             qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
+        assert len(touched) == 1 and len(touched[0]) == 3
 
     def test_table_cutoff_blocks_nonnegative(self):
         # a sector where the cutoff vanishes carries no weight and no eigenvectors
@@ -345,6 +371,17 @@ class TestReducedDensity:
                 dense = embed_symmetric(blk.basis, psi.astype(complex))
                 oracle += w * blk.n * partial_trace_first(dense, keep=1)
         assert np.abs(G - oracle).max() <= 1e-10
+
+    @pytest.mark.parametrize("interacting", [True, False], ids=["interacting", "free"])
+    @pytest.mark.parametrize("tau,k_max", [(40.0, 0), (40.0, 1), (17.0, 2)])
+    def test_one_body_matches_ladder_gram(self, tau, k_max, interacting):
+        # diagonal occupation route vs the order-1 annihilator gram, transposed
+        b = qgibbs.build_gibbs(params(tau=tau, k_max=k_max, eta=0.1), interacting,
+                               CutoffProfile.smooth(0.6, 0.1))
+        G = qgibbs.reduced_density_matrix(b, 1)
+        gram = fock.ladder_gram(b.sector_items(), 1).T
+        assert G.shape == gram.shape == (2 * k_max + 1,) * 2
+        assert np.abs(G - gram).max() <= 1e-12 * np.abs(gram).max()
 
     def test_two_body_vs_partial_trace(self):
         p = params(tau=8.0, K=0.75, n_max=4)

@@ -8,8 +8,8 @@ import pytest
 from scipy import sparse, special, stats
 
 from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
-                      husimi_density_oracle, husimi_product_form_oracle, table_cutoff,
-                      tensor_power_oracle)
+                      husimi_density_oracle, husimi_product_form_oracle,
+                      random_momentum_eigenvectors, table_cutoff, tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
 from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
                                SupportViolationError)
@@ -372,6 +372,8 @@ class TestBadInput:
         lambda b: sc.husimi_density_batch(b, 0.05, np.zeros((4, 5))),
         lambda b: sc.husimi_density_batch(b, 0.05, np.zeros((2, 4, 3))),
         lambda b: sc.husimi_density_batch(b, 0.05, np.array([1e200, 0.0, 0.0])),
+        lambda b: sc.husimi_density_batch(b, 1e-300, np.array([1e-300, 0.0, 0.0])),
+        lambda b: sc.husimi_density_batch(b, 1e300, np.zeros(3)),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 1, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 0, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.0, 100, 0),
@@ -388,6 +390,7 @@ class TestBadInput:
             "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
             "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
             "density_three_axes", "density_norm_overflow",
+            "density_normalization_underflow", "density_normalization_overflow",
             "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
             "poisson_wrong_mode_count", "density_nan_field", "density_inf_field",
             "poisson_nan_field", "poisson_inf_field", "definetti_negative_varsigma",
@@ -551,7 +554,8 @@ class TestDeFinetti:
             assert lhs2 == pytest.approx(vs**2 * (J + 1) * (J + 2 * mean_n), rel=1e-12)
 
     def test_sweep_random_states(self, rng):
-        # mixed random block states: bound holds with nonnegative slack
+        # mixed random block states of momentum eigenvectors, as every
+        # translation-invariant state has: bound holds with nonnegative slack
         for trial in range(50):
             k_max = int(rng.integers(0, 2))
             J = 2 * k_max + 1
@@ -561,7 +565,7 @@ class TestDeFinetti:
             raw /= raw.sum()
             for n in range(n_top + 1):
                 basis = fock.enumerate_sector(k_max, n)
-                q = np.linalg.qr(rng.normal(size=(basis.dim, basis.dim)))[0]
+                q = random_momentum_eigenvectors(basis, rng)
                 spec_w = rng.random(basis.dim) + 0.05
                 spec_w = spec_w / spec_w.sum() * raw[n]
                 blocks.append(qgibbs.SectorBlock(
