@@ -14,7 +14,6 @@ Subpackages:
 
 from . import cgibbs, experiments, fock, model, qgibbs, semiclassics
 from .errors import (
-    DegenerateInputError,
     InvalidConfigError,
     NumericalFailureError,
     QuadratureFailureError,
@@ -31,5 +30,5 @@ __all__ = [
     "model", "fock", "qgibbs", "cgibbs", "semiclassics", "experiments",
     "TorusGibbsError", "ResourceLimitError", "NumericalFailureError",
     "QuadratureFailureError", "SupportMismatchError", "SupportViolationError",
-    "UnsupportedOrderError", "InvalidConfigError", "DegenerateInputError",
+    "UnsupportedOrderError", "InvalidConfigError",
 ]

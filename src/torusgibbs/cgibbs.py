@@ -1,6 +1,5 @@
 """Classical side: Gaussian free field on the mode window, interaction
-energies, importance-sampling estimators, mass density, sharp interpolation
-inequality.
+energies, importance-sampling estimators, and the exact mass law.
 
 The free measure factorizes over modes: |a_k|^2 ~ Exp(lambda_k) with an
 independent uniform phase, i.e. Re and Im of a_k are independent centered
@@ -23,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateInputError, InvalidConfigError, NumericalFailureError,
-                     UnsupportedOrderError)
+from .errors import InvalidConfigError, NumericalFailureError, UnsupportedOrderError
 from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues, mode_numbers
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "partition_ratio",
     "classical_moment_matrix",
     "mass_density_charfn",
-    "gns_check",
     "capped_partition",
     "subcritical_moment",
 ]
@@ -174,7 +171,7 @@ def _check_focusing_config(interaction: str, cutoff: CutoffProfile):
 
 
 def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
-                 cutoff: CutoffProfile, kernel: KernelSpec | None,
+                 cutoff: CutoffProfile,
                  cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row weights e^{energy} * f and the cutoff values f = cutoff(mass)."""
     x = coeffs.view(float)
@@ -188,7 +185,7 @@ def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
     if np.any(live):
         sub = coeffs[live]
         if interaction == "hartree":
-            en = hartree_energy_batch(sub, params.eps, kernel)
+            en = hartree_energy_batch(sub, params.eps)
         else:
             en = local_energy_batch(sub)
         if cap is not None:
@@ -246,9 +243,7 @@ def _mc_estimate(seed: int, n_samples: int, draw, threads: int) -> MCEstimate:
 
 
 def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffProfile,
-                        n_samples: int, seed: int,
-                        kernel: KernelSpec | None = None,
-                        threads: int = 1) -> MCEstimate:
+                        n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     """Importance-sampling estimate of E_mu0[ e^{energy} * cutoff(mass) ].
 
     interaction: "none" (weight e^0), "hartree" (range-eps energy), or
@@ -260,15 +255,13 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        return _weights_for(coeffs, interaction, params, cutoff, kernel)[0], None
+        return _weights_for(coeffs, interaction, params, cutoff)[0], None
 
     return _mc_estimate(seed, n_samples, draw, threads)
 
 
 def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile,
-                    n_samples: int, seed: int,
-                    kernel: KernelSpec | None = None,
-                    threads: int = 1) -> MCEstimate:
+                    n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     """Normalized partition value E[e^W f] / E[f] on shared samples.
 
     This is the classical quantity matched by the quantum ratio of
@@ -279,15 +272,14 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        return _weights_for(coeffs, interaction, params, cutoff, kernel)
+        return _weights_for(coeffs, interaction, params, cutoff)
 
     return _mc_estimate(seed, n_samples, draw, threads)
 
 
 def classical_moment_matrix(params: ModelParams, interaction: str,
                             cutoff: CutoffProfile, k: int, n_samples: int,
-                            seed: int, kernel: KernelSpec | None = None,
-                            threads: int = 1):
+                            seed: int, threads: int = 1):
     """First moment matrix M[i,j] = E_mu[ alpha_i * conj(alpha_j) ] of the
     reweighted measure, which is invariant under the translations
     alpha_k -> e^{2 pi i k y} alpha_k: M is diagonal, its off-diagonal
@@ -305,7 +297,7 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        w, _ = _weights_for(coeffs, interaction, params, cutoff, kernel)
+        w, _ = _weights_for(coeffs, interaction, params, cutoff)
         return w[:, None] * (coeffs.real**2 + coeffs.imag**2), w
 
     M, M_err, group_nums, group_dens = _mc_ratio(seed, n_samples, draw, threads)
@@ -343,41 +335,11 @@ def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------------
-# sharp sextic interpolation inequality on the line
-# ------------------------------------------------------------------
-
-def gns_check(v: np.ndarray, dx: float) -> tuple[float, float]:
-    """Ratio ||v||_L6^6 / (||v'||_L2^2 * ||v||_L2^4) and its slack below
-    the sharp constant 4/pi^2.
-
-    `v` must be real, effectively supported inside its grid (treated as one
-    period, so the spectral derivative is exact for band-limited data).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or len(v) < 8:
-        raise DegenerateInputError("need a 1-d grid function with >= 8 points")
-    n = len(v)
-    freqs = np.fft.fftfreq(n, d=dx)
-    dv = np.fft.ifft(2j * np.pi * freqs * np.fft.fft(v)).real
-    l2 = np.sum(v * v) * dx
-    h1 = np.sum(dv * dv) * dx
-    l6 = np.sum(v**6) * dx
-    if h1 <= 0.0 or l2 <= 0.0:
-        raise DegenerateInputError("vanishing norm or derivative; ratio undefined")
-    ratio = l6 / (h1 * l2 * l2)
-    from .model import soliton
-
-    return float(ratio), float(soliton().gns_constant - ratio)
-
-
-# ------------------------------------------------------------------
 # capped and subcritical estimators
 # ------------------------------------------------------------------
 
 def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
-                     n_samples: int, seed: int,
-                     kernel: KernelSpec | None = None,
-                     threads: int = 1) -> MCEstimate:
+                     n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     """E_mu0[ e^{min(hartree energy, R_cap)} * cutoff(mass) ].
 
     A monotone-in-R_cap lower bound for the uncapped partition value; the
@@ -389,7 +351,7 @@ def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        return _weights_for(coeffs, "hartree", params, cutoff, kernel, cap=R_cap)[0], None
+        return _weights_for(coeffs, "hartree", params, cutoff, cap=R_cap)[0], None
 
     return _mc_estimate(seed, n_samples, draw, threads)
 

@@ -31,7 +31,3 @@ class UnsupportedOrderError(TorusGibbsError):
 
 class InvalidConfigError(TorusGibbsError):
     """Malformed or inconsistent run configuration."""
-
-
-class DegenerateInputError(TorusGibbsError):
-    """Input is degenerate for the requested quantity (e.g. zero derivative)."""

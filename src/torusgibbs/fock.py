@@ -97,10 +97,11 @@ def enumerate_sector(k_max: int, n: int) -> SectorBasis:
     """All occupation vectors with total n over modes |k| <= k_max.
 
     The dimension budget is the caller's: `build_gibbs` checks
-    `ModelParams.sector_dim_cap` before it enumerates anything.
+    `ModelParams.sector_dim_cap` before it enumerates anything.  Raises
+    InvalidConfigError for a negative n or k_max.
     """
-    if n < 0:
-        raise ValueError(f"sector index must be >= 0, got {n}")
+    if n < 0 or k_max < 0:
+        raise InvalidConfigError(f"need n >= 0 and k_max >= 0, got n={n}, k_max={k_max}")
     J = 2 * k_max + 1
     # stars and bars: the J - 1 bar positions among n + J - 1 slots, in
     # lexicographic order, are the occupation vectors in lexicographic order

@@ -9,16 +9,16 @@ The sector-n part of the coherent state xi(v) = e^{-|v|^2/2} e^{v.adag}|0>
 is a Poisson(|v|^2) amplitude times the n-th tensor power of d = v/|v|,
 which is n^{-1/2} (d.adag) applied to the (n-1)-th: `husimi_density_batch`
 walks the sectors upward on that recurrence and weighs each by its Poisson
-mass, exponentiated from its logarithm.  The sampler and the second
-route of `poisson_decomposition_check` use a second kernel, the amplitudes
-assembled in log space on an array of occupation rows.  Eigenvectors are
-stored as one sparse array per sector and contracted on the state's own
-sectors: no coherent vector is built or truncated.  `sample_husimi` draws
-in product form for eigenstates that are single occupation states and by
-batched rejection for the others.  A rejection proposal is the product-form
-draw of one row of its eigenvector's total-momentum block, so it is accepted
-with probability 1/width of that block, not 1/dim of the sector, and a
-batch is one kernel call over the block width.
+mass, exponentiated from its logarithm.  The sampler uses a second kernel,
+the amplitudes assembled in log space on an array of occupation rows.
+Eigenvectors are stored as one sparse array per sector and contracted on
+the state's own sectors: no coherent vector is built or truncated.
+`sample_husimi` draws in product form for eigenstates that are single
+occupation states and by batched rejection for the others.  A rejection
+proposal is the product-form draw of one row of its eigenvector's
+total-momentum block, so it is accepted with probability 1/width of that
+block, not 1/dim of the sector, and a batch is one kernel call over the
+block width.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ from .errors import (
     SupportViolationError,
     UnsupportedOrderError,
 )
-from .model import CutoffProfile, KernelSpec, ModelParams
 from .cgibbs import MCEstimate
-from .qgibbs import GibbsStateBlocks, build_gibbs, reduced_density_matrix, relative_entropy
+from .qgibbs import GibbsStateBlocks, reduced_density_matrix, relative_entropy
 
 __all__ = [
     "sample_husimi",
-    "poisson_decomposition_check",
     "tail_moment",
     "definetti_gap",
     "berezin_lieb_check",
@@ -283,66 +281,16 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     return out
 
 
-def poisson_decomposition_check(params: ModelParams, cutoff: CutoffProfile, u,
-                                interacting: bool = True,
-                                kernel: KernelSpec | None = None,
-                                blocks: GibbsStateBlocks | None = None):
-    """Two routes to <xi(sqrt(tau) u), e^{-H_tau} f(N/tau) xi(sqrt(tau) u)>.
-
-    Route one is the lower symbol itself: Z (pi/tau)^J times the Husimi
-    density at u and varsigma = 1/tau, from `husimi_density_batch` and its
-    sector recurrence.  Route two expands the same quantity as a
-    Poisson(tau*||u||^2) average of normalized tensor-power Rayleigh
-    quotients weighted by the cutoff, with the tensor powers from the
-    log-space kernel `_tensor_power_coeffs`.  The two routes share no
-    amplitude code, so the selftest's agreement check compares two code
-    paths.  Returns (lhs, rhs).  Raises InvalidConfigError for a u that
-    does not have params.J modes or has a non-finite one.
-    """
-    u = np.asarray(u, dtype=complex)
-    if len(u) != params.J:
-        raise InvalidConfigError(f"u needs {params.J} modes, got {len(u)}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidConfigError("u has a non-finite mode coefficient")
-    tau = params.tau
-    mass = float(np.sum(np.abs(u) ** 2))
-    if cutoff.support_bound is None and interacting:
-        raise InvalidConfigError("interacting trace needs a bounded mass cutoff")
-    if blocks is None:
-        blocks = build_gibbs(params, interacting, cutoff, kernel)
-
-    lhs = blocks.Z * (math.pi / tau) ** params.J * float(
-        husimi_density_batch(blocks, 1.0 / tau, u)[0])
-
-    if mass == 0.0:
-        rhs = float(cutoff(0.0))
-        return lhs, rhs
-
-    rhs = 0.0
-    direction = u / math.sqrt(mass)
-    mean = tau * mass
-    for b in blocks.blocks:
-        if b.cutoff_value == 0.0:
-            continue
-        pmf = np.exp(special.xlogy(b.n, mean) - special.gammaln(b.n + 1) - mean)
-        if pmf == 0.0:
-            continue
-        # normalized tensor power of the unit direction, in the sector basis
-        rot = b.vectors.T @ _tensor_power_coeffs(b.basis.occupations, direction)
-        rhs += pmf * b.cutoff_value * float(np.sum(np.exp(-b.energies) * np.abs(rot) ** 2))
-    return lhs, rhs
-
-
-def tail_moment(blocks: GibbsStateBlocks, R: float, tau: float | None = None) -> float:
+def tail_moment(blocks: GibbsStateBlocks, R: float) -> float:
     """Third mass moment of the lower symbol beyond the level R:
     sum over sectors of P(n) * E[(Y_n/tau)^3 1_{Y_n > R tau}],
-    Y_n ~ Gamma(n + J, 1).
+    Y_n ~ Gamma(n + J, 1), at the state's own tau.
 
     Deterministic via regularized upper incomplete Gamma functions; raises
     SupportViolationError if the state charges sectors beyond K^2 tau.
     """
     params = blocks.params
-    tau = params.tau if tau is None else tau
+    tau = params.tau
     if not R > params.K**2:
         raise InvalidConfigError(f"need R > K^2 = {params.K ** 2}, got {R}")
     if blocks.max_charged_sector > params.K**2 * tau + 1e-9:

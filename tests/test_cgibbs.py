@@ -1,5 +1,4 @@
-"""Free-field sampler, interaction energies, estimators, mass law, and the
-sharp interpolation inequality."""
+"""Free-field sampler, interaction energies, estimators, and the mass law."""
 
 import math
 
@@ -9,13 +8,12 @@ from scipy import integrate, special, stats
 
 from conftest import GATE_ALPHA, GATE_R, GATE_Z, box_periodized
 from torusgibbs import cgibbs
-from torusgibbs.errors import DegenerateInputError, InvalidConfigError, NumericalFailureError
+from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.model import (
     CutoffProfile,
     KernelSpec,
     ModelParams,
     eigenvalues,
-    soliton,
 )
 
 
@@ -392,32 +390,6 @@ class TestMassDensity:
             p = integrate.simpson(dens[lo:lo + per_bin + 1], x=grid[lo:lo + per_bin + 1])
             sigma = math.sqrt(max(p * (1 - p) / n, 1e-12))
             assert counts[b] / n == pytest.approx(p, abs=GATE_Z * sigma + 2e-4)
-
-
-class TestGNS:
-    def test_soliton_equality(self):
-        prof = soliton()
-        xs = np.linspace(-12.0, 12.0, 1 << 12, endpoint=False)
-        ratio, slack = cgibbs.gns_check(prof(xs), xs[1] - xs[0])
-        assert ratio == pytest.approx(0.405285, abs=1e-3)
-        assert abs(slack) <= 1e-3
-
-    def test_gaussian_strictly_below(self):
-        xs = np.linspace(-12.0, 12.0, 1 << 12, endpoint=False)
-        ratio, slack = cgibbs.gns_check(np.exp(-xs**2), xs[1] - xs[0])
-        assert ratio < 4.0 / math.pi**2
-        assert slack > 0.01
-
-    def test_scale_invariance(self):
-        prof = soliton()
-        xs = np.linspace(-12.0, 12.0, 1 << 13, endpoint=False)
-        r1, _ = cgibbs.gns_check(prof(xs), xs[1] - xs[0])
-        r2, _ = cgibbs.gns_check(prof(2.0 * xs), xs[1] - xs[0])
-        assert r1 == pytest.approx(r2, abs=1e-6)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            cgibbs.gns_check(np.zeros(128), 0.01)
 
 
 class TestCappedPartition:

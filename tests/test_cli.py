@@ -10,9 +10,9 @@ import sys
 import pytest
 
 import torusgibbs
-from torusgibbs import cgibbs, experiments, qgibbs
+from torusgibbs import experiments, qgibbs
 from torusgibbs.cli import cli_main
-from torusgibbs.errors import DegenerateInputError, InvalidConfigError, NumericalFailureError
+from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.experiments import ExperimentConfig, config_items, parse_config
 
 
@@ -125,48 +125,22 @@ class TestCli:
         stderr = float(row["trace_dist_stderr"])
         assert math.isfinite(stderr) and stderr > 0.0
 
-    def test_threshold_reports_skipped_gns_trials(self, tmp_path):
-        cfg = write_config(tmp_path, "k_max_values = 0\nn_samples = 2000\n")
-        out = os.path.join(tmp_path, "out")
-        assert cli_main(["threshold", "--config", cfg, "--out", out]) == 0
-        with open(os.path.join(out, "threshold.csv"), encoding="utf-8") as fh:
-            rows = {r["check"]: r for r in csv.DictReader(fh)}
-        # random bump fields are never degenerate
-        assert float(rows["gns_skipped_of_1000"]["value"]) == 0.0
-        assert float(rows["gns_violations_of_1000"]["value"]) == 0.0
-
     def test_threshold_norm_rows_compare_shooting_with_closed_form(self, tmp_path):
-        cfg = write_config(tmp_path, "k_max_values = 0\nn_samples = 2000\n")
-        out = os.path.join(tmp_path, "out")
-        assert cli_main(["threshold", "--config", cfg, "--out", out]) == 0
-        with open(os.path.join(out, "threshold.csv"), encoding="utf-8") as fh:
-            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        cfg = write_config(tmp_path, "k_max_values = 0, 1\nn_samples = 2000\n")
+        csvs = []
+        for run in ("a", "b"):
+            out = os.path.join(tmp_path, run)
+            assert cli_main(["threshold", "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, "threshold.csv"), "rb") as fh:
+                csvs.append(fh.read())
+        assert csvs[0] == csvs[1]
+        rows = {r["check"]: r for r in csv.DictReader(csvs[0].decode().splitlines())}
+        norms = ("l2_norm_sq", "deriv_norm_sq", "l6_over_3deriv", "gns_constant")
+        assert list(rows) == [*norms, "subcritical_moment_kmax0", "subcritical_moment_kmax1"]
         # value from the shooting oracle, target from the closed form
-        for check in ("l2_norm_sq", "deriv_norm_sq", "l6_over_3deriv", "gns_constant"):
+        for check in norms:
             value, target = float(rows[check]["value"]), float(rows[check]["target"])
             assert value != target and abs(value - target) <= 1e-6
-
-    def test_threshold_skips_only_degenerate_gns_trials(self, monkeypatch):
-        cfg = ExperimentConfig(k_max_values=[0], n_samples=2000)
-        calls = []
-        real_check = cgibbs.gns_check
-
-        def every_tenth_degenerate(v, dx):
-            calls.append(None)
-            if len(calls) % 10 == 0:
-                raise DegenerateInputError("vanishing norm")
-            return real_check(v, dx)
-
-        monkeypatch.setattr(cgibbs, "gns_check", every_tenth_degenerate)
-        rows = {r["check"]: r["value"] for r in experiments.exp_threshold_suite(cfg)}
-        assert rows["gns_skipped_of_1000"] == 100.0
-
-        def broken(v, dx):
-            raise FloatingPointError("not a degenerate input")
-
-        monkeypatch.setattr(cgibbs, "gns_check", broken)
-        with pytest.raises(FloatingPointError):
-            experiments.exp_threshold_suite(cfg)
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         def failing_build(*args, **kwargs):
@@ -175,6 +149,14 @@ class TestCli:
         assert cli_main(["partition", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert not os.path.exists(os.path.join(tmp_path, "partition.csv"))
+
+    def test_selftest_passes_its_checks(self, capsys):
+        assert cli_main(["selftest"]) == 0
+        names = ["ccr_commutators", "interaction_positive", "variational_identity",
+                 "definetti_bound", "berezin_lieb", "hartree_to_local_pathwise",
+                 "sharp_cutoff_continuity"]
+        assert capsys.readouterr().out.splitlines() == (
+            [f"[PASS] {name}" for name in names] + ["selftest: 7/7 checks passed"])
 
     def test_selftest_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(experiments, "run_selftest",

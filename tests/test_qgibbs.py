@@ -330,6 +330,10 @@ class TestFreeProductState:
     def test_rejects_negative_n_max(self):
         with pytest.raises(InvalidConfigError):
             qgibbs.free_sector_weights(1, 5.0, -1)
+        # the sector enumerator rejects a negative sector or window the same way
+        for k_max, n in ((1, -1), (-1, 2)):
+            with pytest.raises(InvalidConfigError):
+                fock.enumerate_sector(k_max, n)
 
 
 class TestReducedDensity:

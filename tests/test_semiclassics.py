@@ -129,6 +129,9 @@ class TestHusimi:
         want = husimi_density_oracle(b, 1.0 / tau, us)
         assert np.all(want > 0.0)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # at u = 0 the coherent state is the vacuum: Z (pi/tau)^J density = f(0)
+        assert b.Z * (math.pi / tau) ** J * got[0] == pytest.approx(float(b.cutoff(0.0)),
+                                                                    rel=1e-12)
 
     @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
     def test_tensor_power_recurrence(self, rng, k_max):
@@ -155,7 +158,9 @@ class TestHusimi:
         p = ModelParams(tau=tau, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=n_max)
         b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
         q = math.exp(-float(eigenvalues(0)[0]) / tau)
-        r = np.array([0.0, 1.0, 50.0, 200.0, 380.0, 420.0, 450.0, 600.0])
+        # at r = 2.425 = tau |0.45 + 0.2i|^2, Q = 1 to rounding, so Z (pi/tau)
+        # times the density is the untruncated generating function e^{-(1 - q) r}
+        r = np.array([0.0, 1.0, 2.425, 50.0, 200.0, 380.0, 420.0, 450.0, 600.0])
         us = (np.sqrt(r / tau) * np.exp(0.7j))[:, None]
         got = sc.husimi_density_batch(b, 1.0 / tau, us)
         want = (tau / math.pi * (1.0 - q) * np.exp(-(1.0 - q) * r)
@@ -377,13 +382,8 @@ class TestBadInput:
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 1, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.05, 0, 0),
         lambda b: sc.berezin_lieb_check(b, b, 0.0, 100, 0),
-        lambda b: sc.poisson_decomposition_check(b.params, b.cutoff, np.ones(5), blocks=b),
         lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, math.nan, 0.0])),
         lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, 1j, math.inf])),
-        lambda b: sc.poisson_decomposition_check(b.params, b.cutoff,
-                                                 np.array([0.0, math.nan, 0.0]), blocks=b),
-        lambda b: sc.poisson_decomposition_check(b.params, b.cutoff,
-                                                 np.array([0.0, -math.inf, 0.0]), blocks=b),
         lambda b: sc.definetti_gap(b, -0.05, 1),
         lambda b: sc.definetti_gap(b, math.nan, 2),
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
@@ -392,8 +392,7 @@ class TestBadInput:
             "density_three_axes", "density_norm_overflow",
             "density_normalization_underflow", "density_normalization_overflow",
             "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
-            "poisson_wrong_mode_count", "density_nan_field", "density_inf_field",
-            "poisson_nan_field", "poisson_inf_field", "definetti_negative_varsigma",
+            "density_nan_field", "density_inf_field", "definetti_negative_varsigma",
             "definetti_nan_varsigma"])
     def test_raises_invalid_config(self, call):
         with pytest.raises(InvalidConfigError):
@@ -404,42 +403,10 @@ class TestBadInput:
         assert us.shape == (0, 3)
 
 
-class TestPoissonDecomposition:
-    def test_zero_field(self):
-        p = params()
-        cut = CutoffProfile.smooth(0.6, 0.05)
-        lhs, rhs = sc.poisson_decomposition_check(p, cut, np.zeros(3, dtype=complex))
-        assert rhs == pytest.approx(float(cut(0.0)), rel=1e-12)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_free_single_mode_generating_function(self):
-        p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=160)
-        u = np.array([0.45 + 0.2j])
-        lhs, rhs = sc.poisson_decomposition_check(p, CutoffProfile.one(), u,
-                                                  interacting=False)
-        oracle = math.exp(10.0 * float(np.abs(u[0]) ** 2) * (math.exp(-0.05) - 1.0))
-        assert lhs == pytest.approx(oracle, rel=1e-10)
-        assert rhs == pytest.approx(oracle, rel=1e-10)
-
-    def test_interacting_agreement(self, rng):
-        p = params(tau=20.0)
-        cut = CutoffProfile.smooth(0.6, 0.05)
-        blocks = qgibbs.build_gibbs(p, True, cut)
-        for _ in range(10):
-            u = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.25
-            lhs, rhs = sc.poisson_decomposition_check(p, cut, u, blocks=blocks)
-            assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
-
-    def test_interacting_needs_bounded_cutoff(self):
-        with pytest.raises(InvalidConfigError):
-            sc.poisson_decomposition_check(params(), CutoffProfile.one(),
-                                           np.zeros(3, dtype=complex))
-
-
 class TestTailMoment:
     def test_vacuum_pinned_value(self):
         b = vacuum_state()
-        got = sc.tail_moment(b, 1.0, 10.0)
+        got = sc.tail_moment(b, 1.0)
         closed = special.gammaincc(6, 10.0) * special.gamma(6.0) / 2000.0
         assert got == pytest.approx(closed, rel=1e-12)
 
@@ -451,8 +418,8 @@ class TestTailMoment:
         ns = np.array([blk.n for blk in b.blocks])
         a = ns + 3
         full = float(np.dot(probs, a * (a + 1) * (a + 2))) / 20.0**3
-        got = sc.tail_moment(b, 0.3601, 20.0)  # support edge, tail ~ full? no:
-        # instead verify decomposition: tail(R) + complement = full
+        got = sc.tail_moment(b, 0.3601)
+        # the tail above R and the complement below it add up to the full moment
         lower = float(np.dot(probs, a * (a + 1) * (a + 2)
                              * special.gammainc(a + 3.0, 0.3601 * 20.0))) / 20.0**3
         assert got + lower == pytest.approx(full, rel=1e-12)
@@ -461,7 +428,7 @@ class TestTailMoment:
         tails = []
         for tau in (10.0, 20.0, 40.0):
             b = interacting_state(tau=tau)
-            tails.append(sc.tail_moment(b, 0.36 + 0.5, tau))
+            tails.append(sc.tail_moment(b, 0.36 + 0.5))
         logs = np.log(tails)
         assert logs[1] < logs[0] and logs[2] < logs[1]
 
@@ -470,12 +437,12 @@ class TestTailMoment:
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.1, k_max=0, n_max=3)
         b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
         with pytest.raises(SupportViolationError):
-            sc.tail_moment(b, 1.0, 10.0)
+            sc.tail_moment(b, 1.0)
 
     def test_level_below_support_rejected(self):
         b = interacting_state()
         with pytest.raises(InvalidConfigError):
-            sc.tail_moment(b, 0.2, 20.0)
+            sc.tail_moment(b, 0.2)
 
 
 class TestDeFinetti:
