@@ -403,6 +403,35 @@ class TestBadInput:
         assert us.shape == (0, 3)
 
 
+def poisson_sides(blocks, u):
+    """Z (pi/tau)^J times the lower symbol at varsigma = 1/tau, the Gibbs
+    trace against the coherent projector at v = sqrt(tau) u, by the sector
+    recurrence of husimi_density_batch and by the log-space oracle."""
+    tau, J = blocks.params.tau, blocks.params.J
+    scale = blocks.Z * (math.pi / tau) ** J
+    us = np.asarray(u, dtype=complex)[None, :]
+    return (scale * float(sc.husimi_density_batch(blocks, 1.0 / tau, us)[0]),
+            scale * float(husimi_density_oracle(blocks, 1.0 / tau, us)[0]))
+
+
+class TestPoissonDecomposition:
+    def test_zero_field(self):
+        cut = CutoffProfile.smooth(0.6, 0.05)
+        b = qgibbs.build_gibbs(params(), True, cut)
+        lhs, rhs = poisson_sides(b, np.zeros(3))
+        assert rhs == pytest.approx(float(cut(0.0)), rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_free_single_mode_generating_function(self):
+        p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=160)
+        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        u = np.array([0.45 + 0.2j])
+        lhs, rhs = poisson_sides(b, u)
+        oracle = math.exp(10.0 * float(np.abs(u[0]) ** 2) * (math.exp(-0.05) - 1.0))
+        assert lhs == pytest.approx(oracle, rel=1e-10)
+        assert rhs == pytest.approx(oracle, rel=1e-10)
+
+
 class TestTailMoment:
     def test_vacuum_pinned_value(self):
         b = vacuum_state()
