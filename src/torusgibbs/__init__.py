@@ -4,7 +4,7 @@ measures they approach at high temperature.
 
 Subpackages:
 
-- `model`        parameters, spectrum, kernels, cutoffs, ground state
+- `model`        parameters, spectrum, kernel, cutoffs, ground state
 - `fock`         occupation bases and second-quantized sector matrices
 - `qgibbs`       quantum Gibbs states, partition functions, entropies
 - `cgibbs`       classical field sampler and importance-sampling estimators

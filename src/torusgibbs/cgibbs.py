@@ -13,7 +13,8 @@ fixed (seed, n_samples, params).
 Both sextic energies are trigonometric polynomials of degree 6*k_max in x,
 so the mean over M = 6*k_max + 1 grid points integrates them exactly.  The
 smeared density w_eps * |u|^2 on that grid is |u|^2 times a real M x M
-circulant built from w_hat(eps*m) at the 4*k_max + 1 modes of |u|^2.
+circulant built from w_hat(eps*m) = sinc(eps*m), the box kernel's
+coefficients at range eps, at the 4*k_max + 1 modes of |u|^2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalFailureError, UnsupportedOrderError
-from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues, mode_numbers
+from .model import CutoffProfile, ModelParams, eigenvalues, kernel_fourier, mode_numbers
 
 __all__ = [
     "MCEstimate",
@@ -120,18 +121,16 @@ def local_energy_batch(coeffs: np.ndarray) -> np.ndarray:
     return _sextic_energy(coeffs)
 
 
-def hartree_energy_batch(coeffs: np.ndarray, eps: float,
-                         kernel: KernelSpec | None = None) -> np.ndarray:
+def hartree_energy_batch(coeffs: np.ndarray, eps: float) -> np.ndarray:
     """(1/6) * integral of (w_eps * |u|^2)^2 |u|^2 by one real circulant product.
 
     |u|^2 has the 4k_max+1 modes |m| <= 2k_max, so convolving it with the
-    periodized kernel is a per-mode multiplication by w_hat(eps*m); on the
-    grid that is a product with a real M x M circulant, M = 6k_max+1, the
-    fewest points that integrate the degree-6k_max result.
+    periodized box kernel of range eps is a per-mode multiplication by
+    w_hat(eps*m) = sinc(eps*m); on the grid that is a product with a real
+    M x M circulant, M = 6k_max+1, the fewest points that integrate the
+    degree-6k_max result.
     """
-    if kernel is None:
-        kernel = KernelSpec.box()
-    return _sextic_energy(coeffs, lambda m: kernel.line_fourier(eps * m))
+    return _sextic_energy(coeffs, lambda m: kernel_fourier(eps * m))
 
 
 # ------------------------------------------------------------------
@@ -161,13 +160,9 @@ def _map_shards(seed: int, n_samples: int, fn, threads: int = 1) -> list:
         return list(pool.map(lambda job: fn(*job), jobs))
 
 
-def _check_focusing_config(interaction: str, cutoff: CutoffProfile):
+def _check_interaction(interaction: str):
     if interaction not in ("none", "hartree", "local"):
         raise InvalidConfigError(f"unknown interaction {interaction!r}")
-    if interaction != "none" and cutoff.support_bound is None:
-        raise InvalidConfigError(
-            "focusing weight with an unbounded mass cutoff is not integrable"
-        )
 
 
 def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
@@ -247,11 +242,10 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
     """Importance-sampling estimate of E_mu0[ e^{energy} * cutoff(mass) ].
 
     interaction: "none" (weight e^0), "hartree" (range-eps energy), or
-    "local" (sextic energy).  The focusing weights require a bounded
-    cutoff support; otherwise the integral diverges and the configuration
-    is rejected.
+    "local" (sextic energy).  Every cutoff vanishes above K^2, which keeps
+    the focusing weights integrable.
     """
-    _check_focusing_config(interaction, cutoff)
+    _check_interaction(interaction)
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
@@ -268,7 +262,7 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
     cutoff partition functions; the standard error comes from the delta
     method for a ratio of correlated means.
     """
-    _check_focusing_config(interaction, cutoff)
+    _check_interaction(interaction)
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
@@ -293,7 +287,7 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
     """
     if k != 1:
         raise UnsupportedOrderError(f"moment matrices support k = 1, got {k}")
-    _check_focusing_config(interaction, cutoff)
+    _check_interaction(interaction)
 
     def draw(size, rng):
         coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)

@@ -3,7 +3,8 @@
 Subcommands: partition, density, blowup, tail, freerate, threshold,
 selftest.  Each experiment writes one CSV plus a run manifest into the
 output directory.  Exit codes: 0 success, 1 invalid configuration or
-arguments, 2 numerical failure, 3 selftest assertion failure.
+arguments, 2 any other package error (a budget, numerical or support
+failure, printed under its own type name), 3 selftest assertion failure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(exc: TorusGibbsError) -> int:
+    """Report a package error other than a bad configuration; exit code 2."""
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
 def cli_main(argv) -> int:
     parser = _build_parser()
     try:
@@ -72,8 +79,7 @@ def cli_main(argv) -> int:
         try:
             results = experiments.run_selftest(seed=cfg.seed, verbose=True)
         except TorusGibbsError as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
+            return _failure(exc)
         failed = [name for name, ok in results if not ok]
         if failed:
             print(f"selftest failures: {', '.join(failed)}", file=sys.stderr)
@@ -89,8 +95,7 @@ def cli_main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TorusGibbsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        return _failure(exc)
     wall = time.monotonic() - start
 
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cgibbs, qgibbs, semiclassics
 from .errors import InvalidConfigError
-from .model import CutoffProfile, KernelSpec, ModelParams, _shooting_norms, eigenvalues, soliton
+from .model import CutoffProfile, ModelParams, _shooting_norms, eigenvalues, soliton
 
 __all__ = [
     "ExperimentConfig",
@@ -45,7 +45,7 @@ class ExperimentConfig:
     experiment: str = ""
     tau_values: list[float] = field(default_factory=lambda: [20.0, 40.0, 80.0])
     eps_values: list[float] = field(default_factory=lambda: [0.5])
-    eta_values: list[float] = field(default_factory=lambda: [0.1])
+    eta: float = 0.1
     K: float = 0.6
     k_max: int = 1
     k_max_values: list[int] = field(default_factory=lambda: [1, 2, 3])
@@ -65,7 +65,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment and self.experiment not in EXPERIMENT_IDS:
             raise InvalidConfigError(f"unknown experiment id {self.experiment!r}")
-        for name in ("tau_values", "eps_values", "eta_values", "k_max_values"):
+        for name in ("tau_values", "eps_values", "k_max_values"):
             if not getattr(self, name):
                 raise InvalidConfigError(f"{name} must be a nonempty list")
         if self.k_max < 0:
@@ -167,7 +167,7 @@ def exp_partition_convergence(cfg: ExperimentConfig) -> list:
     """Quantum cutoff-partition ratio against the classical reweighted
     normalization, per tau.  Columns: tau, q_ratio, c_value, c_stderr,
     abs_diff; the classical columns are the same on every row."""
-    eps, eta = cfg.eps_values[0], cfg.eta_values[0]
+    eps, eta = cfg.eps_values[0], cfg.eta
     cutoff = CutoffProfile.smooth(cfg.K, eta)
     c = cgibbs.partition_ratio(_params_for(cfg, cfg.tau_values[0], eps, eta), "hartree",
                                cutoff, cfg.n_samples, cfg.seed, threads=cfg.threads)
@@ -197,7 +197,7 @@ def exp_density_convergence(cfg: ExperimentConfig) -> list:
     state and the classical moment matrix, with jackknife error bars.  The
     classical matrix is diagonal by translation invariance, so
     herm_defect_classical is 0 and min_eig_classical its least diagonal mean."""
-    eps, eta = cfg.eps_values[0], cfg.eta_values[0]
+    eps, eta = cfg.eps_values[0], cfg.eta
     cutoff = CutoffProfile.smooth(cfg.K, eta)
     M, _, group_num, group_den = cgibbs.classical_moment_matrix(
         _params_for(cfg, cfg.tau_values[0], eps, eta), "hartree", cutoff, 1,
@@ -252,7 +252,7 @@ def exp_blowup(cfg: ExperimentConfig) -> list:
 def exp_tail_decay(cfg: ExperimentConfig) -> list:
     """Deterministic lower-symbol tail moments of the interacting state, and
     their logs, per tau."""
-    eps, eta = cfg.eps_values[0], cfg.eta_values[0]
+    eps, eta = cfg.eps_values[0], cfg.eta
     cutoff = CutoffProfile.smooth(cfg.K, eta)
     R = cfg.K**2 + cfg.R_offset
     rows = []
@@ -354,7 +354,7 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
             worst = max(worst, float(np.abs(a_adag - adag_a - (i == j) * eye).max()))
     check("ccr_commutators", worst <= 1e-10)
 
-    W3 = fock.assemble_interaction(fock.enumerate_sector(1, 3), KernelSpec.box(), 0.5)
+    W3 = fock.assemble_interaction(fock.enumerate_sector(1, 3), 0.5)
     evals = np.linalg.eigvalsh(W3)
     check("interaction_positive", evals.min() >= -1e-8 * max(1.0, np.abs(W3).max()))
 
@@ -365,7 +365,7 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
     for b, fb in zip(blocks_int.blocks, blocks_free.blocks):
         if b.weight == 0.0 or b.n < 3:
             continue
-        Wm = fock.assemble_interaction(b.basis, KernelSpec.box(), params.eps)
+        Wm = fock.assemble_interaction(b.basis, params.eps)
         p = b.boltzmann / blocks_int.Z
         V = b.vectors.toarray()
         w_expect += float(np.sum(p * np.einsum("ij,jk,ki->i", V.T, Wm, V))) / tau**3

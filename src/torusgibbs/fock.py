@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidConfigError
-from .model import KernelSpec, eigenvalues, kernel_fourier_table, mode_numbers
+from .model import eigenvalues, kernel_fourier, mode_numbers
 
 __all__ = [
     "SectorBasis",
@@ -116,15 +116,16 @@ def kinetic_diagonal(basis: SectorBasis) -> np.ndarray:
     return basis.occupations @ eigenvalues(basis.k_max)
 
 
-def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> np.ndarray:
-    """Second-quantized three-body attraction on one sector, as a dense
-    real-symmetric matrix in the basis ordering.
+def assemble_interaction(basis: SectorBasis, eps: float) -> np.ndarray:
+    """Second-quantized three-body attraction at kernel range eps on one
+    sector, as a dense real-symmetric matrix in the basis ordering.
 
     W = (1/3!) sum V adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6} over
     ordered mode sextuples with k1+k2+k3 = k4+k5+k6 and momentum-space
-    vertex V = w_hat(eps*(k5-k2)) * w_hat(eps*(k6-k3)).  The vertex formula
-    is locked to a position-space quadrature oracle in the test suite; do
-    not retune factors against anything else.
+    vertex V = w_hat(eps*(k5-k2)) * w_hat(eps*(k6-k3)), w_hat the box
+    kernel's `kernel_fourier`.  The vertex formula is locked to a
+    position-space quadrature oracle in the test suite; do not retune
+    factors against anything else.
 
     Grouped by 3-mode multisets m (the rows of the n = 3 basis), W is
     sum C[m, m'] A_m^dag A_m' with A_m = prod_{k in m} a_k and
@@ -137,7 +138,7 @@ def assemble_interaction(basis: SectorBasis, spec: KernelSpec, eps: float) -> np
     if n < 3:
         return np.zeros((dim, dim))
     triples = enumerate_sector(k_max, 3)
-    wtab = kernel_fourier_table(spec, eps, 2 * k_max)  # index by m + 2*k_max
+    wtab = kernel_fourier(eps * np.arange(-2 * k_max, 2 * k_max + 1))  # index by m + 2*k_max
     pos = np.indices((J, J, J)).reshape(3, -1)  # ordered triples of mode positions
     V = (wtab[pos[1][None, :] - pos[1][:, None] + 2 * k_max]
          * wtab[pos[2][None, :] - pos[2][:, None] + 2 * k_max])

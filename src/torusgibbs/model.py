@@ -1,9 +1,11 @@
-"""Physical parameters, one-body spectrum, interaction kernels, cutoffs, soliton.
+"""Physical parameters, one-body spectrum, interaction kernel, cutoffs, soliton.
 
 The one-body Hamiltonian is fixed as h = (1/2)(-d^2/dx^2 + 1) on the unit
-torus, diagonal in the plane-wave basis e^{2*pi*i*k*x}.  Everything downstream
-(Fock sectors, Gibbs weights, Gaussian field samplers) consumes the data
-defined here.
+torus, diagonal in the plane-wave basis e^{2*pi*i*k*x}.  The three-body
+kernel is w_eps = eps^{-1} w(./eps) with w = 1 on [-1/2, 1/2], so its range
+eps is its only parameter, and a state's mass bound is the support of the
+`CutoffProfile` it is built with.  Everything downstream (Fock sectors,
+Gibbs weights, Gaussian field samplers) consumes the data defined here.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .errors import InvalidConfigError, NumericalFailureError
 __all__ = [
     "ModelParams",
     "CutoffProfile",
-    "KernelSpec",
     "SolitonProfile",
     "eigenvalues",
+    "kernel_fourier",
     "soliton",
     "critical_mass",
 ]
@@ -47,15 +49,17 @@ class ModelParams:
     tau    : inverse semiclassical parameter; typical particle number ~ tau.
     eps    : interaction range of the smoothed three-body kernel, in (0, 1].
     eta    : smoothing width of the mass cutoff, in (0, K^2/2).
-    K      : mass-cutoff level; cutoff profiles are supported in [0, K^2].
+    K      : mass-cutoff level.
     k_max  : Fourier mode cutoff; retained one-body space has dimension
              J = 2*k_max + 1.
-    n_max  : largest particle sector retained.  With a cutoff supported in
-             [0, K^2] the truncation at floor(K^2*tau) is exact, so n_max
-             must be at least that.
+    n_max  : largest particle sector retained, at least floor(K^2*tau).
     sector_dim_cap : dense-sector budget; `build_gibbs` raises
              ResourceLimitError, before it builds anything, when sector
              n_max has a larger dimension.
+
+    K and eta are only validated here.  A state's mass bound is the
+    `CutoffProfile` passed to `build_gibbs`, which raises when that cutoff
+    is still positive past n_max.
     """
 
     tau: float
@@ -120,7 +124,8 @@ class CutoffProfile:
         step 1_{(-inf, K^2 - eta/2]} with a bump of width eta/2, so all
         derivative bounds scale like powers of 1/eta.
     kind = "sharp":   indicator of [0, K^2].
-    kind = "one":     constant 1 (no mass cutoff).
+
+    Both kinds are non-increasing and vanish above K^2.
 
     Equality and hashing read (kind, K, eta); the smooth ramp's interpolant
     is a function of (K, eta) alone.
@@ -132,9 +137,9 @@ class CutoffProfile:
     _interp: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("smooth", "sharp", "one"):
+        if self.kind not in ("smooth", "sharp"):
             raise InvalidConfigError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind != "one" and not (self.K is not None and self.K > 0):
+        if not (self.K is not None and self.K > 0):
             raise InvalidConfigError(f"{self.kind} cutoff needs K > 0, got {self.K}")
         if self.kind != "smooth":
             return
@@ -156,22 +161,16 @@ class CutoffProfile:
     def sharp(K: float) -> "CutoffProfile":
         return CutoffProfile(kind="sharp", K=K)
 
-    @staticmethod
-    def one() -> "CutoffProfile":
-        return CutoffProfile(kind="one")
-
     @property
-    def support_bound(self) -> float | None:
-        """Upper edge of the support (K^2), or None for unbounded profiles."""
-        return None if self.kind == "one" else self.K**2
+    def support_bound(self) -> float:
+        """Upper edge of the support, K^2."""
+        return self.K**2
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        if self.kind == "one":
-            out = np.ones_like(s)
-        elif self.kind == "sharp":
+        if self.kind == "sharp":
             out = (s <= self.K**2).astype(float)
         else:  # smooth
             out = np.ones_like(s)
@@ -183,35 +182,14 @@ class CutoffProfile:
 
 
 # ------------------------------------------------------------------
-# interaction kernels
+# interaction kernel
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """The box kernel w = 1/(2a) on [-a, a], even, nonnegative and of unit
-    integral; the default a = 1/2 is w = 1_{[-1/2, 1/2]}.  a <= 1/2 keeps
-    the eps-scaled support inside one period for all eps <= 1.
-    """
-
-    a: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.a <= 0.5:
-            raise InvalidConfigError(f"box half-width must lie in (0, 1/2], got {self.a}")
-
-    @staticmethod
-    def box(a: float = 0.5) -> "KernelSpec":
-        return KernelSpec(a=a)
-
-    def line_fourier(self, xi) -> np.ndarray:
-        """Fourier transform of w on the real line at frequency xi."""
-        xi = np.asarray(xi, dtype=float)
-        return np.sinc(2.0 * self.a * xi)
-
-
-def kernel_fourier_table(spec: KernelSpec, eps: float, m_max: int) -> np.ndarray:
-    """w_hat(eps*m) for m = -m_max..m_max, as a lookup array."""
-    return spec.line_fourier(eps * np.arange(-m_max, m_max + 1))
+def kernel_fourier(xi) -> np.ndarray:
+    """Fourier transform on the line of the box w = 1 on [-1/2, 1/2]:
+    w_hat(xi) = sinc(xi).  The periodized w_eps has coefficients
+    w_hat(eps*m), and eps <= 1 keeps its support inside one period."""
+    return np.sinc(np.asarray(xi, dtype=float))
 
 
 # ------------------------------------------------------------------

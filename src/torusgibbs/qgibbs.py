@@ -11,7 +11,7 @@ block's rows only.  Every eigenvector then has one total momentum, which
 makes the one-body matrix diagonal.
 
 Each interacting sector n >= 3 is solved once per process.  Its spectrum
-depends only on (k_max, n, tau, eps, kernel), not on the cutoff or n_max,
+depends only on (k_max, n, tau, eps), not on the cutoff or n_max,
 so solved sectors are kept in an LRU cache under that key: a hit skips the
 assembly, the eigensolve and the residual check, and returns the energies,
 vectors and residual measured when the sector was solved.  The cache holds
@@ -39,7 +39,7 @@ from .errors import (
     SupportMismatchError,
     UnsupportedOrderError,
 )
-from .model import CutoffProfile, KernelSpec, ModelParams, eigenvalues
+from .model import CutoffProfile, ModelParams, eigenvalues
 
 __all__ = [
     "GibbsStateBlocks",
@@ -161,20 +161,20 @@ _CACHE_BYTES = 256 << 20  # stored bytes of solved sectors kept per process
 
 class _SpectrumCache:
     """Solved interacting sectors, least recently used first, keyed by
-    (k_max, n, tau, eps, kernel); `nbytes` counts the stored arrays and
+    (k_max, n, tau, eps); `nbytes` counts the stored arrays and
     stays within _CACHE_BYTES."""
 
     def __init__(self):
         self.entries = OrderedDict()  # key -> (energies, vectors, residual, nbytes)
         self.nbytes = 0
 
-    def spectrum(self, basis: fock.SectorBasis, tau: float, eps: float,
-                 kernel: KernelSpec) -> tuple[np.ndarray, sparse.csc_array, float]:
-        key = (basis.k_max, basis.n, tau, eps, kernel)
+    def spectrum(self, basis: fock.SectorBasis, tau: float,
+                 eps: float) -> tuple[np.ndarray, sparse.csc_array, float]:
+        key = (basis.k_max, basis.n, tau, eps)
         if key in self.entries:
             self.entries.move_to_end(key)
             return self.entries[key][:3]
-        H = fock.assemble_interaction(basis, kernel, eps)
+        H = fock.assemble_interaction(basis, eps)
         H /= -tau**3
         H[np.diag_indices(basis.dim)] += fock.kinetic_diagonal(basis) / tau
         E, V, residual = _eigendecompose(H, basis.momenta, basis.n)
@@ -193,30 +193,26 @@ class _SpectrumCache:
 _SPECTRA = _SpectrumCache()
 
 
-def build_gibbs(
-    params: ModelParams,
-    interacting: bool,
-    cutoff: CutoffProfile,
-    kernel: KernelSpec | None = None,
-) -> GibbsStateBlocks:
+def build_gibbs(params: ModelParams, interacting: bool,
+                cutoff: CutoffProfile) -> GibbsStateBlocks:
     """Assemble and diagonalize every retained sector, then normalize.
 
     Sector energies are spec((H_0 - W/tau^2)/tau); the interaction is
     omitted in the free case.  The cutoff is evaluated once, on the grid
-    n/tau for n = 0..n_max.  Sectors whose cutoff value is exactly zero
-    carry no spectral data (they are outside the state's support).  Raises
-    ResourceLimitError, before any work, when the largest sector n_max is
-    bigger than `params.sector_dim_cap`.
+    n/tau for n = 0..n_max + 1.  Sectors whose cutoff value is exactly zero
+    carry no spectral data (they are outside the state's support).  Raises,
+    before any work, ResourceLimitError when the largest sector n_max is
+    bigger than `params.sector_dim_cap`, and InvalidConfigError when the
+    cutoff is still positive at (n_max + 1)/tau: cutoffs are non-increasing,
+    so that is the one point that shows a truncation dropping weight.
 
     Interacting sectors n >= 3 come from the per-process spectrum cache,
-    keyed by (k_max, n, tau, eps, kernel): a second state at the same tau,
-    eps and kernel, whatever its cutoff or n_max, re-solves none of the
-    sectors it shares with the first.  Their energies and vectors are
-    read-only and shared between the states; the cache keeps at most
-    256 MiB of them (see the module docstring).
+    keyed by (k_max, n, tau, eps): a second state at the same tau and eps,
+    whatever its cutoff or n_max, re-solves none of the sectors it shares
+    with the first.  Their energies and vectors are read-only and shared
+    between the states; the cache keeps at most 256 MiB of them (see the
+    module docstring).
     """
-    if kernel is None:
-        kernel = KernelSpec.box()
     tau = params.tau
     dim_top = fock.sector_dimension(params.k_max, params.n_max)
     if dim_top > params.sector_dim_cap:
@@ -224,7 +220,11 @@ def build_gibbs(
             f"sector (k_max={params.k_max}, n={params.n_max}) has dimension {dim_top} "
             f"> cap {params.sector_dim_cap}"
         )
-    fvals = cutoff(np.arange(params.n_max + 1) / tau)
+    fvals = cutoff(np.arange(params.n_max + 2) / tau)
+    if fvals[-1] > 0.0:
+        raise InvalidConfigError(
+            f"cutoff is {float(fvals[-1])} > 0 at (n_max + 1)/tau; "
+            f"n_max = {params.n_max} at tau = {tau} would drop weight")
     blocks = []
     Z = 0.0
     for n in range(params.n_max + 1):
@@ -236,7 +236,7 @@ def build_gibbs(
                                       cutoff_value=0.0))
             continue
         if interacting and n >= 3:
-            E, V, residual = _SPECTRA.spectrum(basis, tau, params.eps, kernel)
+            E, V, residual = _SPECTRA.spectrum(basis, tau, params.eps)
         else:
             E, V = fock.kinetic_diagonal(basis) / tau, sparse.eye_array(basis.dim, format="csc")
             residual = 0.0

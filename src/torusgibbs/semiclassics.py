@@ -286,14 +286,17 @@ def tail_moment(blocks: GibbsStateBlocks, R: float) -> float:
     sum over sectors of P(n) * E[(Y_n/tau)^3 1_{Y_n > R tau}],
     Y_n ~ Gamma(n + J, 1), at the state's own tau.
 
-    Deterministic via regularized upper incomplete Gamma functions; raises
-    SupportViolationError if the state charges sectors beyond K^2 tau.
+    Deterministic via regularized upper incomplete Gamma functions.  K^2
+    is the support bound of the state's cutoff.  Raises InvalidConfigError
+    unless R > K^2, and SupportViolationError if the state charges sectors
+    beyond K^2 tau.
     """
     params = blocks.params
     tau = params.tau
-    if not R > params.K**2:
-        raise InvalidConfigError(f"need R > K^2 = {params.K ** 2}, got {R}")
-    if blocks.max_charged_sector > params.K**2 * tau + 1e-9:
+    bound = blocks.cutoff.support_bound
+    if not R > bound:
+        raise InvalidConfigError(f"need R > K^2 = {bound}, got {R}")
+    if blocks.max_charged_sector > bound * tau + 1e-9:
         raise SupportViolationError(
             f"state charges sector {blocks.max_charged_sector} beyond K^2*tau"
         )

@@ -58,7 +58,7 @@ import pytest
 from scipy.stats import norm
 
 from torusgibbs import semiclassics as sc
-from torusgibbs.model import kernel_fourier_table
+from torusgibbs.model import CutoffProfile
 
 SUITE_ALPHA = 1e-3
 N_GATES = 116
@@ -73,17 +73,24 @@ def table_cutoff(x, values):
     return lambda s: np.interp(s, x, values, right=0.0)
 
 
-def box_periodized(x, eps, a=0.5):
-    """Periodized box kernel, evaluated directly from its definition."""
+def sharp_through(n_max, tau):
+    """The sharp cutoff that keeps sectors 0..n_max at tau and no more:
+    K^2 tau = n_max + 1/2."""
+    return CutoffProfile.sharp(math.sqrt((n_max + 0.5) / tau))
+
+
+def box_periodized(x, eps):
+    """Periodized box kernel w_eps, w = 1 on [-1/2, 1/2], evaluated directly
+    from its definition."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for m in range(-2, 3):
         y = (x + m) / eps
-        out += (np.abs(y) <= a) / (2.0 * a * eps)
+        out += (np.abs(y) <= 0.5) / eps
     return out
 
 
-def three_body_entry_quadrature(basis, vi, vj, eps, a=0.5, n_gl=24, n_c=16):
+def three_body_entry_quadrature(basis, vi, vj, eps, n_gl=24, n_c=16):
     """<v_i| W |v_j> by position-space quadrature with the coordinates
     changed so the kernel support is resolved exactly.
 
@@ -105,11 +112,11 @@ def three_body_entry_quadrature(basis, vi, vj, eps, a=0.5, n_gl=24, n_c=16):
         return norm / math.sqrt(math.factorial(3) * norm) * psi
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
-    s_nodes = gl_x * (eps * a)
-    s_w = gl_w * (eps * a)
+    s_nodes = gl_x * (eps / 2.0)
+    s_w = gl_w * (eps / 2.0)
     c_nodes = np.arange(n_c) / n_c
     S, T, C = np.meshgrid(s_nodes, s_nodes, c_nodes, indexing="ij")
-    WS = (s_w[:, None, None] * s_w[None, :, None] / n_c) / (2.0 * a * eps) ** 2
+    WS = (s_w[:, None, None] * s_w[None, :, None] / n_c) / eps**2
 
     def term(Xs, Ys, Zs):
         return np.sum(WS * np.conj(sym_state(vi, Xs, Ys, Zs)) * sym_state(vj, Xs, Ys, Zs))
@@ -118,13 +125,14 @@ def three_body_entry_quadrature(basis, vi, vj, eps, a=0.5, n_gl=24, n_c=16):
     return tot / 3.0
 
 
-def interaction_loop_oracle(basis, spec, eps):
+def interaction_loop_oracle(basis, eps):
     """The three-body interaction on one sector by its defining sum, one
     ordered mode sextuple at a time:
 
         (1/3!) sum V adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6}
 
-    over k1+k2+k3 = k4+k5+k6, with V = w_hat(eps*(k5-k2)) * w_hat(eps*(k6-k3)).
+    over k1+k2+k3 = k4+k5+k6, with V = w_hat(eps*(k5-k2)) * w_hat(eps*(k6-k3))
+    and w_hat = sinc, the transform of the box w = 1 on [-1/2, 1/2].
     Each term is applied to each basis state by explicit ladder steps, and
     the image is found by a tuple lookup, not by the library's rank.
     """
@@ -132,7 +140,7 @@ def interaction_loop_oracle(basis, spec, eps):
     W = np.zeros((basis.dim, basis.dim))
     if n < 3:
         return W
-    wtab = kernel_fourier_table(spec, eps, 2 * k_max).tolist()
+    wtab = np.sinc(eps * np.arange(-2 * k_max, 2 * k_max + 1)).tolist()
     off = 2 * k_max
     # ordered creation triples (p1, p2, p3) by their total, momentum conserved
     creations = {}

@@ -11,7 +11,6 @@ from torusgibbs import cgibbs
 from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.model import (
     CutoffProfile,
-    KernelSpec,
     ModelParams,
     eigenvalues,
 )
@@ -19,6 +18,11 @@ from torusgibbs.model import (
 
 def params(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=4):
     return ModelParams(tau=tau, eps=eps, eta=eta, K=K, k_max=k_max, n_max=n_max)
+
+
+# a mass bound of 100 that no free draw reaches: |a_0|^2 ~ Exp(1/2) passes it
+# with probability e^{-50} per row, so this cutoff is 1 on every row drawn
+UNREACHED = CutoffProfile.sharp(10.0)
 
 
 def truncated_trace_h_inverse(k_max):
@@ -136,19 +140,19 @@ class TestEnergies:
     def test_fourier_triple_sum_oracle(self, k_max, kernel_id, rng):
         # (1/6) sum over m1 + m2 + m3 = 0 of w(m1) w(m2) rho(m1) rho(m2) rho(m3),
         # with rho_hat(m) = sum_j a_{j+m} conj(a_j) and w(m) = w_hat(eps*m) in
-        # closed form (w = 1 for the local energy); no grid, no circulant
-        eps = 0.5
-        kernel, w_hat = {
-            "local": (None, lambda xi: 1.0),
-            "box": (None, lambda xi: np.sinc(xi)),
-            "box0.3": (KernelSpec.box(0.3), lambda xi: np.sinc(0.6 * xi)),
+        # closed form (w = 1 for the local energy); no grid, no circulant.  A
+        # box of half-width 0.3 at range 0.5 is the box at range 2 * 0.3 * 0.5
+        eps, w_hat = {
+            "local": (0.5, lambda xi: 1.0),
+            "box": (0.5, lambda xi: np.sinc(xi)),
+            "box0.3": (0.3, lambda xi: np.sinc(xi)),
         }[kernel_id]
         J = 2 * k_max + 1
         coeffs = rng.normal(size=(4, J)) + 1j * rng.normal(size=(4, J))
         if kernel_id == "local":
             got = cgibbs.local_energy_batch(coeffs)
         else:
-            got = cgibbs.hartree_energy_batch(coeffs, eps, kernel)
+            got = cgibbs.hartree_energy_batch(coeffs, eps)
         for alpha, value in zip(coeffs, got):
             rho_hat = {m: sum(alpha[j + m] * np.conj(alpha[j])
                               for j in range(J) if 0 <= j + m < J)
@@ -171,8 +175,7 @@ class TestEnergies:
 
 class TestClassicalPartition:
     def test_unit_weight(self):
-        est = cgibbs.classical_partition(params(), "none", CutoffProfile.one(),
-                                         20000, 3)
+        est = cgibbs.classical_partition(params(), "none", UNREACHED, 20000, 3)
         assert est.value == 1.0 and est.stderr == 0.0
 
     def test_reproducible(self):
@@ -192,10 +195,9 @@ class TestClassicalPartition:
         assert est.value == pytest.approx(cdf, abs=GATE_Z * est.stderr)
 
     def test_focusing_needs_bounded_cutoff(self):
-        with pytest.raises(InvalidConfigError):
-            cgibbs.classical_partition(params(), "local", CutoffProfile.one(), 100, 1)
-        with pytest.raises(InvalidConfigError):
-            cgibbs.classical_partition(params(), "hartree", CutoffProfile.one(), 100, 1)
+        # every profile vanishes above its K^2: an unbounded one cannot be built
+        with pytest.raises(InvalidConfigError, match="unknown cutoff kind"):
+            CutoffProfile(kind="one")
 
     def test_local_regression_baseline(self):
         # frozen after the first certified run of this estimator
@@ -243,7 +245,7 @@ class TestPartitionRatio:
 class TestMomentMatrix:
     def test_free_measure_diagonal(self):
         M, M_err, _, _ = cgibbs.classical_moment_matrix(
-            params(), "none", CutoffProfile.one(), 1, 400000, 23)
+            params(), "none", UNREACHED, 1, 400000, 23)
         lam = np.array([0.5 * ((2 * np.pi * k) ** 2 + 1) for k in (-1, 0, 1)])
         for i in range(3):
             assert M[i, i].real == pytest.approx(1.0 / lam[i], abs=GATE_Z * M_err[i, i])

@@ -27,7 +27,7 @@ class TestParseConfig:
     def test_every_field_round_trips(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="blowup", tau_values=[12.5, 30.0], eps_values=[0.25, 1.0],
-            eta_values=[0.05], K=0.7, k_max=2, k_max_values=[0, 4], n_samples=1234,
+            eta=0.05, K=0.7, k_max=2, k_max_values=[0, 4], n_samples=1234,
             seed=99, out_dir="elsewhere", threads=2, K_blowup=1.9, K_control=0.5,
             R_cap=3.5, R_offset=0.25, K_sub=0.4, varsigma=0.125, rate_eta=0.15,
             rate_K=0.9)
@@ -147,7 +147,16 @@ class TestCli:
             raise NumericalFailureError("eigensolve residual too large")
         monkeypatch.setattr(qgibbs, "build_gibbs", failing_build)
         assert cli_main(["partition", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert capsys.readouterr().err.startswith("NumericalFailureError: ")
+        assert not os.path.exists(os.path.join(tmp_path, "partition.csv"))
+
+    def test_sector_cap_exits_2_under_its_own_kind(self, tmp_path, capsys):
+        # sector n = 28 at k_max = 6 has C(40, 12) states, past the default cap
+        cfg = write_config(tmp_path, "k_max = 6\ntau_values = 80\nn_samples = 2000\n")
+        assert cli_main(["partition", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "ResourceLimitError: sector (k_max=6, n=28) has dimension 5586853480 "
+            "> cap 5000\n")
         assert not os.path.exists(os.path.join(tmp_path, "partition.csv"))
 
     def test_selftest_passes_its_checks(self, capsys):

@@ -45,9 +45,9 @@ def test_diagonal_trace_distance_is_l1_gap(monkeypatch):
     q = np.array([0.02, 0.12, 0.03])
     monkeypatch.setattr(qgibbs, "reduced_density_matrix", lambda *a, **kw: np.diag(q))
     (row,) = experiments.exp_density_convergence(cfg)
-    params = experiments._params_for(cfg, 10.0, cfg.eps_values[0], cfg.eta_values[0])
+    params = experiments._params_for(cfg, 10.0, cfg.eps_values[0], cfg.eta)
     M, _, _, _ = cgibbs.classical_moment_matrix(
-        params, "hartree", CutoffProfile.smooth(cfg.K, cfg.eta_values[0]), 1,
+        params, "hartree", CutoffProfile.smooth(cfg.K, cfg.eta), 1,
         cfg.n_samples, cfg.seed)
     assert row["trace_dist"] == pytest.approx(float(np.sum(np.abs(q - np.diag(M)))),
                                               rel=0, abs=1e-15)

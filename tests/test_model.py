@@ -9,12 +9,11 @@ from scipy import integrate
 from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.model import (
     CutoffProfile,
-    KernelSpec,
     ModelParams,
     _shooting_norms,
     critical_mass,
     eigenvalues,
-    kernel_fourier_table,
+    kernel_fourier,
     soliton,
 )
 
@@ -59,6 +58,7 @@ class TestModelParams:
         dict(tau=10.0, eps=1.5, eta=0.1, K=0.6, k_max=1, n_max=4),
         dict(tau=10.0, eps=0.5, eta=0.2, K=0.6, k_max=1, n_max=4),   # eta >= K^2/2
         dict(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=2),   # below K^2*tau
+        dict(tau=10.0, eps=0.0, eta=0.1, K=0.6, k_max=1, n_max=4),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfigError):
@@ -105,12 +105,11 @@ class TestCutoff:
             cs.append(np.abs(deriv).max() * eta)
         assert max(cs) - min(cs) < 0.05 * max(cs)
 
-    def test_sharp_and_one(self):
+    def test_sharp(self):
         sharp = CutoffProfile.sharp(0.6)
         assert sharp(0.36) == 1.0 and sharp(0.361) == 0.0
         assert sharp.support_bound == pytest.approx(0.36)
-        one = CutoffProfile.one()
-        assert one(123.0) == 1.0 and one.support_bound is None
+        assert CutoffProfile.smooth(0.6, 0.1).support_bound == sharp.support_bound
 
     def test_equality_reads_kind_and_parameters(self):
         smooth = CutoffProfile.smooth(0.6, 0.1)
@@ -129,9 +128,10 @@ class TestCutoff:
         with pytest.raises(InvalidConfigError, match=match):
             CutoffProfile(**kwargs)
 
+    # "one" is a sharp bound past every grid point, so it is 1 on the whole grid
     @pytest.mark.parametrize("prof", [CutoffProfile.smooth(0.6, 0.05),
                                       CutoffProfile.smooth(0.6, 0.1),
-                                      CutoffProfile.sharp(0.6), CutoffProfile.one()],
+                                      CutoffProfile.sharp(0.6), CutoffProfile.sharp(4.0)],
                              ids=["smooth_eta0.05", "smooth_eta0.1", "sharp", "one"])
     @pytest.mark.parametrize("tau", [8.0, 10.0, 17.0, 20.0, 40.0, 80.0, 160.0])
     def test_array_matches_scalar_bitwise(self, prof, tau):
@@ -149,38 +149,29 @@ class TestCutoff:
 
 class TestKernel:
     def test_normalization_mode(self):
-        for spec in (KernelSpec.box(), KernelSpec.box(0.25)):
-            assert kernel_fourier_table(spec, 0.7, 0)[0] == pytest.approx(1.0, abs=1e-14)
+        # unit integral: w_hat(eps*0) = 1 at every range
+        assert kernel_fourier(0.0) == 1.0
 
     def test_box_examples(self):
         # w_hat(eps*m) for m = -2..2
-        table = kernel_fourier_table(KernelSpec.box(0.5), 0.5, 2)
+        table = kernel_fourier(0.5 * np.arange(-2, 3))
         assert table[3] == pytest.approx(0.636620, abs=1e-6)
         assert table[4] == pytest.approx(0.0, abs=1e-14)
 
     def test_even_in_k(self):
-        table = kernel_fourier_table(KernelSpec.box(0.5), 0.3, 5)
+        table = kernel_fourier(0.3 * np.arange(-5, 6))
         assert np.array_equal(table, table[::-1])
 
     @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
     def test_matches_position_space_quadrature(self, eps):
         # oracle: integrate the periodized kernel against plane waves directly
-        spec = KernelSpec.box(0.5)
         a_edge = 0.5 * eps
-        table = kernel_fourier_table(spec, eps, 32)
+        table = kernel_fourier(eps * np.arange(-32, 33))
         for k in range(0, 33, 4):
             re, _ = integrate.quad(
                 lambda x: (abs(x) <= a_edge) / eps * math.cos(2 * math.pi * k * x),
                 -0.5, 0.5, points=[-a_edge, a_edge], limit=200)
             assert table[32 + k] == pytest.approx(re, abs=1e-10)
-
-    @pytest.mark.parametrize("a", [0.7, 0.0])
-    def test_half_width_checked_by_constructor(self, a):
-        # beyond 1/2 the eps-scaled support leaves the period; 0 is no kernel
-        with pytest.raises(InvalidConfigError, match="half-width"):
-            KernelSpec(a=a)
-        with pytest.raises(InvalidConfigError, match="half-width"):
-            KernelSpec.box(a)
 
 
 class TestSoliton:

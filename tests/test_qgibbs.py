@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import embed_symmetric, partial_trace_first, table_cutoff
+from conftest import embed_symmetric, partial_trace_first, sharp_through, table_cutoff
 from torusgibbs import cgibbs, fock, qgibbs, semiclassics
 from torusgibbs.errors import (
     InvalidConfigError,
@@ -15,7 +15,7 @@ from torusgibbs.errors import (
     SupportMismatchError,
     UnsupportedOrderError,
 )
-from torusgibbs.model import CutoffProfile, KernelSpec, ModelParams, eigenvalues
+from torusgibbs.model import CutoffProfile, ModelParams, eigenvalues
 
 
 def params(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=None, **kw):
@@ -27,7 +27,7 @@ def params(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=None, **kw):
 class TestBuild:
     def test_free_single_mode_partition(self):
         p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=400)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(400, 10.0))
         assert b.Z == pytest.approx(1.0 / (1.0 - math.exp(-0.05)), abs=1e-6)
         assert b.Z == pytest.approx(20.5042, abs=1e-4)
 
@@ -79,7 +79,7 @@ class TestBuild:
             if blk.n < 3 or blk.cutoff_value == 0.0:
                 continue
             kin = fock.kinetic_diagonal(blk.basis)
-            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
+            W = fock.assemble_interaction(blk.basis, p.eps)
             dense = np.linalg.eigvalsh(np.diag(kin / tau) - W / tau**3)
             scale = max(1.0, np.abs(dense).max())
             assert np.abs(np.sort(blk.energies) - dense).max() <= 1e-12 * scale
@@ -92,7 +92,7 @@ class TestBuild:
         # one eigh per stack of equal-size blocks gives, bit for bit, the
         # energies and vectors of one eigh per block in ascending momentum
         tau, basis = 17.0, fock.enumerate_sector(2, 6)
-        H = -fock.assemble_interaction(basis, KernelSpec.box(), 0.5) / tau**3
+        H = -fock.assemble_interaction(basis, 0.5) / tau**3
         H[np.diag_indices(basis.dim)] += fock.kinetic_diagonal(basis) / tau
         momenta, sizes = np.unique(basis.momenta, return_counts=True)
         assert len(np.unique(sizes)) >= 5
@@ -137,6 +137,18 @@ class TestBuild:
         assert all(np.all(blk.boltzmann >= 0.0) for blk in b.blocks)
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("cutoff", [CutoffProfile.smooth(1.2, 0.1),
+                                        sharp_through(8, 20.0)],
+                             ids=["smooth_K1.2", "sharp_through_8"])
+    def test_cutoff_positive_past_n_max(self, cutoff):
+        # sectors 0..7 of a state the cutoff charges beyond n = 7: smooth(1.2,
+        # 0.1) would give a free Z of 15.71, not the 49.28 of n_max = 28
+        p = ModelParams(tau=20.0, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=7)
+        with pytest.raises(InvalidConfigError, match="n_max = 7"):
+            qgibbs.build_gibbs(p, False, cutoff)
+
+
 @pytest.fixture()
 def spectra(monkeypatch):
     """An empty spectrum cache for one test."""
@@ -168,7 +180,7 @@ def solved_sectors(state):
 
 
 class TestSpectrumCache:
-    # each interacting sector is solved once per (k_max, n, tau, eps, kernel)
+    # each interacting sector is solved once per (k_max, n, tau, eps)
     def test_second_build_solves_nothing(self, spectra, solves):
         p, cut = params(tau=20.0, eta=0.1), CutoffProfile.smooth(0.6, 0.1)
         first = qgibbs.build_gibbs(p, True, cut)
@@ -231,7 +243,7 @@ class TestSpectrumCache:
             if blk.n < 3 or blk.cutoff_value == 0.0:
                 assert blk.residual == 0.0
                 continue
-            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
+            W = fock.assemble_interaction(blk.basis, p.eps)
             H = np.diag(fock.kinetic_diagonal(blk.basis) / tau) - W / tau**3
             widest = np.unique(blk.basis.momenta, return_counts=True)[1].max()
             bound = 1e-9 * max(1.0, np.abs(H).max()) * math.sqrt(widest)
@@ -240,15 +252,15 @@ class TestSpectrumCache:
         assert all(blk.residual == 0.0 for blk in free.blocks)
 
     def test_distinct_kernels(self, spectra, monkeypatch):
-        wide, narrow = KernelSpec.box(0.5), KernelSpec.box(0.3)
-        assert wide != narrow and len({wide, narrow}) == 2
-        assert wide == KernelSpec() and hash(wide) == hash(KernelSpec())
-        p, cut = params(tau=10.0), CutoffProfile.smooth(0.6, 0.05)
-        cached = [qgibbs.build_gibbs(p, True, cut, kernel).Z for kernel in (wide, narrow)]
+        # w_eps at two ranges: eps 0.3 is what a box of half-width 0.3 gave at 0.5
+        cut = CutoffProfile.smooth(0.6, 0.05)
+        states = [params(tau=10.0, eps=eps) for eps in (0.5, 0.3)]
+        cached = [qgibbs.build_gibbs(p, True, cut).Z for p in states]
+        assert {key[3] for key in spectra.entries} == {0.3, 0.5}
         uncached = []
-        for kernel in (wide, narrow):
+        for p in states:
             monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
-            uncached.append(qgibbs.build_gibbs(p, True, cut, kernel).Z)
+            uncached.append(qgibbs.build_gibbs(p, True, cut).Z)
         assert cached == uncached
         assert cached[0] != cached[1]
 
@@ -288,7 +300,7 @@ class TestRelativePartition:
     # the block build's Z against the cutoff-free free partition function
     def test_free_no_cutoff_is_one(self):
         p = ModelParams(tau=5.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=600)
-        z = qgibbs.build_gibbs(p, False, CutoffProfile.one()).Z
+        z = qgibbs.build_gibbs(p, False, sharp_through(600, 5.0)).Z
         assert z / free_trace(0, 5.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_cutoff_no_interaction(self):
@@ -345,7 +357,7 @@ class TestReducedDensity:
 
     def test_free_single_mode(self):
         p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=2000)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(2000, 10.0))
         G = qgibbs.reduced_density_matrix(b, 1)
         assert G[0, 0] == pytest.approx(19.5042, abs=1e-4)
         scaled = qgibbs.reduced_density_matrix(b, 1, scaled=True)
@@ -448,7 +460,7 @@ class TestParticleMoment:
 
     def test_free_single_mode(self):
         p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=2000)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(2000, 10.0))
         assert qgibbs.particle_moment(b, 1) == pytest.approx(1.95042, abs=1e-5)
 
     def test_bounded_by_cutoff_support(self):
@@ -467,7 +479,7 @@ def _two_level_state(p0, p1):
             vectors=sparse.eye_array(1, format="csc"), cutoff_value=1.0))
     pr = ModelParams(tau=1.0, eps=0.5, eta=0.1, K=1.5, k_max=0, n_max=2)
     return qgibbs.GibbsStateBlocks(params=pr, interacting=False,
-                                   cutoff=CutoffProfile.one(),
+                                   cutoff=sharp_through(2, 1.0),
                                    blocks=tuple(blocks), Z=1.0)
 
 
@@ -570,7 +582,7 @@ class TestRelativeEntropy:
         for blk in bi.blocks:
             if blk.weight == 0.0 or blk.n < 3:
                 continue
-            W = fock.assemble_interaction(blk.basis, KernelSpec.box(), p.eps)
+            W = fock.assemble_interaction(blk.basis, p.eps)
             pr = blk.boltzmann / bi.Z
             V = blk.vectors.toarray()
             quad = np.einsum("ji,jk,ki->i", V, W, V)

@@ -1,6 +1,7 @@
 """Coherent states, lower symbols, tail and moment comparisons, and the
 entropy inequality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy import sparse, special, stats
 
 from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
                       husimi_density_oracle, husimi_product_form_oracle,
-                      random_momentum_eigenvectors, table_cutoff, tensor_power_oracle)
+                      random_momentum_eigenvectors, sharp_through, table_cutoff,
+                      tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
 from torusgibbs.errors import (InvalidConfigError, QuadratureFailureError,
                                SupportViolationError)
@@ -93,7 +95,7 @@ class TestHusimi:
     def test_free_state_closed_form_and_bound(self, rng):
         tau = 2.0
         p = ModelParams(tau=tau, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=80)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(80, tau))
         lam = eigenvalues(1)
         q = np.exp(-lam / tau)
         us = np.array([(rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.4
@@ -156,7 +158,7 @@ class TestHusimi:
         last sector N = 400, with no overflow or underflow on the way."""
         tau, n_max = 10.0, 400
         p = ModelParams(tau=tau, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=n_max)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(n_max, tau))
         q = math.exp(-float(eigenvalues(0)[0]) / tau)
         # at r = 2.425 = tau |0.45 + 0.2i|^2, Q = 1 to rounding, so Z (pi/tau)
         # times the density is the untruncated generating function e^{-(1 - q) r}
@@ -328,7 +330,7 @@ class TestSampler:
         lambda: interacting_state(tau=17.0, k_max=2),
         lambda: qgibbs.build_gibbs(params(tau=20.0), False, CutoffProfile.smooth(0.6, 0.05)),
         lambda: qgibbs.build_gibbs(ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0,
-                                               n_max=400), False, CutoffProfile.one()),
+                                               n_max=400), False, sharp_through(400, 10.0)),
     ], ids=["interacting_k1", "interacting_k2", "free_k1", "free_k0_401_sectors"])
     def test_block_diagonal_matches_scipy(self, state):
         # the sampler's one-pass stacking of the live sectors' eigenvectors
@@ -424,7 +426,7 @@ class TestPoissonDecomposition:
 
     def test_free_single_mode_generating_function(self):
         p = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=160)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(160, 10.0))
         u = np.array([0.45 + 0.2j])
         lhs, rhs = poisson_sides(b, u)
         oracle = math.exp(10.0 * float(np.abs(u[0]) ** 2) * (math.exp(-0.05) - 1.0))
@@ -462,9 +464,11 @@ class TestTailMoment:
         assert logs[1] < logs[0] and logs[2] < logs[1]
 
     def test_support_violation(self):
-        # a state charging sectors beyond K^2 tau must be rejected
+        # a state charging sectors beyond K^2 tau of its cutoff must be
+        # rejected; build_gibbs makes none, so the cutoff is swapped after
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.1, k_max=0, n_max=3)
-        b = qgibbs.build_gibbs(p, False, CutoffProfile.one())
+        b = qgibbs.build_gibbs(p, False, sharp_through(3, 10.0))
+        b = dataclasses.replace(b, cutoff=CutoffProfile.sharp(0.1))
         with pytest.raises(SupportViolationError):
             sc.tail_moment(b, 1.0)
 
@@ -472,6 +476,14 @@ class TestTailMoment:
         b = interacting_state()
         with pytest.raises(InvalidConfigError):
             sc.tail_moment(b, 0.2)
+
+    def test_bound_is_the_cutoffs(self):
+        # params K = 1.2 is only validated: the state's K^2 is 0.36, its cutoff's
+        b = qgibbs.build_gibbs(params(K=1.2), True, CutoffProfile.smooth(0.6, 0.1))
+        assert b.max_charged_sector == 3
+        assert 0.0 < sc.tail_moment(b, 1.0) < sc.tail_moment(b, 0.5)
+        with pytest.raises(InvalidConfigError, match="K\\^2 = 0.36"):
+            sc.tail_moment(b, 0.3)
 
 
 class TestDeFinetti:
@@ -570,7 +582,7 @@ class TestDeFinetti:
             pr = ModelParams(tau=1.0, eps=0.5, eta=0.4, K=1.0, k_max=k_max,
                              n_max=n_top + 2)
             state = qgibbs.GibbsStateBlocks(params=pr, interacting=False,
-                                            cutoff=CutoffProfile.one(),
+                                            cutoff=sharp_through(n_top, 1.0),
                                             blocks=tuple(blocks), Z=1.0)
             for k in (1, 2):
                 lhs, rhs = sc.definetti_gap(state, 0.3, k)
@@ -587,8 +599,8 @@ class TestBerezinLieb:
     def test_two_free_states(self):
         pa = ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=400)
         pb = ModelParams(tau=20.0, eps=0.5, eta=0.1, K=0.6, k_max=0, n_max=400)
-        ga = qgibbs.build_gibbs(pa, False, CutoffProfile.one())
-        gb = qgibbs.build_gibbs(pb, False, CutoffProfile.one())
+        ga = qgibbs.build_gibbs(pa, False, sharp_through(400, 10.0))
+        gb = qgibbs.build_gibbs(pb, False, sharp_through(400, 20.0))
         est, hq = sc.berezin_lieb_check(ga, gb, 1.0 / 10.0, 6000, 73)
         assert hq > 0.0
         assert est.value <= hq + GATE_Z * est.stderr
@@ -609,7 +621,7 @@ class TestBerezinLieb:
                 pr = ModelParams(tau=1.0, eps=0.5, eta=0.4, K=2.7, k_max=0,
                                  n_max=n_top + 2)
                 blocks.append(qgibbs.GibbsStateBlocks(
-                    params=pr, interacting=False, cutoff=CutoffProfile.one(),
+                    params=pr, interacting=False, cutoff=sharp_through(n_top, 1.0),
                     blocks=tuple(blk), Z=1.0))
             est, hq = sc.berezin_lieb_check(blocks[0], blocks[1], 0.5, 1500,
                                             seed=1000 + trial)
