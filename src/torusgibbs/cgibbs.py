@@ -3,12 +3,13 @@ energies, importance-sampling estimators, and the exact mass law.
 
 The free measure factorizes over modes: |a_k|^2 ~ Exp(lambda_k) with an
 independent uniform phase, i.e. Re and Im of a_k are independent centered
-Gaussians with variance 1/(2*lambda_k).  An estimator whose weight vanishes
-above a mass bound (its cutoff's support, or K_s^2) draws |a_0|^2 first and
-completes only the rows whose zero mode alone stays within the bound; a row
-left partial scores exactly 0.  The rows that carry weight are exact free
-draws, so error bars are honest, and reproducibility is bit-exact for a
-fixed (seed, n_samples, params).
+Gaussians with variance 1/(2*lambda_k).  Every estimator scores the weight
+e^{E(u)} f(||u||^2), f a cutoff that vanishes above its K^2 (sharp at K_s
+for the subcritical moment).  Its draw takes |a_0|^2 first and completes only
+the rows whose zero mode alone stays within K^2; a row above K^2 scores
+exactly 0 unevaluated.  The rows that carry weight are exact free draws, so
+error bars are honest, and reproducibility is bit-exact for a fixed (seed,
+n_samples, params).
 
 Both sextic energies are trigonometric polynomials of degree 6*k_max in x,
 so the mean over M = 6*k_max + 1 grid points integrates them exactly.  The
@@ -52,9 +53,10 @@ class MCEstimate:
 
 
 def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
-                       max_mass: float | None = None) -> np.ndarray:
+                       max_mass: float) -> np.ndarray:
     """Draw (n_samples, J) coefficient rows of the free Gaussian measure,
-    complete wherever the mass can be at most `max_mass` (None: everywhere).
+    complete wherever the mass can be at most `max_mass` (math.inf:
+    everywhere).
 
     One standard_exponential call draws every row's r_0 = |a_0|^2 ~
     Exp(lambda_0) and stores the real a_0 = sqrt(r_0).  The rows with
@@ -73,7 +75,7 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
     a0[:] = rng.standard_exponential(n_samples)
     a0 /= lam[k_max]
     np.sqrt(a0, out=a0)
-    rows = np.flatnonzero(a0 * a0 <= (np.inf if max_mass is None else max_mass))
+    rows = np.flatnonzero(a0 * a0 <= max_mass)
     full = rng.standard_normal((len(rows), 2 * len(lam)))
     full *= np.repeat(1.0 / np.sqrt(2.0 * lam), 2)
     full = full.view(complex)
@@ -160,33 +162,49 @@ def _map_shards(seed: int, n_samples: int, fn, threads: int = 1) -> list:
         return list(pool.map(lambda job: fn(*job), jobs))
 
 
-def _check_interaction(interaction: str):
-    if interaction not in ("none", "hartree", "local"):
+def _interaction_energy(interaction: str, eps: float):
+    """Energy of coefficient rows under a named interaction (None for "none"),
+    looked up in this module at each call, so a rebound attribute sees it."""
+    energies = {"none": None, "hartree": lambda coeffs: hartree_energy_batch(coeffs, eps),
+                "local": lambda coeffs: local_energy_batch(coeffs)}
+    if interaction not in energies:
         raise InvalidConfigError(f"unknown interaction {interaction!r}")
+    return energies[interaction]
 
 
-def _weights_for(coeffs: np.ndarray, interaction: str, params: ModelParams,
-                 cutoff: CutoffProfile,
-                 cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row weights e^{energy} * f and the cutoff values f = cutoff(mass)."""
-    x = coeffs.view(float)
-    f = cutoff(np.einsum("ij,ij->i", x, x))
-    if interaction == "none":
-        return f, f
-    # exponentiate only inside the cutoff support; outside it the energy can
-    # overflow exp while the weight is exactly zero anyway
-    live = f > 0.0
-    w = np.zeros_like(f)
-    if np.any(live):
-        sub = coeffs[live]
-        if interaction == "hartree":
-            en = hartree_energy_batch(sub, params.eps)
-        else:
-            en = local_energy_batch(sub)
-        if cap is not None:
-            en = np.minimum(en, cap)
-        w[live] = np.exp(en) * f[live]
-    return w, f
+def _weight(coeffs, w, f):
+    """Score of a plain weighted mean: a = w, b = 1."""
+    return w, None
+
+
+def _weighted_draw(k_max: int, energy, cutoff: CutoffProfile, score=_weight):
+    """draw(size, rng) for _mc_ratio: free rows weighted by w = e^{energy} * f,
+    f = cutoff(mass), scored by score(coeffs, w, f) -> (a, b).
+
+    Rows are drawn gated at cutoff.support_bound.  f and the energy are
+    evaluated only on the rows whose mass is at most that bound, gathered
+    once; every other row has f = w = 0, and its energy, which can overflow
+    exp, is never formed.  energy None is the weight f.
+    """
+    bound = cutoff.support_bound
+
+    def draw(size, rng):
+        # the energy and the score are the draw's memory peaks: the dels hold
+        # no spare row array over either
+        coeffs = sample_free_fields(k_max, size, rng, bound)
+        x = coeffs.view(float)
+        mass = np.einsum("ij,ij->i", x, x)
+        live = np.flatnonzero(mass <= bound)
+        f = np.zeros(size)
+        f[live] = cutoff(mass[live])
+        del mass
+        w_live = f[live] if energy is None else np.exp(energy(coeffs[live])) * f[live]
+        w = np.zeros(size)
+        w[live] = w_live
+        del live, w_live
+        return score(coeffs, w, f)
+
+    return draw
 
 
 def _group_sums(x: np.ndarray) -> np.ndarray:
@@ -245,12 +263,7 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
     "local" (sextic energy).  Every cutoff vanishes above K^2, which keeps
     the focusing weights integrable.
     """
-    _check_interaction(interaction)
-
-    def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        return _weights_for(coeffs, interaction, params, cutoff)[0], None
-
+    draw = _weighted_draw(params.k_max, _interaction_energy(interaction, params.eps), cutoff)
     return _mc_estimate(seed, n_samples, draw, threads)
 
 
@@ -262,12 +275,8 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
     cutoff partition functions; the standard error comes from the delta
     method for a ratio of correlated means.
     """
-    _check_interaction(interaction)
-
-    def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        return _weights_for(coeffs, interaction, params, cutoff)
-
+    draw = _weighted_draw(params.k_max, _interaction_energy(interaction, params.eps), cutoff,
+                          lambda coeffs, w, f: (w, f))
     return _mc_estimate(seed, n_samples, draw, threads)
 
 
@@ -287,13 +296,8 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
     """
     if k != 1:
         raise UnsupportedOrderError(f"moment matrices support k = 1, got {k}")
-    _check_interaction(interaction)
-
-    def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        w, _ = _weights_for(coeffs, interaction, params, cutoff)
-        return w[:, None] * (coeffs.real**2 + coeffs.imag**2), w
-
+    draw = _weighted_draw(params.k_max, _interaction_energy(interaction, params.eps), cutoff,
+                          lambda coeffs, w, f: (w[:, None] * (coeffs.real**2 + coeffs.imag**2), w))
     M, M_err, group_nums, group_dens = _mc_ratio(seed, n_samples, draw, threads)
     return np.diag(M), np.diag(M_err), group_nums, group_dens
 
@@ -338,15 +342,13 @@ def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
 
     A monotone-in-R_cap lower bound for the uncapped partition value; the
     cap keeps the importance weights bounded by e^{R_cap} even above the
-    mass threshold.
+    mass threshold.  Raises InvalidConfigError unless R_cap >= 0.
     """
-    if R_cap < 0:
+    if not R_cap >= 0:
         raise InvalidConfigError(f"R_cap must be >= 0, got {R_cap}")
-
-    def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng, cutoff.support_bound)
-        return _weights_for(coeffs, "hartree", params, cutoff, cap=R_cap)[0], None
-
+    draw = _weighted_draw(
+        params.k_max, lambda coeffs: np.minimum(hartree_energy_batch(coeffs, params.eps), R_cap),
+        cutoff)
     return _mc_estimate(seed, n_samples, draw, threads)
 
 
@@ -354,22 +356,16 @@ def subcritical_moment(params: ModelParams, K_s: float, varsigma: float,
                        n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
     """E_mu0[ exp((1+varsigma)/6 * ||u||_L6^6) * 1_{mass <= K_s^2} ] on the
     mode window; finite uniformly in the window size when K_s is below the
-    mass threshold."""
+    mass threshold.  The weight is (1+varsigma) times the local energy under
+    the sharp cutoff at K_s, so K_s <= 0 raises InvalidConfigError, as does
+    a K_s not below the threshold."""
     from .model import critical_mass
 
     if not K_s < critical_mass():
         raise InvalidConfigError(
             f"K_s = {K_s} is not below the threshold {critical_mass():.6f}"
         )
-
-    def draw(size, rng):
-        coeffs = sample_free_fields(params.k_max, size, rng, K_s**2)
-        x = coeffs.view(float)
-        live = np.einsum("ij,ij->i", x, x) <= K_s**2
-        w = np.zeros(size)
-        if np.any(live):
-            en = 6.0 * local_energy_batch(coeffs[live])  # ||u||_L6^6
-            w[live] = np.exp((1.0 + varsigma) / 6.0 * en)
-        return w, None
-
+    draw = _weighted_draw(
+        params.k_max, lambda coeffs: (1.0 + varsigma) * local_energy_batch(coeffs),
+        CutoffProfile.sharp(K_s))
     return _mc_estimate(seed, n_samples, draw, threads)

@@ -7,8 +7,10 @@ and attribute name, and it patches `cgibbs._map_shards`,
 arguments.  A traced benchmark
 run crashes when one of them is renamed, so each must resolve here first.
 Its estimator counters read the call arguments and results, so they must
-accept what the estimators take and return, and its generator proxy counts
-the rows of sized `uniform` calls as the sampler's product-form draws.
+accept what the estimators take and return, and the estimators must look the
+energy batches up in `cgibbs` at each call, so the rebound wrappers count
+their rows.  Its generator proxy counts the rows of sized `uniform` calls as
+the sampler's product-form draws.
 The harness source is read and executed in memory; nothing under tgbench/
 is written.
 """
@@ -67,6 +69,38 @@ def test_moment_matrix_counter_reads_the_call():
     args = (params, "hartree", CutoffProfile.smooth(0.6, 0.1), 1, 3000, 5)
     counts = HARNESS._relvar(args, {}, cgibbs.classical_moment_matrix(*args))
     assert np.isfinite(counts["relvar"]) and counts["relvar"] > 0.0
+
+
+# estimators that score rows by an energy batch, with the batch they must reach
+ENERGY_CALLERS = {
+    "classical_partition_local": ("local_energy_batch", lambda p, cut: (
+        cgibbs.classical_partition(p, "local", cut, 3000, 5))),
+    "capped_partition": ("hartree_energy_batch", lambda p, cut: (
+        cgibbs.capped_partition(p, 6.0, cut, 3000, 5))),
+    "subcritical_moment": ("local_energy_batch", lambda p, cut: (
+        cgibbs.subcritical_moment(p, 0.6, 0.0, 3000, 5))),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(ENERGY_CALLERS))
+def test_energies_reached_through_module_attributes(estimator, monkeypatch):
+    # the tracer rebinds cgibbs.local_energy_batch and cgibbs.hartree_energy_batch;
+    # an estimator holding its own reference would hide its rows from the spans
+    attr, call = ENERGY_CALLERS[estimator]
+    rows = {name: 0 for name in ("local_energy_batch", "hartree_energy_batch")}
+
+    def counting(name, original):
+        def wrapper(coeffs, *args):
+            rows[name] += len(coeffs)
+            return original(coeffs, *args)
+        return wrapper
+
+    for name in rows:
+        monkeypatch.setattr(cgibbs, name, counting(name, getattr(cgibbs, name)))
+    call(ModelParams(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=3),
+         CutoffProfile.sharp(0.6))
+    assert rows[attr] > 0
+    assert all(count == 0 for name, count in rows.items() if name != attr)
 
 
 def test_phase_rows_count_product_form_draws():

@@ -32,7 +32,7 @@ def truncated_trace_h_inverse(k_max):
 
 class TestSampler:
     def test_moments(self, rng):
-        coeffs = cgibbs.sample_free_fields(1, 400000, rng)
+        coeffs = cgibbs.sample_free_fields(1, 400000, rng, math.inf)
         n = coeffs.shape[0]
         # E|a_0|^2 = 1/lambda_0 = 2, with stderr of |a|^2 ~ its mean
         m0 = np.abs(coeffs[:, 1]) ** 2
@@ -50,11 +50,11 @@ class TestSampler:
         # every |a_0|^2, the Gaussian rows at or below the bound, then a_0's rescale
         n, J = 1000, 2 * k_max + 1
         lam = eigenvalues(k_max)
-        for max_mass in (None, 0.36):
+        for max_mass in (math.inf, 0.36):
             got = cgibbs.sample_free_fields(k_max, n, np.random.default_rng(7), max_mass)
             rng = np.random.default_rng(7)
             a0 = np.sqrt(rng.standard_exponential(n) / lam[k_max])
-            keep = a0 * a0 <= (math.inf if max_mass is None else max_mass)
+            keep = a0 * a0 <= max_mass
             g = rng.standard_normal((np.count_nonzero(keep), J, 2))
             z = (g[..., 0] + 1j * g[..., 1]) * (1.0 / np.sqrt(2.0 * lam))
             z[:, k_max] *= a0[keep] / np.abs(z[:, k_max])
@@ -62,7 +62,7 @@ class TestSampler:
             want[:, k_max] = a0
             want[keep] = z
             assert np.array_equal(got, want)
-            assert keep.all() if max_mass is None else 0 < keep.sum() < n
+            assert keep.all() if max_mass == math.inf else 0 < keep.sum() < n
 
     def test_gated_rows_contract(self, rng):
         n, bound = 200000, 0.36
@@ -267,15 +267,14 @@ class TestMomentMatrix:
 
     def test_diagonal_matches_outer_product_draw(self):
         # the full (rows, J, J) outer-product estimate, scored on the same
-        # draws, has the mode-mass estimate as its diagonal
+        # weighted draws, has the mode-mass estimate as its diagonal
         p, cut = params(), CutoffProfile.smooth(0.6, 0.1)
 
-        def outer_draw(size, rng):
-            coeffs = cgibbs.sample_free_fields(p.k_max, size, rng, cut.support_bound)
-            w, _ = cgibbs._weights_for(coeffs, "hartree", p, cut, None)
-            outer = coeffs[:, :, None] * np.conj(coeffs[:, None, :])
-            return w[:, None, None] * outer, w
+        def outer(coeffs, w, f):
+            return w[:, None, None] * (coeffs[:, :, None] * np.conj(coeffs[:, None, :])), w
 
+        outer_draw = cgibbs._weighted_draw(
+            p.k_max, lambda coeffs: cgibbs.hartree_energy_batch(coeffs, p.eps), cut, outer)
         n, seed = 70000, 59  # two shards
         full, full_err, full_num, full_den = cgibbs._mc_ratio(seed, n, outer_draw, 1)
         M, M_err, group_num, group_den = cgibbs.classical_moment_matrix(
@@ -321,6 +320,22 @@ class TestMCCore:
             assert one == three
         else:
             assert all(np.array_equal(a, b) for a, b in zip(one, three, strict=True))
+
+    @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
+    def test_cutoff_evaluated_only_within_support(self, estimator, monkeypatch):
+        # rows above the support bound score 0 without a cutoff evaluation;
+        # subcritical_moment builds its own sharp cutoff, so spy on the class
+        seen = []
+        call = CutoffProfile.__call__
+
+        def spy(self, s):
+            seen.append((self.support_bound, np.max(s, initial=-np.inf), np.size(s)))
+            return call(self, s)
+
+        monkeypatch.setattr(CutoffProfile, "__call__", spy)
+        MC_ESTIMATORS[estimator](20000, 7)
+        assert sum(size for _, _, size in seen) > 0
+        assert all(top <= bound for bound, top, _ in seen)
 
     @pytest.mark.parametrize("estimator", ["partition_ratio", "classical_moment_matrix"])
     def test_zero_mean_weight(self, estimator):
@@ -379,7 +394,7 @@ class TestMassDensity:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_histogram_agreement(self, rng):
-        coeffs = cgibbs.sample_free_fields(1, 100000, rng)
+        coeffs = cgibbs.sample_free_fields(1, 100000, rng, math.inf)
         mass = np.sum(np.abs(coeffs) ** 2, axis=1)
         n_bins, per_bin = 40, 24
         edges = np.linspace(0.0, 6.0, n_bins + 1)
@@ -408,6 +423,10 @@ class TestCappedPartition:
         sigma = math.hypot(capped.stderr, full.stderr)
         assert capped.value == pytest.approx(full.value, abs=GATE_Z * sigma)
 
+    def test_nan_cap_rejected(self):
+        with pytest.raises(InvalidConfigError, match="R_cap"):
+            cgibbs.capped_partition(params(), math.nan, CutoffProfile.sharp(0.6), 100, 1)
+
     def test_monotone_in_cap(self):
         cut = CutoffProfile.sharp(0.6)
         vals = [cgibbs.capped_partition(params(), R, cut, 100000, 43).value
@@ -430,3 +449,9 @@ class TestSubcriticalMoment:
     def test_rejects_supercritical_level(self):
         with pytest.raises(InvalidConfigError):
             cgibbs.subcritical_moment(params(), 1.7, 0.0, 100, 1)
+
+    @pytest.mark.parametrize("K_s", [-0.6, 0.0])
+    def test_rejects_nonpositive_level(self, K_s):
+        # the bound is the sharp cutoff's K_s^2, which would hide the sign
+        with pytest.raises(InvalidConfigError):
+            cgibbs.subcritical_moment(params(), K_s, 0.0, 100, 1)

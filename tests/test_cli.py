@@ -80,6 +80,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(os.path.join(tmp_path, f"{argv[0]}.csv"))
 
+    @pytest.mark.parametrize("command", ["partition", "density", "tail"])
+    def test_single_eps_drivers_reject_an_eps_list(self, command, tmp_path, capsys):
+        # these drivers compare at one interaction range; only blowup sweeps eps
+        cfg = write_config(tmp_path, "eps_values = 0.5, 0.2\nn_samples = 3000\n")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps_values" in err
+        assert not os.path.exists(os.path.join(tmp_path, f"{command}.csv"))
+
     def test_blowup_writes_csv_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, TINY_BLOWUP)
         out = os.path.join(tmp_path, "out")
