@@ -7,9 +7,13 @@ Gaussians with variance 1/(2*lambda_k).  Every estimator scores the weight
 e^{E(u)} f(||u||^2), f a cutoff that vanishes above its K^2 (sharp at K_s
 for the subcritical moment).  Its draw takes |a_0|^2 first and completes only
 the rows whose zero mode alone stays within K^2; a row above K^2 scores
-exactly 0 unevaluated.  The rows that carry weight are exact free draws, so
-error bars are honest, and reproducibility is bit-exact for a fixed (seed,
-n_samples, params).
+exactly 0 unevaluated.  Only the rows within K^2 go on: the draw gathers
+them once and hands the estimator core (rows, a, b), their indices in the
+shard and their per-row numerator and denominator, and the core sums each
+row group of the shard over those rows alone, every other row counting as
+a = b = 0 (b = 1 where the denominator is the plain count).  The rows that
+carry weight are exact free draws, so error bars are honest, and
+reproducibility is bit-exact for a fixed (seed, n_samples, params).
 
 Both sextic energies are trigonometric polynomials of degree 6*k_max in x,
 so the mean over M = 6*k_max + 1 grid points integrates them exactly.  The
@@ -67,12 +71,15 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
     exact free draws.  Every other row is zero but for its real a_0, and its
     mass a_0^2, exactly what a caller recomputes from the row, exceeds
     max_mass.  So the mean of any weight that vanishes above max_mass is
-    that of the plain free draw.
+    that of the plain free draw.  Raises InvalidConfigError for k_max < 0,
+    n_samples < 0 or a NaN max_mass.
     """
+    if k_max < 0 or n_samples < 0 or np.isnan(max_mass):
+        raise InvalidConfigError(
+            f"need k_max >= 0, n_samples >= 0 and a non-NaN max_mass, got "
+            f"k_max={k_max}, n_samples={n_samples}, max_mass={max_mass}")
     lam = eigenvalues(k_max)
-    out = np.zeros((n_samples, len(lam)), dtype=complex)
-    a0 = out[:, k_max].real
-    a0[:] = rng.standard_exponential(n_samples)
+    a0 = rng.standard_exponential(n_samples)
     a0 /= lam[k_max]
     np.sqrt(a0, out=a0)
     rows = np.flatnonzero(a0 * a0 <= max_mass)
@@ -82,6 +89,8 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
     scale = a0[rows]
     np.divide(scale, np.abs(full[:, k_max]), out=scale)
     full[:, k_max] *= scale
+    out = np.zeros((n_samples, len(lam)), dtype=complex)
+    out[:, k_max] = a0
     out[rows] = full
     return out
 
@@ -100,9 +109,11 @@ def _sextic_energy(coeffs: np.ndarray, w_hat=None) -> np.ndarray:
     conv = rho @ C, C[x, y] = (1/M) sum_{|m| <= 2k_max} w_hat(m) cos(2 pi m (x - y)).
 
     w_hat=None is w_hat = 1, for which conv = rho.  Raises InvalidConfigError
-    when the rows do not hold 2k_max+1 mode coefficients.
+    unless coeffs is one row or a stack of rows of 2k_max+1 mode coefficients.
     """
     coeffs = np.atleast_2d(coeffs)
+    if coeffs.ndim > 2:
+        raise InvalidConfigError(f"need one row or a stack of rows, got shape {coeffs.shape}")
     if coeffs.shape[1] % 2 == 0:
         raise InvalidConfigError(f"rows need 2k_max+1 coefficients, got {coeffs.shape[1]}")
     k_max = (coeffs.shape[1] - 1) // 2
@@ -181,59 +192,81 @@ def _weighted_draw(k_max: int, energy, cutoff: CutoffProfile, score=_weight):
     """draw(size, rng) for _mc_ratio: free rows weighted by w = e^{energy} * f,
     f = cutoff(mass), scored by score(coeffs, w, f) -> (a, b).
 
-    Rows are drawn gated at cutoff.support_bound.  f and the energy are
-    evaluated only on the rows whose mass is at most that bound, gathered
-    once; every other row has f = w = 0, and its energy, which can overflow
-    exp, is never formed.  energy None is the weight f.
+    Rows are drawn gated at cutoff.support_bound.  The rows whose mass is at
+    most that bound are gathered once, and f, the energy, the weight and the
+    score see those rows only; every other row has f = w = 0, and its energy,
+    which can overflow exp, is never formed.  The draw returns (rows, a, b):
+    the gathered rows' indices among the `size` drawn, in increasing order,
+    and the score on them.  score must vanish with w and f, so that every
+    other row has a = b = 0 (b = 1 for b None).  energy None is the weight f.
     """
     bound = cutoff.support_bound
 
     def draw(size, rng):
-        # the energy and the score are the draw's memory peaks: the dels hold
-        # no spare row array over either
         coeffs = sample_free_fields(k_max, size, rng, bound)
         x = coeffs.view(float)
         mass = np.einsum("ij,ij->i", x, x)
-        live = np.flatnonzero(mass <= bound)
-        f = np.zeros(size)
-        f[live] = cutoff(mass[live])
+        rows = np.flatnonzero(mass <= bound)
+        # the energy and the score are the draw's memory peaks: hold no
+        # full-size row array over either
+        live = coeffs[rows]
+        del coeffs, x
+        f = cutoff(mass[rows])
         del mass
-        w_live = f[live] if energy is None else np.exp(energy(coeffs[live])) * f[live]
-        w = np.zeros(size)
-        w[live] = w_live
-        del live, w_live
-        return score(coeffs, w, f)
+        w = f if energy is None else np.exp(energy(live)) * f
+        return (rows, *score(live, w, f))
 
     return draw
 
 
-def _group_sums(x: np.ndarray) -> np.ndarray:
-    """Sums of x over _GROUPS contiguous row groups (fewer for a short shard)."""
-    g = min(_GROUPS, len(x))
-    return np.add.reduceat(x, np.arange(g) * len(x) // g, axis=0)
+def _group_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of x over the runs x[starts[i]:starts[i+1]], the last run ending
+    at len(x); an empty run sums to exactly 0."""
+    out = np.zeros((len(starts),) + x.shape[1:], dtype=x.dtype)
+    full = starts < np.append(starts[1:], len(x))
+    if full.any():
+        # reduceat repeats x[i] for an empty run and rejects i == len(x):
+        # sum over the nonempty runs' starts, which end where the next begins
+        out[full] = np.add.reduceat(x, starts[full], axis=0)
+    return out
 
 
 def _mc_ratio(seed: int, n: int, draw, threads: int):
     """The estimator core: derived-seed shards -> row-group sums -> delta method.
 
-    draw(size, rng) returns real (a, b) for `size` of the n free-field rows:
-    a is the per-row numerator, shape (size,) or (size, J); b is the per-row
-    denominator, shape (size,), or None for b = 1.  Returns the ratio of
-    means E[a] / E[b], its delta-method standard error (entrywise for array
-    a), and the sums of a and of b over each row group of each shard, in
-    shard order, for callers that jackknife.  Every sum is the same
-    elementwise product summed the same way, so a == b gives a ratio of
-    exactly 1 and a standard error of exactly 0.  Raises InvalidConfigError
-    for n < 2 and NumericalFailureError for a zero mean b.
+    draw(size, rng) returns (rows, a, b) for `size` of the n free-field rows:
+    rows indexes, in increasing order, the rows that may carry weight; a is
+    their real per-row numerator, shape (len(rows),) or (len(rows), J); b is
+    their real per-row denominator, shape (len(rows),), or None for b = 1 on
+    every row.  Every other row has a = 0 and b = 0 (b = 1 for None).  Each
+    shard is cut into _GROUPS contiguous row groups (fewer for a short
+    shard), and each group sums over its listed rows only.
+
+    Returns the ratio of means E[a] / E[b], its delta-method standard error
+    (entrywise for array a), and the sums of a and of b over each row group
+    of each shard, in shard order, for callers that jackknife.  Every sum is
+    the same elementwise product summed the same way, so a == b gives a
+    ratio of exactly 1 and a standard error of exactly 0.  Raises
+    InvalidConfigError for a non-integer n, n < 2 or threads < 1, and
+    NumericalFailureError for a zero mean b.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise InvalidConfigError(f"n_samples must be an integer, got {n!r}")
     if n < 2:
         raise InvalidConfigError(f"n_samples must be >= 2, got {n}")
+    if not threads >= 1:
+        raise InvalidConfigError(f"threads must be >= 1, got {threads}")
 
     def shard(size, rng):
-        a, b = draw(size, rng)
+        rows, a, b = draw(size, rng)
+        g = min(_GROUPS, size)
+        edges = np.arange(g) * size // g
+        starts = np.searchsorted(rows, edges)
+        ga, gaa = _group_sums(a, starts), _group_sums(a * a, starts)
         if b is None:
-            b = np.ones(size)
-        return tuple(_group_sums(x) for x in (a, a * a, b, b * b, (a.T * b).T))
+            counts = np.diff(edges, append=size).astype(float)
+            return ga, gaa, counts, counts, ga
+        return (ga, gaa, *(_group_sums(x, starts) for x in (b, b * b, (a.T * b).T)))
 
     parts = _map_shards(seed, n, shard, threads)
     ga, gaa, gb, gbb, gab = (np.concatenate([p[i] for p in parts]) for i in range(5))
@@ -315,8 +348,10 @@ def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
     density is sum_j e^{-r_j x} (a_j + b_j x) on x >= 0.  With
     c_j = r_j^{m_j} prod_{i != j} (r_i/(r_i - r_j))^{m_i}: a_0 = c_0, b_0 = 0
     at the simple pole, and b_j = c_j, a_j = -c_j sum_{i != j} m_i/(r_i - r_j)
-    at the double ones.
+    at the double ones.  Raises InvalidConfigError for k_max < 0.
     """
+    if k_max < 0:
+        raise InvalidConfigError(f"k_max must be >= 0, got {k_max}")
     x = np.asarray(x_grid, dtype=float)
     r = eigenvalues(k_max)[k_max:]  # lambda_0, lambda_1, ..., lambda_{k_max}
     m = np.full(len(r), 2.0)
@@ -357,10 +392,12 @@ def subcritical_moment(params: ModelParams, K_s: float, varsigma: float,
     """E_mu0[ exp((1+varsigma)/6 * ||u||_L6^6) * 1_{mass <= K_s^2} ] on the
     mode window; finite uniformly in the window size when K_s is below the
     mass threshold.  The weight is (1+varsigma) times the local energy under
-    the sharp cutoff at K_s, so K_s <= 0 raises InvalidConfigError, as does
-    a K_s not below the threshold."""
+    the sharp cutoff at K_s, so K_s <= 0 raises InvalidConfigError, as do
+    a K_s not below the threshold and a non-finite varsigma."""
     from .model import critical_mass
 
+    if not np.isfinite(varsigma):
+        raise InvalidConfigError(f"varsigma must be finite, got {varsigma}")
     if not K_s < critical_mass():
         raise InvalidConfigError(
             f"K_s = {K_s} is not below the threshold {critical_mass():.6f}"

@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise InvalidConfigError("seed must be >= 0")
         if self.threads < 1:
             raise InvalidConfigError("threads must be >= 1")
+        if not math.isfinite(self.varsigma):
+            raise InvalidConfigError("varsigma must be finite")
 
 
 def _parse_value(hint, val: str):

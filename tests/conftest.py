@@ -58,6 +58,7 @@ import pytest
 from scipy.stats import norm
 
 from torusgibbs import semiclassics as sc
+from torusgibbs.cgibbs import _GROUPS, _SHARD
 from torusgibbs.model import CutoffProfile
 
 SUITE_ALPHA = 1e-3
@@ -350,3 +351,35 @@ def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
             out[rows[hit]] = math.sqrt(varsigma) * v[hit, first]
             pending = np.concatenate((pending[rows.size:], rows[~hit]))
     return out
+
+
+def full_row_mc_ratio(seed, n, draw):
+    """The MC estimator core summed over every drawn row, zero rows included.
+
+    Each shard's (rows, a, b) from draw(size, rng) is scattered into arrays
+    over all `size` rows, a = b = 0 on the rows not listed (b = 1 on every
+    row for b None), and each row group sums all of its rows.  Returns
+    (ratio, stderr, group sums of a, group sums of b), or None when the mean
+    b is 0.
+    """
+    sizes = [min(_SHARD, n - start) for start in range(0, n, _SHARD)]
+    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
+    sums = []
+    for size, seq in zip(sizes, seqs):
+        rows, a, b = draw(size, np.random.default_rng(seq))
+        A = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+        A[rows] = a
+        B = np.ones(size) if b is None else np.zeros(size)
+        B[rows] = 1.0 if b is None else b
+        g = min(_GROUPS, size)
+        starts = np.arange(g) * size // g
+        sums.append([np.add.reduceat(x, starts, axis=0)
+                     for x in (A, A * A, B, B * B, (A.T * B).T)])
+    ga, gaa, gb, gbb, gab = (np.concatenate(parts) for parts in zip(*sums))
+    ma, maa, mb, mbb, mab = (x.sum(axis=0) / n for x in (ga, gaa, gb, gbb, gab))
+    if mb == 0.0:
+        return None
+    r = ma / mb
+    var_a, var_b = np.maximum(maa - ma * ma, 0.0), max(mbb - mb * mb, 0.0)
+    var = np.maximum(var_a - 2.0 * r * (mab - ma * mb) + r * r * var_b, 0.0)
+    return r, np.sqrt(var / n) / mb, ga, gb

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from conftest import GATE_ALPHA, GATE_R, GATE_Z, box_periodized
+from conftest import GATE_ALPHA, GATE_R, GATE_Z, box_periodized, full_row_mc_ratio
 from torusgibbs import cgibbs
 from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.model import (
@@ -63,6 +63,12 @@ class TestSampler:
             want[keep] = z
             assert np.array_equal(got, want)
             assert keep.all() if max_mass == math.inf else 0 < keep.sum() < n
+
+    @pytest.mark.parametrize("k_max, n, max_mass", [(-1, 10, math.inf), (1, -1, math.inf),
+                                                    (1, 10, math.nan)])
+    def test_invalid_arguments_rejected(self, k_max, n, max_mass):
+        with pytest.raises(InvalidConfigError):
+            cgibbs.sample_free_fields(k_max, n, np.random.default_rng(1), max_mass)
 
     def test_gated_rows_contract(self, rng):
         n, bound = 200000, 0.36
@@ -130,6 +136,13 @@ class TestEnergies:
     def test_even_mode_count_rejected(self, J):
         # a row of 2k_max+1 coefficients always has odd length
         u = np.ones((1, J), dtype=complex)
+        with pytest.raises(InvalidConfigError):
+            cgibbs.local_energy_batch(u)
+        with pytest.raises(InvalidConfigError):
+            cgibbs.hartree_energy_batch(u, 0.5)
+
+    def test_more_than_two_axes_rejected(self):
+        u = np.ones((2, 3, 3), dtype=complex)
         with pytest.raises(InvalidConfigError):
             cgibbs.local_energy_batch(u)
         with pytest.raises(InvalidConfigError):
@@ -305,12 +318,31 @@ MC_ESTIMATORS = {
 }
 
 
+# the score shapes the core takes: b = 1, b = the cutoff, and a (rows, J) numerator
+SCORES = {"count": cgibbs._weight,
+          "ratio": lambda coeffs, w, f: (w, f),
+          "modes": lambda coeffs, w, f: (w[:, None] * np.abs(coeffs) ** 2, w)}
+# live on about 3e-4 of the rows: short shards' row groups are mostly empty
+TIGHT = CutoffProfile.sharp(0.15)
+
+
 class TestMCCore:
     @pytest.mark.parametrize("n_samples", [-3, 0, 1])
     @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
     def test_too_few_samples(self, estimator, n_samples):
         with pytest.raises(InvalidConfigError):
             MC_ESTIMATORS[estimator](n_samples, 7)
+
+    @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
+    def test_non_integer_samples(self, estimator):
+        with pytest.raises(InvalidConfigError, match="integer"):
+            MC_ESTIMATORS[estimator](1e5, 7)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
+    def test_threads_below_one(self, estimator, threads):
+        with pytest.raises(InvalidConfigError, match="threads"):
+            MC_ESTIMATORS[estimator](3000, 7, threads=threads)
 
     @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
     def test_threads_bit_identical(self, estimator):
@@ -336,6 +368,52 @@ class TestMCCore:
         MC_ESTIMATORS[estimator](20000, 7)
         assert sum(size for _, _, size in seen) > 0
         assert all(top <= bound for bound, top, _ in seen)
+
+    @pytest.mark.parametrize("score", sorted(SCORES))
+    @pytest.mark.parametrize("cut", [CutoffProfile.smooth(0.6, 0.1), TIGHT],
+                             ids=["smooth0.6", "sharp0.15"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 70000, 300001])
+    def test_matches_full_row_core(self, n, cut, score):
+        # the core sums live rows only; the oracle sums every row of each group
+        p = params()
+        draw = cgibbs._weighted_draw(
+            p.k_max, lambda coeffs: cgibbs.hartree_energy_batch(coeffs, p.eps), cut,
+            SCORES[score])
+        want = full_row_mc_ratio(11, n, draw)
+        if want is None:
+            with pytest.raises(NumericalFailureError):
+                cgibbs._mc_ratio(11, n, draw, 1)
+            return
+        value, stderr, group_a, group_b = cgibbs._mc_ratio(11, n, draw, 1)
+        np.testing.assert_allclose(value, want[0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(group_a, want[2], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(group_b, want[3], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(stderr, want[1], rtol=1e-9, atol=0)
+        if cut is TIGHT:
+            assert np.any(group_a == 0.0)  # some row group holds no live row
+
+    def test_energy_and_score_see_exactly_the_live_rows(self):
+        p, cut, seed = params(), CutoffProfile.smooth(0.6, 0.1), 7
+        n, bound = 2 * cgibbs._SHARD + 1000, cut.support_bound
+        seen = {"energy": [], "score": []}
+
+        def energy(coeffs):
+            seen["energy"].append(coeffs.copy())
+            return cgibbs.hartree_energy_batch(coeffs, p.eps)
+
+        def score(coeffs, w, f):
+            seen["score"].append(coeffs.copy())
+            return w, f
+
+        cgibbs._mc_ratio(seed, n, cgibbs._weighted_draw(p.k_max, energy, cut, score), 1)
+        replay = cgibbs._map_shards(seed, n, lambda size, rng: cgibbs.sample_free_fields(
+            p.k_max, size, rng, bound))
+        live = [rows[np.sum(np.abs(rows) ** 2, axis=1) <= bound] for rows in replay]
+        for batches in seen.values():
+            assert all(np.max(np.sum(np.abs(rows) ** 2, axis=1), initial=0.0) <= bound
+                       for rows in batches)
+            assert [len(rows) for rows in batches] == [len(rows) for rows in live]
+            assert all(np.array_equal(a, b) for a, b in zip(batches, live))
 
     @pytest.mark.parametrize("estimator", ["partition_ratio", "classical_moment_matrix"])
     def test_zero_mean_weight(self, estimator):
@@ -384,6 +462,10 @@ class TestMassDensity:
     def test_three_modes_vanishes_at_zero(self):
         val = cgibbs.mass_density_charfn(1, np.array([0.0]))[0]
         assert val == pytest.approx(0.0, abs=1e-8)
+
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            cgibbs.mass_density_charfn(-1, np.array([0.5]))
 
     def test_integrates_to_one(self):
         x1 = np.linspace(0.0, 2.0, 257)
@@ -449,6 +531,11 @@ class TestSubcriticalMoment:
     def test_rejects_supercritical_level(self):
         with pytest.raises(InvalidConfigError):
             cgibbs.subcritical_moment(params(), 1.7, 0.0, 100, 1)
+
+    @pytest.mark.parametrize("varsigma", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_varsigma(self, varsigma):
+        with pytest.raises(InvalidConfigError, match="varsigma"):
+            cgibbs.subcritical_moment(params(), 0.6, varsigma, 100, 1)
 
     @pytest.mark.parametrize("K_s", [-0.6, 0.0])
     def test_rejects_nonpositive_level(self, K_s):

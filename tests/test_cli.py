@@ -46,6 +46,12 @@ class TestParseConfig:
         with pytest.raises(InvalidConfigError, match="n_samples"):
             parse_config(write_config(tmp_path, "n_samples = 1e5\n"))
 
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf"])
+    def test_nonfinite_varsigma(self, val, tmp_path):
+        # a non-finite varsigma would write a NaN threshold row
+        with pytest.raises(InvalidConfigError, match="varsigma"):
+            parse_config(write_config(tmp_path, f"varsigma = {val}\n"))
+
     def test_bad_list_item(self, tmp_path):
         with pytest.raises(InvalidConfigError, match="k_max_values"):
             parse_config(write_config(tmp_path, "k_max_values = 1, two, 3\n"))
