@@ -77,7 +77,7 @@ def cli_main(argv) -> int:
 
     if args.command == "selftest":
         try:
-            results = experiments.run_selftest(seed=cfg.seed, verbose=True)
+            results = experiments.run_selftest(seed=cfg.seed)
         except TorusGibbsError as exc:
             return _failure(exc)
         failed = [name for name, ok in results if not ok]

@@ -6,6 +6,16 @@ header row, '.' decimals, and a sibling stderr column for every stochastic
 quantity.  Determinism contract: identical config + seed => byte-identical
 CSV.  The classical estimators read only k_max and eps from their params, so
 a convergence sweep estimates its classical reference once, for every tau.
+
+Config fields each experiment reads (MC = n_samples seed threads; the
+command line reads experiment and out_dir):
+
+    partition, density  tau_values eps_values K eta k_max MC
+    tail                tau_values eps_values K eta k_max R_offset
+    blowup              tau_values eps_values K K_blowup k_max R_cap MC
+    freerate            tau_values K eta k_max
+    threshold           K k_max_values varsigma MC
+    selftest            seed
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from . import cgibbs, qgibbs, semiclassics
 from .errors import InvalidConfigError
-from .model import CutoffProfile, ModelParams, _shooting_norms, eigenvalues, soliton
+from .model import CutoffProfile, ModelParams, eigenvalues
 
 __all__ = [
     "ExperimentConfig",
@@ -54,13 +64,9 @@ class ExperimentConfig:
     out_dir: str = "out"
     threads: int = 1
     K_blowup: float = 1.8
-    K_control: float = 0.6
     R_cap: float = 6.0
     R_offset: float = 0.5
-    K_sub: float = 0.6
     varsigma: float = 0.0
-    rate_eta: float = 0.2
-    rate_K: float = 0.8
 
     def __post_init__(self):
         if self.experiment and self.experiment not in EXPERIMENT_IDS:
@@ -153,17 +159,11 @@ def write_manifest(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
         fh.write(f"wall_time_s = {wall_time:.3f}\n")
 
 
-def _single_eps(cfg: ExperimentConfig) -> float:
-    """The eps of a driver that compares at one interaction range."""
-    if len(cfg.eps_values) > 1:
-        raise InvalidConfigError(f"this experiment takes one eps, not eps_values = "
-                                 f"{cfg.eps_values}")
-    return cfg.eps_values[0]
-
-
-def _params_for(cfg: ExperimentConfig, tau: float, eps: float, eta: float,
+def _params_for(cfg: ExperimentConfig, tau: float, eps: float, eta: float | None = None,
                 K: float | None = None, k_max: int | None = None) -> ModelParams:
+    """Params at mass K (default cfg.K); eta defaults to 0.2 K^2, for a sharp cutoff."""
     K = cfg.K if K is None else K
+    eta = 0.2 * K**2 if eta is None else eta
     k_max = cfg.k_max if k_max is None else k_max
     return ModelParams(tau=tau, eps=eps, eta=eta, K=K, k_max=k_max,
                        n_max=max(1, math.floor(K**2 * tau)))
@@ -173,28 +173,37 @@ def _params_for(cfg: ExperimentConfig, tau: float, eps: float, eta: float,
 # the experiment drivers
 # ------------------------------------------------------------------
 
+def _tau_sweep(cfg: ExperimentConfig, row, reference=None) -> list:
+    """One row per tau at the single eps of eps_values, led by its tau:
+    `row(params, cutoff, state, ref)` reads the interacting Gibbs state of
+    that tau under the smooth cutoff at (K, eta), and `ref =
+    reference(params, cutoff)` is evaluated once, at the first tau."""
+    if len(cfg.eps_values) > 1:
+        raise InvalidConfigError(f"this experiment takes one eps, not eps_values = "
+                                 f"{cfg.eps_values}")
+    eps = cfg.eps_values[0]
+    cutoff = CutoffProfile.smooth(cfg.K, cfg.eta)
+    sweep = [_params_for(cfg, tau, eps, cfg.eta) for tau in cfg.tau_values]
+    ref = None if reference is None else reference(sweep[0], cutoff)
+    return [{"tau": params.tau,
+             **row(params, cutoff, qgibbs.build_gibbs(params, True, cutoff), ref)}
+            for params in sweep]
+
+
 def exp_partition_convergence(cfg: ExperimentConfig) -> list:
     """Quantum cutoff-partition ratio against the classical reweighted
     normalization, per tau.  Columns: tau, q_ratio, c_value, c_stderr,
     abs_diff; the classical columns are the same on every row."""
-    eps, eta = _single_eps(cfg), cfg.eta
-    cutoff = CutoffProfile.smooth(cfg.K, eta)
-    c = cgibbs.partition_ratio(_params_for(cfg, cfg.tau_values[0], eps, eta), "hartree",
-                               cutoff, cfg.n_samples, cfg.seed, threads=cfg.threads)
-    rows = []
-    for tau in cfg.tau_values:
-        params = _params_for(cfg, tau, eps, eta)
-        z_int = qgibbs.build_gibbs(params, True, cutoff).Z
-        z_free = qgibbs.build_gibbs(params, False, cutoff).Z
-        q_ratio = z_int / z_free
-        rows.append({
-            "tau": tau,
-            "q_ratio": q_ratio,
-            "c_value": c.value,
-            "c_stderr": c.stderr,
-            "abs_diff": abs(q_ratio - c.value),
-        })
-    return rows
+    def reference(params, cutoff):
+        return cgibbs.partition_ratio(params, "hartree", cutoff, cfg.n_samples,
+                                      cfg.seed, threads=cfg.threads)
+
+    def row(params, cutoff, state, c):
+        q_ratio = state.Z / qgibbs.build_gibbs(params, False, cutoff).Z
+        return {"q_ratio": q_ratio, "c_value": c.value, "c_stderr": c.stderr,
+                "abs_diff": abs(q_ratio - c.value)}
+
+    return _tau_sweep(cfg, row, reference)
 
 
 def _trace_norm(M: np.ndarray) -> float:
@@ -207,71 +216,56 @@ def exp_density_convergence(cfg: ExperimentConfig) -> list:
     state and the classical moment matrix, with jackknife error bars.  The
     classical matrix is diagonal by translation invariance, so
     herm_defect_classical is 0 and min_eig_classical its least diagonal mean."""
-    eps, eta = _single_eps(cfg), cfg.eta
-    cutoff = CutoffProfile.smooth(cfg.K, eta)
-    M, _, group_num, group_den = cgibbs.classical_moment_matrix(
-        _params_for(cfg, cfg.tau_values[0], eps, eta), "hartree", cutoff, 1,
-        cfg.n_samples, cfg.seed, threads=cfg.threads)
-    # delete-one-group means, for the jackknife stderr of the nonlinear trace norm
-    loo = (group_num.sum(axis=0) - group_num) / (group_den.sum() - group_den)[:, None]
-    herm_c = float(np.abs(M - M.T).max())
-    min_eig_c = float(M.diagonal().min())
-    rows = []
-    for tau in cfg.tau_values:
-        blocks = qgibbs.build_gibbs(_params_for(cfg, tau, eps, eta), True, cutoff)
-        Q1 = qgibbs.reduced_density_matrix(blocks, 1, scaled=True)
+    def reference(params, cutoff):
+        M, _, group_num, group_den = cgibbs.classical_moment_matrix(
+            params, "hartree", cutoff, 1, cfg.n_samples, cfg.seed, threads=cfg.threads)
+        # delete-one-group means, for the jackknife stderr of the nonlinear trace norm
+        loo = (group_num.sum(axis=0) - group_num) / (group_den.sum() - group_den)[:, None]
+        return M, loo
+
+    def row(params, cutoff, state, ref):
+        M, loo = ref
+        Q1 = qgibbs.reduced_density_matrix(state, 1, scaled=True)
         dist = _trace_norm(Q1 - M)
         dists = np.array([_trace_norm(Q1 - np.diag(m)) for m in loo])
-        dist_err = math.sqrt((len(loo) - 1) * float(np.var(dists)))
-        herm_q = float(np.abs(Q1 - Q1.conj().T).max())
-        min_eig_q = float(np.linalg.eigvalsh(0.5 * (Q1 + Q1.conj().T)).min())
-        rows.append({
-            "tau": tau,
+        return {
             "trace_dist": dist,
-            "trace_dist_stderr": dist_err,
-            "herm_defect_quantum": herm_q,
-            "herm_defect_classical": herm_c,
-            "min_eig_quantum": min_eig_q,
-            "min_eig_classical": min_eig_c,
-        })
-    return rows
+            "trace_dist_stderr": math.sqrt((len(loo) - 1) * float(np.var(dists))),
+            "herm_defect_quantum": float(np.abs(Q1 - Q1.conj().T).max()),
+            "herm_defect_classical": float(np.abs(M - M.T).max()),
+            "min_eig_quantum": float(np.linalg.eigvalsh(0.5 * (Q1 + Q1.conj().T)).min()),
+            "min_eig_classical": float(M.diagonal().min()),
+        }
+
+    return _tau_sweep(cfg, row, reference)
 
 
 def exp_blowup(cfg: ExperimentConfig) -> list:
     """Capped partition values along shrinking interaction range, in the
-    supercritical window and at a subcritical control mass."""
+    supercritical window at K_blowup and at the subcritical control mass K."""
     rows = []
-    eta_frac = 0.2
-    for label, K in (("super", cfg.K_blowup), ("control", cfg.K_control)):
+    for label, K in (("super", cfg.K_blowup), ("control", cfg.K)):
         cutoff = CutoffProfile.sharp(K)
         for eps in cfg.eps_values:
-            params = _params_for(cfg, max(cfg.tau_values), eps, eta_frac * K**2, K=K)
-            est = cgibbs.capped_partition(params, cfg.R_cap, cutoff,
-                                          cfg.n_samples, cfg.seed,
-                                          threads=cfg.threads)
-            rows.append({
-                "regime": label,
-                "K": K,
-                "eps": eps,
-                "value": est.value,
-                "value_stderr": est.stderr,
-            })
+            params = _params_for(cfg, max(cfg.tau_values), eps, K=K)
+            est = cgibbs.capped_partition(params, cfg.R_cap, cutoff, cfg.n_samples,
+                                          cfg.seed, threads=cfg.threads)
+            rows.append({"regime": label, "K": K, "eps": eps,
+                         "value": est.value, "value_stderr": est.stderr})
     return rows
 
 
 def exp_tail_decay(cfg: ExperimentConfig) -> list:
     """Deterministic lower-symbol tail moments of the interacting state, and
     their logs, per tau."""
-    eps, eta = _single_eps(cfg), cfg.eta
-    cutoff = CutoffProfile.smooth(cfg.K, eta)
     R = cfg.K**2 + cfg.R_offset
-    rows = []
-    for tau in cfg.tau_values:
-        blocks = qgibbs.build_gibbs(_params_for(cfg, tau, eps, eta), True, cutoff)
-        tail = semiclassics.tail_moment(blocks, R)
-        rows.append({"tau": tau, "R": R, "tail_moment": tail,
-                     "log_tail": math.log(tail) if tail > 0 else float("-inf")})
-    return rows
+
+    def row(params, cutoff, state, _):
+        tail = semiclassics.tail_moment(state, R)
+        return {"R": R, "tail_moment": tail,
+                "log_tail": math.log(tail) if tail > 0 else float("-inf")}
+
+    return _tau_sweep(cfg, row)
 
 
 def exp_free_state_rate(cfg: ExperimentConfig) -> list:
@@ -282,16 +276,14 @@ def exp_free_state_rate(cfg: ExperimentConfig) -> list:
     classical side integrates the cutoff against the exact mass density."""
     from scipy import integrate as _int
 
-    eta = cfg.rate_eta
-    K = cfg.rate_K
-    cutoff = CutoffProfile.smooth(K, eta)
+    cutoff = CutoffProfile.smooth(cfg.K, cfg.eta)
     # the mass law does not depend on tau: evaluate once, reuse across the sweep
-    grid = np.linspace(0.0, K**2, 1025)
+    grid = np.linspace(0.0, cfg.K**2, 1025)
     dens = cgibbs.mass_density_charfn(cfg.k_max, grid)
     cside = float(_int.simpson(dens * cutoff(grid), x=grid))
     rows = []
     for tau in cfg.tau_values:
-        n_max = math.floor(K**2 * tau)
+        n_max = math.floor(cfg.K**2 * tau)
         weights = qgibbs.free_sector_weights(cfg.k_max, tau, n_max)
         qside = (float(cutoff(np.arange(n_max + 1) / tau) @ weights)
                  * float(np.prod(1.0 - np.exp(-eigenvalues(cfg.k_max) / tau))))
@@ -301,29 +293,14 @@ def exp_free_state_rate(cfg: ExperimentConfig) -> list:
 
 
 def exp_threshold_suite(cfg: ExperimentConfig) -> list:
-    """Ground-state norms and the uniformity of the subcritical exponential
-    moment across windows.
-
-    The four norm rows compare the ODE-shooting oracle (`value`) with the
-    closed forms of `soliton` (`target`)."""
-    prof = soliton()
-    _, l2_sq, deriv_l2_sq, l6_pow6 = _shooting_norms()
+    """The subcritical exponential moment at mass K, per mode window in
+    k_max_values: its uniformity across windows is the subcritical side of
+    the threshold ||Q||_{L^2}."""
     rows = []
-    rows.append({"check": "l2_norm_sq", "value": l2_sq,
-                 "value_stderr": 0.0, "target": prof.l2_sq})
-    rows.append({"check": "deriv_norm_sq", "value": deriv_l2_sq,
-                 "value_stderr": 0.0, "target": prof.deriv_l2_sq})
-    rows.append({"check": "l6_over_3deriv", "value": l6_pow6 / (3.0 * deriv_l2_sq),
-                 "value_stderr": 0.0,
-                 "target": prof.l6_pow6 / (3.0 * prof.deriv_l2_sq)})
-    rows.append({"check": "gns_constant", "value": 3.0 / l2_sq**2,
-                 "value_stderr": 0.0, "target": prof.gns_constant})
-
     for k_max in cfg.k_max_values:
-        params = _params_for(cfg, 20.0, 0.5, 0.1, K=cfg.K_sub, k_max=k_max)
-        est = cgibbs.subcritical_moment(params, cfg.K_sub, cfg.varsigma,
-                                        cfg.n_samples, cfg.seed,
-                                        threads=cfg.threads)
+        params = _params_for(cfg, 20.0, 0.5, k_max=k_max)
+        est = cgibbs.subcritical_moment(params, cfg.K, cfg.varsigma, cfg.n_samples,
+                                        cfg.seed, threads=cfg.threads)
         rows.append({"check": f"subcritical_moment_kmax{k_max}",
                      "value": est.value, "value_stderr": est.stderr,
                      "target": float("nan")})
@@ -334,7 +311,7 @@ def exp_threshold_suite(cfg: ExperimentConfig) -> list:
 # selftest: the spot checks behind every inequality and identity
 # ------------------------------------------------------------------
 
-def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
+def run_selftest(seed: int = 20260810) -> list:
     """Quick structural checks with one pass/fail line each.
 
     Covers the ladder algebra, interaction positivity, the variational
@@ -348,8 +325,7 @@ def run_selftest(seed: int = 20260810, verbose: bool = True) -> list:
 
     def check(name, ok):
         results.append((name, bool(ok)))
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
 
     params = ModelParams(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=6)
     cutoff = CutoffProfile.smooth(0.6, 0.05)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
-from .errors import InvalidConfigError, NumericalFailureError
+from .errors import InvalidConfigError
 
 __all__ = [
     "ModelParams",
@@ -216,74 +215,12 @@ class SolitonProfile:
         return 3.0 / self.l2_sq**2
 
 
-def _shoot(A: float, x_end: float = 20.0):
-    """Integrate Q'' = Q - Q^5 from Q(0)=A, Q'(0)=0; classify the escape.
-
-    The conserved energy is p^2/2 - q^2/2 + q^6/6; the separatrix through
-    the origin is the decaying profile.  Above it the trajectory crosses
-    zero (A too large, +1); below it Q turns around while still positive
-    (A too small, -1).
-    """
-    from scipy.integrate import solve_ivp
-
-    def rhs(x, y):
-        q, p = y
-        return [p, q - q**5]
-
-    def cross_zero(x, y):
-        return y[0]
-    cross_zero.terminal = True
-    cross_zero.direction = -1
-
-    def turn_up(x, y):
-        return y[1]
-    turn_up.terminal = True
-    turn_up.direction = 1
-
-    sol = solve_ivp(rhs, (0.0, x_end), [A, 0.0], rtol=1e-12, atol=1e-14,
-                    events=(cross_zero, turn_up), method="DOP853")
-    if sol.t_events[0].size:
-        return +1
-    if sol.t_events[1].size:
-        return -1
-    return -1 if sol.y[0, -1] > 0 else +1
-
-
-@lru_cache(maxsize=1)
-def _shooting_norms(x_cut: float = 12.0):
-    """Independent oracle for `soliton`: bisect the even ground state's
-    height, then accumulate its L^2, H^1-seminorm, and L^6 integrals along
-    the orbit.  Returns (height, ||Q||^2, ||Q'||^2, ||Q||_6^6)."""
-    from scipy.integrate import solve_ivp
-
-    lo, hi = 1.2, 1.4
-    if _shoot(lo) != -1 or _shoot(hi) != +1:
-        raise NumericalFailureError("shooting bracket does not straddle the ground state")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _shoot(mid) == +1:
-            hi = mid
-        else:
-            lo = mid
-    A = 0.5 * (lo + hi)
-
-    def rhs(x, y):
-        q, p = y[0], y[1]
-        return [p, q - q**5, q * q, p * p, q**6]
-
-    sol = solve_ivp(rhs, (0.0, x_cut), [A, 0.0, 0.0, 0.0, 0.0],
-                    rtol=1e-12, atol=1e-14, method="DOP853")
-    q2, p2, q6 = (float(v) for v in sol.y[2:, -1])
-    return A, 2.0 * q2, 2.0 * p2, 2.0 * q6  # even reflection
-
-
 def soliton() -> SolitonProfile:
     """Ground-state profile with its norms in closed form.
 
     Q^2 = sqrt(3) sech(2x), Q'^2 = Q^2 tanh^2(2x) and Q^6 = 3 sqrt(3) sech^3(2x),
     and sech, sech^3 integrate to pi, pi/2 on the line, so ||Q||^2 =
     sqrt(3) pi/2, ||Q'||^2 = sqrt(3) pi/4 and ||Q||_6^6 = 3 sqrt(3) pi/4.
-    `_shooting_norms` derives the same numbers from the ODE alone.
     """
     root3_pi = math.sqrt(3.0) * math.pi
     return SolitonProfile(l2_sq=root3_pi / 2.0, deriv_l2_sq=root3_pi / 4.0,

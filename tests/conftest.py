@@ -3,7 +3,8 @@ test suite.
 
 The oracles deliberately avoid the library's own code paths: position-space
 quadrature for the three-body kernel, dense tensor embeddings for partial
-traces, and brute-force summation for spectral quantities.
+traces, brute-force summation for spectral quantities, and ODE shooting
+for the norms of the quintic ground state.
 
 Seeded statistical gates share one false-alarm budget.  The whole suite may
 go red by chance with probability at most SUITE_ALPHA = 1e-3.  The budget is
@@ -55,6 +56,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.stats import norm
 
 from torusgibbs import semiclassics as sc
@@ -383,3 +385,60 @@ def full_row_mc_ratio(seed, n, draw):
     var_a, var_b = np.maximum(maa - ma * ma, 0.0), max(mbb - mb * mb, 0.0)
     var = np.maximum(var_a - 2.0 * r * (mab - ma * mb) + r * r * var_b, 0.0)
     return r, np.sqrt(var / n) / mb, ga, gb
+
+
+def _shoot(A: float, x_end: float = 20.0):
+    """Integrate Q'' = Q - Q^5 from Q(0)=A, Q'(0)=0; classify the escape.
+
+    The conserved energy is p^2/2 - q^2/2 + q^6/6; the separatrix through
+    the origin is the decaying profile.  Above it the trajectory crosses
+    zero (A too large, +1); below it Q turns around while still positive
+    (A too small, -1).
+    """
+    def rhs(x, y):
+        q, p = y
+        return [p, q - q**5]
+
+    def cross_zero(x, y):
+        return y[0]
+    cross_zero.terminal = True
+    cross_zero.direction = -1
+
+    def turn_up(x, y):
+        return y[1]
+    turn_up.terminal = True
+    turn_up.direction = 1
+
+    sol = solve_ivp(rhs, (0.0, x_end), [A, 0.0], rtol=1e-12, atol=1e-14,
+                    events=(cross_zero, turn_up), method="DOP853")
+    if sol.t_events[0].size:
+        return +1
+    if sol.t_events[1].size:
+        return -1
+    return -1 if sol.y[0, -1] > 0 else +1
+
+
+def shooting_norms(x_cut: float = 12.0):
+    """Oracle for the closed forms of `model.soliton`, from the ODE alone:
+    bisect the even ground state's height, then accumulate its L^2,
+    H^1-seminorm, and L^6 integrals along the orbit.  Returns (height,
+    ||Q||^2, ||Q'||^2, ||Q||_6^6)."""
+    lo, hi = 1.2, 1.4
+    if _shoot(lo) != -1 or _shoot(hi) != +1:
+        raise AssertionError("shooting bracket does not straddle the ground state")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if _shoot(mid) == +1:
+            hi = mid
+        else:
+            lo = mid
+    A = 0.5 * (lo + hi)
+
+    def rhs(x, y):
+        q, p = y[0], y[1]
+        return [p, q - q**5, q * q, p * p, q**6]
+
+    sol = solve_ivp(rhs, (0.0, x_cut), [A, 0.0, 0.0, 0.0, 0.0],
+                    rtol=1e-12, atol=1e-14, method="DOP853")
+    q2, p2, q6 = (float(v) for v in sol.y[2:, -1])
+    return A, 2.0 * q2, 2.0 * p2, 2.0 * q6  # even reflection

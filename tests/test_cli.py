@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import torusgibbs
-from torusgibbs import experiments, qgibbs
+from torusgibbs import cli, experiments, qgibbs
 from torusgibbs.cli import cli_main
 from torusgibbs.errors import InvalidConfigError, NumericalFailureError
 from torusgibbs.experiments import ExperimentConfig, config_items, parse_config
@@ -28,11 +28,10 @@ class TestParseConfig:
         cfg = ExperimentConfig(
             experiment="blowup", tau_values=[12.5, 30.0], eps_values=[0.25, 1.0],
             eta=0.05, K=0.7, k_max=2, k_max_values=[0, 4], n_samples=1234,
-            seed=99, out_dir="elsewhere", threads=2, K_blowup=1.9, K_control=0.5,
-            R_cap=3.5, R_offset=0.25, K_sub=0.4, varsigma=0.125, rate_eta=0.15,
-            rate_K=0.9)
+            seed=99, out_dir="elsewhere", threads=2, K_blowup=1.9, R_cap=3.5,
+            R_offset=0.25, varsigma=0.125)
         default = ExperimentConfig()
-        assert len(dataclasses.fields(cfg)) == 19
+        assert len(dataclasses.fields(cfg)) == 15
         assert all(getattr(cfg, f.name) != getattr(default, f.name)
                    for f in dataclasses.fields(cfg))
         text = "".join(f"{key} = {val}\n" for key, val in config_items(cfg))
@@ -58,6 +57,31 @@ class TestParseConfig:
 
 
 TINY_BLOWUP = "tau_values = 20\neps_values = 0.5\nn_samples = 3000\n"
+# a small run file per experiment, and the config fields its driver reads;
+# the command line itself reads experiment and out_dir
+TINY = {
+    "partition": "tau_values = 10\nn_samples = 3000\n",
+    "density": "tau_values = 10\nn_samples = 3000\n",
+    "tail": "tau_values = 10\n",
+    "blowup": TINY_BLOWUP,
+    "freerate": "tau_values = 10, 20\n",
+    "threshold": "k_max_values = 0, 1\nn_samples = 2000\n",
+}
+SWEEP_READS = {"tau_values", "eps_values", "K", "eta", "k_max"}
+MC_READS = {"n_samples", "seed", "threads"}
+READS = {
+    "partition": SWEEP_READS | MC_READS,
+    "density": SWEEP_READS | MC_READS,
+    "tail": SWEEP_READS | {"R_offset"},
+    "blowup": {"tau_values", "eps_values", "K", "K_blowup", "k_max", "R_cap"} | MC_READS,
+    "freerate": {"tau_values", "K", "eta", "k_max"},
+    "threshold": {"K", "k_max_values", "varsigma"} | MC_READS,
+}
+FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_experiments_read_every_config_field():
+    assert set().union(*READS.values(), {"experiment", "out_dir"}) == FIELDS
 
 
 class TestCli:
@@ -107,15 +131,32 @@ class TestCli:
             manifest = fh.read()
         assert "seed = 5\n" in manifest and "experiment = blowup\n" in manifest
 
-    def test_repeat_runs_are_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_BLOWUP)
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_repeat_runs_are_byte_identical(self, command, tmp_path, monkeypatch):
+        # the same runs record which config fields the driver reads
+        read = set()
+        runner = cli._RUNNERS[command]
+
+        def spy(cfg, name):
+            if name in FIELDS:
+                read.add(name)
+            return object.__getattribute__(cfg, name)
+
+        def reading_runner(cfg):
+            with monkeypatch.context() as patch:
+                patch.setattr(ExperimentConfig, "__getattribute__", spy)
+                return runner(cfg)
+
+        monkeypatch.setitem(cli._RUNNERS, command, reading_runner)
+        cfg = write_config(tmp_path, TINY[command])
         csvs = []
         for run in ("a", "b"):
             out = os.path.join(tmp_path, run)
-            assert cli_main(["blowup", "--config", cfg, "--out", out]) == 0
-            with open(os.path.join(out, "blowup.csv"), "rb") as fh:
+            assert cli_main([command, "--config", cfg, "--out", out]) == 0
+            with open(os.path.join(out, f"{command}.csv"), "rb") as fh:
                 csvs.append(fh.read())
         assert csvs[0] == csvs[1]
+        assert read == READS[command]
 
     def test_freerate_repeats_and_error_falls_like_one_over_tau(self, tmp_path):
         csvs = []
@@ -140,22 +181,18 @@ class TestCli:
         stderr = float(row["trace_dist_stderr"])
         assert math.isfinite(stderr) and stderr > 0.0
 
-    def test_threshold_norm_rows_compare_shooting_with_closed_form(self, tmp_path):
-        cfg = write_config(tmp_path, "k_max_values = 0, 1\nn_samples = 2000\n")
-        csvs = []
-        for run in ("a", "b"):
-            out = os.path.join(tmp_path, run)
-            assert cli_main(["threshold", "--config", cfg, "--out", out]) == 0
-            with open(os.path.join(out, "threshold.csv"), "rb") as fh:
-                csvs.append(fh.read())
-        assert csvs[0] == csvs[1]
-        rows = {r["check"]: r for r in csv.DictReader(csvs[0].decode().splitlines())}
-        norms = ("l2_norm_sq", "deriv_norm_sq", "l6_over_3deriv", "gns_constant")
-        assert list(rows) == [*norms, "subcritical_moment_kmax0", "subcritical_moment_kmax1"]
-        # value from the shooting oracle, target from the closed form
-        for check in norms:
-            value, target = float(rows[check]["value"]), float(rows[check]["target"])
-            assert value != target and abs(value - target) <= 1e-6
+    @pytest.mark.parametrize("K", [0.6, 0.4], ids=["K0.6", "K0.4"])
+    def test_threshold_writes_subcritical_rows(self, K, tmp_path):
+        # the sharp-cutoff params take eta = 0.2 K^2, so a small K stays valid
+        cfg = write_config(tmp_path, f"K = {K}\nk_max_values = 0, 1\nn_samples = 2000\n")
+        assert cli_main(["threshold", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(os.path.join(tmp_path, "threshold.csv"), encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["check"] for r in rows] == ["subcritical_moment_kmax0",
+                                              "subcritical_moment_kmax1"]
+        for r in rows:
+            assert float(r["value"]) > 0.0 and float(r["value_stderr"]) > 0.0
+            assert math.isnan(float(r["target"]))
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         def failing_build(*args, **kwargs):
@@ -184,7 +221,7 @@ class TestCli:
 
     def test_selftest_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(experiments, "run_selftest",
-                            lambda seed, verbose: [("ccr_commutators", True),
-                                                   ("interaction_positive", False)])
+                            lambda seed: [("ccr_commutators", True),
+                                          ("interaction_positive", False)])
         assert cli_main(["selftest", "--out", str(tmp_path)]) == 3
         assert "interaction_positive" in capsys.readouterr().err

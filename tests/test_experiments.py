@@ -1,6 +1,6 @@
 """Convergence-sweep drivers: the classical reference is estimated once per
-sweep, and the density distance of diagonal matrices is the l1 gap of their
-diagonals."""
+sweep, each tau's Gibbs states are built once, and the density distance of
+diagonal matrices is the l1 gap of their diagonals."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,13 @@ from torusgibbs import cgibbs, experiments, qgibbs
 from torusgibbs.experiments import ExperimentConfig
 from torusgibbs.model import CutoffProfile
 
-ESTIMATORS = {"partition": ("partition_ratio", experiments.exp_partition_convergence,
-                            ("c_value", "c_stderr")),
-              "density": ("classical_moment_matrix", experiments.exp_density_convergence,
-                          ("herm_defect_classical", "min_eig_classical"))}
+# sweep: (classical estimator or None, driver, columns shared by every row,
+#         the interacting flags of the Gibbs states built per tau, in order)
+SWEEPS = {"partition": ("partition_ratio", experiments.exp_partition_convergence,
+                        ("c_value", "c_stderr"), [True, False]),
+          "density": ("classical_moment_matrix", experiments.exp_density_convergence,
+                      ("herm_defect_classical", "min_eig_classical"), [True]),
+          "tail": (None, experiments.exp_tail_decay, ("R",), [True])}
 
 
 def small_config(taus):
@@ -20,19 +23,25 @@ def small_config(taus):
 
 
 @pytest.mark.parametrize("taus", [[10.0], [5.0, 8.0, 10.0]], ids=["one_tau", "three_taus"])
-@pytest.mark.parametrize("sweep", sorted(ESTIMATORS))
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_classical_reference_runs_once_per_sweep(sweep, taus, monkeypatch):
-    name, driver, shared = ESTIMATORS[sweep]
+    name, driver, shared, builds = SWEEPS[sweep]
     calls = []
-    original = getattr(cgibbs, name)
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(module, attr, record):
+        original = getattr(module, attr)
 
-    monkeypatch.setattr(cgibbs, name, spy)
+        def wrapper(*args, **kwargs):
+            calls.append(record(args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    if name is not None:
+        spy(cgibbs, name, lambda args: "reference")
+    spy(qgibbs, "build_gibbs", lambda args: (args[0].tau, args[1]))
     rows = driver(small_config(taus))
-    assert len(calls) == 1
+    reference = [] if name is None else ["reference"]
+    assert calls == reference + [(tau, flag) for tau in taus for flag in builds]
     assert [row["tau"] for row in rows] == taus
     for col in shared:
         assert len({row[col] for row in rows}) == 1

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from torusgibbs.errors import InvalidConfigError, NumericalFailureError
+from conftest import shooting_norms
+from torusgibbs.errors import InvalidConfigError
 from torusgibbs.model import (
     CutoffProfile,
     ModelParams,
-    _shooting_norms,
     critical_mass,
     eigenvalues,
     kernel_fourier,
@@ -184,7 +184,7 @@ class TestSoliton:
 
     def test_shooting_oracle(self):
         # the ODE alone, with the bound the closed form is held to
-        A, l2_sq, deriv_l2_sq, l6_pow6 = _shooting_norms()
+        A, l2_sq, deriv_l2_sq, l6_pow6 = shooting_norms()
         prof = soliton()
         assert A == pytest.approx(3.0**0.25, abs=1e-6)
         assert l2_sq == pytest.approx(prof.l2_sq, abs=1e-6)
