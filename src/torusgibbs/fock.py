@@ -97,8 +97,9 @@ def enumerate_sector(k_max: int, n: int) -> SectorBasis:
     """All occupation vectors with total n over modes |k| <= k_max.
 
     The dimension budget is the caller's: `build_gibbs` checks
-    `ModelParams.sector_dim_cap` before it enumerates anything.  Raises
-    InvalidConfigError for a negative n or k_max.
+    `ModelParams.sector_dim_cap` on the largest sector its cutoff charges
+    before it enumerates anything.  Raises InvalidConfigError for a
+    negative n or k_max.
     """
     if n < 0 or k_max < 0:
         raise InvalidConfigError(f"need n >= 0 and k_max >= 0, got n={n}, k_max={k_max}")
@@ -223,7 +224,7 @@ def ladder_gram(sector_items, order: int, create: bool = False) -> np.ndarray:
     G = np.zeros((len(words), len(words)))
     for basis, probs, vectors in items:
         k_max, n = basis.k_max, basis.n
-        if n + step * order < 0 or not np.any(probs):
+        if n + step * order < 0:
             continue
         W = vectors.toarray() * np.sqrt(probs)
         width = max(1, _BLOCK_ENTRIES // (len(words) * sector_dimension(k_max, n + step * order)))

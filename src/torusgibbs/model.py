@@ -51,14 +51,14 @@ class ModelParams:
     K      : mass-cutoff level.
     k_max  : Fourier mode cutoff; retained one-body space has dimension
              J = 2*k_max + 1.
-    n_max  : largest particle sector retained, at least floor(K^2*tau).
+    n_max  : truncation bound, at least floor(K^2*tau); `build_gibbs`
+             raises unless its cutoff vanishes at (n_max + 1)/tau.
     sector_dim_cap : dense-sector budget; `build_gibbs` raises
-             ResourceLimitError, before it builds anything, when sector
-             n_max has a larger dimension.
+             ResourceLimitError, before it builds anything, when the top
+             sector its cutoff charges has a larger dimension.
 
-    K and eta are only validated here.  A state's mass bound is the
-    `CutoffProfile` passed to `build_gibbs`, which raises when that cutoff
-    is still positive past n_max.
+    K and eta are only validated here.  A state's mass bound, and so its
+    sectors, is the `CutoffProfile` passed to `build_gibbs`.
     """
 
     tau: float

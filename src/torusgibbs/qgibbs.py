@@ -59,8 +59,7 @@ class SectorBlock:
     column i is the eigenvector of energies[i], stored on the rows of its
     total-momentum block in ascending order.  Sectors diagonal in the
     occupation basis (free Hamiltonians, and n < 3 with the interaction)
-    carry the identity, with energies in basis order; sectors outside the
-    cutoff support carry an empty (dim, 0) array.  residual is the largest
+    carry the identity, with energies in basis order.  residual is the largest
     eigenpair residual ||H v - e v|| measured when the sector was solved,
     0 for the sectors that need no eigensolve.
     """
@@ -83,7 +82,8 @@ class SectorBlock:
 
 @dataclass(frozen=True)
 class GibbsStateBlocks:
-    """Normalized block-diagonal Gibbs state with cached spectral data."""
+    """Normalized block-diagonal Gibbs state with cached spectral data; blocks
+    holds the sectors n = 0..n_top its cutoff charges, so blocks[n].n == n."""
 
     params: ModelParams
     interacting: bool
@@ -92,18 +92,13 @@ class GibbsStateBlocks:
     Z: float  # Tr( e^{-H_tau} f(N/tau) ) over the retained sectors
 
     def sector_probabilities(self) -> np.ndarray:
-        """Probability of each particle sector n = 0..n_max."""
+        """Probability of each particle sector n = 0..n_top."""
         return np.array([b.weight for b in self.blocks]) / self.Z
 
     def sector_items(self):
         """Iterate (basis, spectral probabilities, vectors) over the blocks."""
         for b in self.blocks:
             yield b.basis, b.boltzmann / self.Z, b.vectors
-
-    @property
-    def max_charged_sector(self) -> int:
-        idx = [b.n for b in self.blocks if b.weight > 0.0]
-        return max(idx) if idx else 0
 
 
 def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
@@ -195,16 +190,17 @@ _SPECTRA = _SpectrumCache()
 
 def build_gibbs(params: ModelParams, interacting: bool,
                 cutoff: CutoffProfile) -> GibbsStateBlocks:
-    """Assemble and diagonalize every retained sector, then normalize.
+    """Assemble and diagonalize the sectors the cutoff charges, then normalize.
 
     Sector energies are spec((H_0 - W/tau^2)/tau); the interaction is
     omitted in the free case.  The cutoff is evaluated once, on the grid
-    n/tau for n = 0..n_max + 1.  Sectors whose cutoff value is exactly zero
-    carry no spectral data (they are outside the state's support).  Raises,
-    before any work, ResourceLimitError when the largest sector n_max is
-    bigger than `params.sector_dim_cap`, and InvalidConfigError when the
-    cutoff is still positive at (n_max + 1)/tau: cutoffs are non-increasing,
-    so that is the one point that shows a truncation dropping weight.
+    n/tau for n = 0..n_max + 1, and the state is built on the sectors
+    0..n_top, n_top the last n with cutoff(n/tau) > 0.  Cutoffs are
+    non-increasing, so every one of those sectors is charged.  Raises,
+    before any sector is built, InvalidConfigError when the cutoff is still
+    positive at (n_max + 1)/tau, the one point that shows a truncation
+    dropping weight, and ResourceLimitError when sector n_top is bigger
+    than `params.sector_dim_cap`.
 
     Interacting sectors n >= 3 come from the per-process spectrum cache,
     keyed by (k_max, n, tau, eps): a second state at the same tau and eps,
@@ -214,33 +210,28 @@ def build_gibbs(params: ModelParams, interacting: bool,
     module docstring).
     """
     tau = params.tau
-    dim_top = fock.sector_dimension(params.k_max, params.n_max)
-    if dim_top > params.sector_dim_cap:
-        raise ResourceLimitError(
-            f"sector (k_max={params.k_max}, n={params.n_max}) has dimension {dim_top} "
-            f"> cap {params.sector_dim_cap}"
-        )
     fvals = cutoff(np.arange(params.n_max + 2) / tau)
     if fvals[-1] > 0.0:
         raise InvalidConfigError(
             f"cutoff is {float(fvals[-1])} > 0 at (n_max + 1)/tau; "
             f"n_max = {params.n_max} at tau = {tau} would drop weight")
+    n_top = int(np.max(np.flatnonzero(fvals > 0.0), initial=0))
+    dim_top = fock.sector_dimension(params.k_max, n_top)
+    if dim_top > params.sector_dim_cap:
+        raise ResourceLimitError(
+            f"sector (k_max={params.k_max}, n={n_top}) has dimension {dim_top} "
+            f"> cap {params.sector_dim_cap}"
+        )
     blocks = []
     Z = 0.0
-    for n in range(params.n_max + 1):
-        fval = float(fvals[n])
+    for n in range(n_top + 1):
         basis = fock.enumerate_sector(params.k_max, n)
-        if fval == 0.0:
-            blocks.append(SectorBlock(n=n, basis=basis, energies=np.empty(0),
-                                      vectors=sparse.csc_array((basis.dim, 0)),
-                                      cutoff_value=0.0))
-            continue
         if interacting and n >= 3:
             E, V, residual = _SPECTRA.spectrum(basis, tau, params.eps)
         else:
             E, V = fock.kinetic_diagonal(basis) / tau, sparse.eye_array(basis.dim, format="csc")
             residual = 0.0
-        blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=fval,
+        blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=float(fvals[n]),
                           residual=residual)
         blocks.append(blk)
         Z += blk.weight
@@ -316,20 +307,20 @@ def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> fl
     stored entries of the overlap O_ij = <psi_i, phi_j>, one term per
     entry, so the small differences of nearly equal logs never cancel
     against O(1) sums.  This relies on each side's columns spanning its
-    sector, so that sum_j |O_ij|^2 = 1.  Sectors where the reference
-    cutoff vanishes while the state carries weight raise
-    SupportMismatchError; sectors where the state itself has zero weight
-    are skipped (0 log 0 = 0).
+    sector, so that sum_j |O_ij|^2 = 1.  A sector the state carries weight
+    on and the reference does not hold (it lies past the reference
+    cutoff's support) raises SupportMismatchError; sectors where the state
+    itself has zero weight are skipped (0 log 0 = 0).
     """
     if state.params.k_max != reference.params.k_max:
         raise SupportMismatchError("states live on different mode windows")
     ref_by_n = {b.n: b for b in reference.blocks}
     total = 0.0
     for b in state.blocks:
-        if b.cutoff_value == 0.0 or b.weight == 0.0:
+        if b.weight == 0.0:
             continue
         rb = ref_by_n.get(b.n)
-        if rb is None or rb.cutoff_value == 0.0:
+        if rb is None:
             raise SupportMismatchError(
                 f"state charges sector n={b.n} outside the reference support"
             )

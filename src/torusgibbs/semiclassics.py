@@ -9,8 +9,8 @@ The sector-n part of the coherent state xi(v) = e^{-|v|^2/2} e^{v.adag}|0>
 is a Poisson(|v|^2) amplitude times the n-th tensor power of d = v/|v|,
 which is n^{-1/2} (d.adag) applied to the (n-1)-th: `husimi_density_batch`
 walks the sectors upward on that recurrence and weighs each by its Poisson
-mass, exponentiated from its logarithm.  The sampler uses a second kernel,
-the amplitudes assembled in log space on an array of occupation rows.
+mass, exponentiated from its logarithm.  The sampler scores the tensor-power
+coefficients directly, assembled in log space on an array of occupation rows.
 Eigenvectors are stored as one sparse array per sector and contracted on
 the state's own sectors: no coherent vector is built or truncated.
 `sample_husimi` draws in product form for eigenstates that are single
@@ -53,41 +53,27 @@ def _check_varsigma(varsigma: float) -> None:
         raise InvalidConfigError(f"varsigma must be finite and > 0, got {varsigma}")
 
 
-def _coherent_amplitude_matrix(occ: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Coherent amplitudes of fields vs (..., S, J) on occupation rows
-    occ (..., D, J), the two broadcast along their leading axes:
-    A[..., s, d] = e^{-||v_s||^2/2} * prod_j v_s,j^{nu_d,j} / sqrt(prod nu_d,j!).
-
-    Assembled in log space; bounded by the square root of a Poisson mass,
-    so no overflow for any sector.
-    """
-    vs = np.atleast_2d(np.asarray(vs, dtype=complex))
-    # log nu! by table lookup: the same values as gammaln(occ + 1.0)
-    logfac = special.gammaln(np.arange(occ.max(initial=0) + 1.0) + 1.0)[occ].sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        logv = np.log(vs)  # (..., S, J): log|v| + i arg v
-    # a zero coefficient must kill amplitudes with nu_j >= 1 but leave
-    # nu_j = 0 untouched; a huge negative stand-in does both through 0 * x = 0
-    logv = np.where(np.isfinite(logv), logv, -1e300)
-    expo = logv @ np.swapaxes(occ, -1, -2)  # (..., S, D)
-    expo -= 0.5 * logfac[..., None, :] + 0.5 * np.sum(np.abs(vs) ** 2, axis=-1)[..., None]
-    return np.exp(expo)
-
-
 def _tensor_power_coeffs(occ: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Coefficients of v^{tensor n} on occupation rows occ (..., D, J) of
     sector n, sqrt(n!/prod nu!) * prod v_j^{nu_j}: for one field (J,) a
     (D,) vector, for fields (..., S, J) an (..., S, D) array, the leading
-    axes broadcast as in `_coherent_amplitude_matrix`.
+    axes of occ and v broadcast.
 
-    These are the coherent amplitudes with their Poisson prefactor
-    e^{-||v||^2/2}/sqrt(n!) divided back out, which is exact while ||v||^2
-    stays far inside the exponent range, as it does for unit directions.
+    Assembled in log space and exponentiated once; bounded by ||v||^n, so no
+    overflow for unit directions in any sector.
     """
     v = np.asarray(v, dtype=complex)
-    scale = np.exp(0.5 * (special.gammaln(occ.sum(axis=-1) + 1.0)[..., None, :]
-                          + np.sum(np.abs(v) ** 2, axis=-1)[..., None]))
-    coeffs = _coherent_amplitude_matrix(occ, v) * scale
+    n = occ.sum(axis=-1)
+    # log k! by table lookup: the same values as gammaln(k + 1.0)
+    logfac = special.gammaln(np.arange(n.max(initial=0) + 1.0) + 1.0)
+    with np.errstate(divide="ignore"):
+        logv = np.log(np.atleast_2d(v))  # (..., S, J): log|v| + i arg v
+    # a zero coefficient must kill coefficients with nu_j >= 1 but leave
+    # nu_j = 0 untouched; a huge negative stand-in does both through 0 * x = 0
+    logv = np.where(np.isfinite(logv), logv, -1e300)
+    expo = logv @ np.swapaxes(occ, -1, -2)  # (..., S, D)
+    expo += 0.5 * (logfac[n] - logfac[occ].sum(axis=-1))[..., None, :]
+    coeffs = np.exp(expo)
     return coeffs.reshape(v.shape[:-1] + coeffs.shape[-1:])
 
 
@@ -127,8 +113,8 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     sector-n part of xi(v) is sqrt(pmf_n(r)) T_n, pmf_n(r) = e^{-r} r^n/n!
     and T_n[nu] = sqrt(n!/prod nu!) prod d^nu.  T_{n-1}[nu - e_j] times
     d_j sqrt(n/nu_j) is exactly T_n[nu], so `_tensor_powers` builds each
-    T_n from the last with one gather and one multiply.  Each live sector
-    adds pmf_n(r) |V^T T_n|^2 @ p, V its eigenvectors and p their Gibbs
+    T_n from the last with one gather and one multiply.  Each sector of the
+    state adds pmf_n(r) |V^T T_n|^2 @ p, V its eigenvectors and p their Gibbs
     weights.  T_n has unit norm and pmf_n is exponentiated from its
     logarithm, so neither overflows in any sector.
     Raises InvalidConfigError for a varsigma that is not finite and
@@ -156,12 +142,9 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
     if not np.all(np.isfinite(r)):
         raise InvalidConfigError("fields have a squared norm |u|^2/varsigma that is not finite")
     d = vs / np.sqrt(np.where(r > 0.0, r, 1.0))[:, None]
-    live = {b.n: b for b in blocks.blocks if b.weight != 0.0}
     out = np.zeros(len(us))
-    for n, T in _tensor_powers(blocks.params.k_max, d, max(live, default=-1)):
-        b = live.get(n)
-        if b is None:
-            continue
+    powers = _tensor_powers(blocks.params.k_max, d, blocks.blocks[-1].n)
+    for b, (n, T) in zip(blocks.blocks, powers):
         pmf = np.exp(special.xlogy(n, r) - r - special.gammaln(n + 1.0))
         out += pmf * ((b.boltzmann / blocks.Z) @ np.abs(b.vectors.T @ T) ** 2)
     return out / norm
@@ -173,18 +156,6 @@ def husimi_density_batch(blocks: GibbsStateBlocks, varsigma: float,
 # probability (1 - 1/width)^(100 width) < e^-100
 _PROPOSAL_ENTRIES = 1 << 16
 _MAX_WIDTHS = 100
-
-
-def _block_diagonal(vectors) -> sparse.csc_array:
-    """sparse.block_diag of csc arrays, format="csc", in one pass: each
-    array's indptr, indices and data concatenated with entry and row
-    offsets."""
-    rows = np.cumsum([0] + [v.shape[0] for v in vectors])
-    entries = np.cumsum([0] + [v.indptr[-1] for v in vectors])
-    indptr = np.concatenate([[0]] + [v.indptr[1:] + e for v, e in zip(vectors, entries)])
-    indices = np.concatenate([v.indices + r for v, r in zip(vectors, rows)])
-    data = np.concatenate([v.data for v in vectors])
-    return sparse.csc_array((data, indices, indptr), shape=(rows[-1], len(indptr) - 1))
 
 
 def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
@@ -217,8 +188,8 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     block among the sector's pending draws, and keeps its first accepted
     one.  A batch pads its blocks to that width, (rows, L) amplitudes on
     (rows, L, J) occupations, and is scored by one kernel call.  The
-    columns and rows are those of one block-diagonal array of all live
-    sectors' eigenvectors.
+    columns and rows are those of one block-diagonal array of all the
+    state's eigenvectors.
     Raises InvalidConfigError for a varsigma that is not finite and
     positive or a negative n_samples, and QuadratureFailureError when a
     draw stalls, having spent _MAX_WIDTHS times its block width in proposals.
@@ -227,17 +198,17 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     if n_samples < 0:
         raise InvalidConfigError(f"n_samples must be >= 0, got {n_samples}")
     J = blocks.params.J
-    live = [b for b in blocks.blocks if b.weight != 0.0]
-    # every live eigenvector as one column, on the live sectors' rows stacked
-    V = _block_diagonal([b.vectors for b in live])
-    occupations = np.concatenate([b.basis.occupations for b in live])
+    sectors = blocks.blocks
+    # every eigenvector as one column, on the sectors' rows stacked
+    V = sparse.block_diag([b.vectors for b in sectors], format="csc")
+    occupations = np.concatenate([b.basis.occupations for b in sectors])
     ptr, stored = V.indptr, np.diff(V.indptr)
     head = V.indices[ptr[:-1]]  # first stored row of each column
     order = np.argsort(head, kind="stable")
-    probs = np.concatenate([b.boltzmann for b in live])[order] / blocks.Z
+    probs = np.concatenate([b.boltzmann for b in sectors])[order] / blocks.Z
     probs = probs / probs.sum()
     column = order[rng.choice(len(probs), size=n_samples, p=probs)]
-    sector = np.repeat(np.arange(len(live)), [b.vectors.shape[1] for b in live])[column]
+    sector = np.repeat(np.arange(len(sectors)), [b.vectors.shape[1] for b in sectors])[column]
     out = np.empty((n_samples, J), dtype=complex)
 
     single = stored[column] == 1
@@ -247,7 +218,7 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
 
     tries = np.zeros(n_samples, dtype=np.int64)
-    for k in range(len(live)):
+    for k in range(len(sectors)):
         pending = np.flatnonzero((sector == k) & ~single)
         while pending.size:
             # a proposal is accepted with probability 1/width, so each draw
@@ -296,10 +267,9 @@ def tail_moment(blocks: GibbsStateBlocks, R: float) -> float:
     bound = blocks.cutoff.support_bound
     if not R > bound:
         raise InvalidConfigError(f"need R > K^2 = {bound}, got {R}")
-    if blocks.max_charged_sector > bound * tau + 1e-9:
-        raise SupportViolationError(
-            f"state charges sector {blocks.max_charged_sector} beyond K^2*tau"
-        )
+    n_top = blocks.blocks[-1].n
+    if n_top > bound * tau + 1e-9:
+        raise SupportViolationError(f"state charges sector {n_top} beyond K^2*tau")
     J = params.J
     probs = blocks.sector_probabilities()
     ns = np.array([b.n for b in blocks.blocks])

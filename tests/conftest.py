@@ -56,6 +56,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.stats import norm
 
@@ -267,19 +268,20 @@ def tensor_power_oracle(basis, v):
 
 def husimi_density_oracle(blocks, varsigma, us):
     """Lower-symbol densities (varsigma*pi)^{-J} <xi(v), Gamma xi(v)> at
-    v = u/sqrt(varsigma), each sector's coherent amplitudes assembled whole
-    in log space by the library's `_coherent_amplitude_matrix` (which
-    test_batched_tensor_power_coeffs holds to tensor_power_oracle), then
-    contracted with the sector's eigenvectors and weighed with their Gibbs
-    weights.  It shares no code with the sector recurrence of
+    v = u/sqrt(varsigma), each sector's coherent amplitudes
+    e^{-|v|^2/2} prod_j v_j^{nu_j} / sqrt(nu_j!) formed whole by direct
+    complex powers, then contracted with the sector's eigenvectors and
+    weighed with their Gibbs weights.  It shares no code with the library's
+    tensor-power kernel or with the sector recurrence of
     husimi_density_batch."""
     vs = np.atleast_2d(np.asarray(us, dtype=complex)) / math.sqrt(varsigma)
+    poisson = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))[:, None]
     out = np.zeros(len(vs))
     for b in blocks.blocks:
-        if b.weight == 0.0:
-            continue
-        overlaps = sc._coherent_amplitude_matrix(b.basis.occupations, vs) @ b.vectors
-        out += np.abs(overlaps) ** 2 @ (b.boltzmann / blocks.Z)
+        occ = b.basis.occupations
+        powers = vs[:, None, :] ** occ / np.sqrt(special.factorial(occ))  # (S, dim, J)
+        amps = poisson * np.prod(powers, axis=-1)
+        out += np.abs(amps @ b.vectors) ** 2 @ (b.boltzmann / blocks.Z)
     return out / (varsigma * math.pi) ** blocks.params.J
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import shooting_norms
@@ -94,6 +96,21 @@ class TestCutoff:
         vals = prof(s)
         assert np.all(np.diff(vals) <= 1e-15)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.floats(0.1, 3.0), frac=st.floats(0.01, 0.49), sharp=st.booleans(),
+           grid=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=40))
+    def test_shape_at_any_parameters(self, K, frac, sharp, grid):
+        # the premise of build_gibbs's sector rule: non-increasing, in [0, 1],
+        # exactly 0 above K^2 and exactly 1 up to the start of the ramp
+        eta = frac * K**2
+        prof = CutoffProfile.sharp(K) if sharp else CutoffProfile.smooth(K, eta)
+        s = np.sort(grid) * K**2
+        vals = prof(s)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(vals[s > K**2] == 0.0)
+        assert np.all(vals[s <= (K**2 if sharp else K**2 - eta)] == 1.0)
 
     def test_derivative_scale(self):
         # |f'| <= C/eta with a C that is stable across eta

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import embed_symmetric, partial_trace_first, sharp_through, table_cutoff
@@ -63,11 +65,50 @@ class TestBuild:
         z2 = qgibbs.build_gibbs(p2, True, cut).Z
         assert z1 == z2
 
-    def test_cap(self):
-        # sector n = 40 at k_max = 3 has dimension C(46, 6), past the cap
+    def test_cap(self, monkeypatch):
+        # the cap reads the top charged sector: a cutoff that charges n = 40
+        # at k_max = 3, dimension C(46, 6), raises before any sector is built
+        enumerated = []
+        enumerate_sector = fock.enumerate_sector
+        monkeypatch.setattr(fock, "enumerate_sector",
+                            lambda *a: enumerated.append(a) or enumerate_sector(*a))
         p = params(k_max=3, n_max=40, sector_dim_cap=1000)
-        with pytest.raises(ResourceLimitError):
-            qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.05))
+        with pytest.raises(ResourceLimitError, match="n=40"):
+            qgibbs.build_gibbs(p, True, sharp_through(40, 10.0))
+        assert enumerated == []
+        # smooth(0.6, 0.05) at tau = 10 charges n <= 3, whose top sector has
+        # dimension 84, however far n_max reaches
+        b = qgibbs.build_gibbs(params(k_max=3, n_max=40, sector_dim_cap=84), True,
+                               CutoffProfile.smooth(0.6, 0.05))
+        assert len(b.blocks) == 4 and b.blocks[-1].basis.dim == 84
+        with pytest.raises(ResourceLimitError, match="n=3"):
+            qgibbs.build_gibbs(params(k_max=3, n_max=40, sector_dim_cap=83), True,
+                               CutoffProfile.smooth(0.6, 0.05))
+
+    def test_builds_the_charged_sectors_only(self):
+        # params K = 1.2 put n_max at 14, but smooth(0.6, 0.1) charges n <= 3
+        # at tau = 10: both windows build the same four sectors
+        cut = CutoffProfile.smooth(0.6, 0.1)
+        wide = qgibbs.build_gibbs(params(K=1.2, eta=0.1), True, cut)
+        tight = qgibbs.build_gibbs(params(K=0.6, eta=0.1), True, cut)
+        assert (wide.params.n_max, tight.params.n_max) == (14, 3)
+        assert [b.n for b in wide.blocks] == [b.n for b in tight.blocks] == [0, 1, 2, 3]
+        assert wide.Z == tight.Z
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.floats(1.0, 40.0), K=st.floats(0.3, 1.5), frac=st.floats(0.01, 0.49),
+           sharp=st.booleans(), extra=st.integers(0, 5))
+    def test_sector_rule(self, tau, K, frac, sharp, extra):
+        # sectors 0..n_top, n_top the last n whose cutoff value is positive
+        cut = CutoffProfile.sharp(K) if sharp else CutoffProfile.smooth(K, frac * K**2)
+        n_max = max(1, math.floor(K**2 * tau) + extra)
+        assume((n_max + 1) / tau > K**2)  # the truncation holds the whole support
+        p = ModelParams(tau=tau, eps=0.5, eta=frac * K**2, K=K, k_max=0, n_max=n_max)
+        b = qgibbs.build_gibbs(p, False, cut)
+        n_top = b.blocks[-1].n
+        assert [blk.n for blk in b.blocks] == list(range(n_top + 1))
+        fvals = cut(np.arange(n_max + 2) / tau)
+        assert fvals[n_top] > 0.0 and not np.any(fvals[n_top + 1:])
 
     @pytest.mark.parametrize("tau,k_max", [(40.0, 1), (20.0, 2)])
     def test_blocked_spectrum_matches_dense(self, tau, k_max):
@@ -76,7 +117,7 @@ class TestBuild:
         b = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.05))
         checked = 0
         for blk in b.blocks:
-            if blk.n < 3 or blk.cutoff_value == 0.0:
+            if blk.n < 3:
                 continue
             kin = fock.kinetic_diagonal(blk.basis)
             W = fock.assemble_interaction(blk.basis, p.eps)
@@ -129,11 +170,13 @@ class TestBuild:
         assert len(touched) == 1 and len(touched[0]) == 3
 
     def test_table_cutoff_blocks_nonnegative(self):
-        # a sector where the cutoff vanishes carries no weight and no eigenvectors
+        # the table vanishes at n = 0, 2 and 3: sectors past the last charged
+        # one, n = 1, are not built, and sector 0 carries zero weight
         p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.45, k_max=0, n_max=3)
         table = table_cutoff([0.0, 0.05, 0.1, 0.15, 0.2], [0.0, 0.5, 1.0, 0.5, 0.0])
         b = qgibbs.build_gibbs(p, False, table)
-        assert b.blocks[3].cutoff_value == 0.0 and b.blocks[3].vectors.shape[1] == 0
+        assert [blk.n for blk in b.blocks] == [0, 1]
+        assert b.blocks[0].weight == 0.0
         assert all(np.all(blk.boltzmann >= 0.0) for blk in b.blocks)
 
 
@@ -176,7 +219,7 @@ def solves(monkeypatch):
 
 
 def solved_sectors(state):
-    return [b for b in state.blocks if b.n >= 3 and b.cutoff_value != 0.0]
+    return [b for b in state.blocks if b.n >= 3]
 
 
 class TestSpectrumCache:
@@ -240,7 +283,7 @@ class TestSpectrumCache:
         p = params(tau=tau, k_max=2, eta=0.1)
         b = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
         for blk in b.blocks:
-            if blk.n < 3 or blk.cutoff_value == 0.0:
+            if blk.n < 3:
                 assert blk.residual == 0.0
                 continue
             W = fock.assemble_interaction(blk.basis, p.eps)
@@ -275,9 +318,6 @@ class TestEigenvectorStorage:
         for blk in b.blocks:
             V = blk.vectors
             assert isinstance(V, sparse.csc_array)
-            if blk.cutoff_value == 0.0:
-                assert V.shape == (blk.basis.dim, 0)
-                continue
             assert V.shape == (blk.basis.dim, blk.basis.dim) == (blk.basis.dim, len(blk.energies))
             assert np.abs((V.T @ V).toarray() - np.eye(blk.basis.dim)).max() <= 1e-12
             # the stored rows of each column share one total momentum
