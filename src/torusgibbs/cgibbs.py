@@ -99,11 +99,6 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
 # interaction energies (exact quadrature for trigonometric polynomials)
 # ------------------------------------------------------------------
 
-def default_grid(k_max: int) -> int:
-    """The fewest torus points that integrate a degree-6*k_max polynomial exactly."""
-    return 6 * k_max + 1
-
-
 def _sextic_energy(coeffs: np.ndarray, w_hat=None) -> np.ndarray:
     """(1/6) * mean over M grid points of conv^2 * rho, rho = |u|^2, with
     conv = rho @ C, C[x, y] = (1/M) sum_{|m| <= 2k_max} w_hat(m) cos(2 pi m (x - y)).
@@ -117,7 +112,7 @@ def _sextic_energy(coeffs: np.ndarray, w_hat=None) -> np.ndarray:
     if coeffs.shape[1] % 2 == 0:
         raise InvalidConfigError(f"rows need 2k_max+1 coefficients, got {coeffs.shape[1]}")
     k_max = (coeffs.shape[1] - 1) // 2
-    M = default_grid(k_max)
+    M = 6 * k_max + 1
     x = np.arange(M) / M
     u = coeffs @ np.exp(2j * np.pi * np.outer(mode_numbers(k_max), x))
     rho = u.real**2 + u.imag**2

@@ -340,7 +340,7 @@ def run_selftest(seed: int = 20260810) -> list:
             worst = max(worst, float(np.abs(a_adag - adag_a - (i == j) * eye).max()))
     check("ccr_commutators", worst <= 1e-10)
 
-    W3 = fock.assemble_interaction(fock.enumerate_sector(1, 3), 0.5)
+    W3 = fock.assemble_interaction(fock.enumerate_sector(1, 3), 0.5).toarray()
     evals = np.linalg.eigvalsh(W3)
     check("interaction_positive", evals.min() >= -1e-8 * max(1.0, np.abs(W3).max()))
 

@@ -4,9 +4,9 @@ A sector is the n-particle symmetric subspace over the 2*k_max+1 retained
 plane-wave modes.  States are occupation vectors (n_{-k_max}, ..., n_{k_max})
 in lexicographic order, and `SectorBasis.rank` finds the row of any of them
 by counting, with no lookup table.  Operators act in that row order: the
-interaction is a dense real-symmetric matrix, and the ladder operators are
-cached sparse arrays, one `annihilation_map` per (k_max, n, mode) whose
-transpose is the creator.  The one-body matrix of a state made of momentum
+interaction is a sparse array of unsummed triplets, and the ladder
+operators are cached sparse arrays, one `annihilation_map` per (k_max, n,
+mode) whose transpose is the creator.  The one-body matrix of a state made of momentum
 eigenvectors is diagonal and is read off the occupations, with no ladder
 operator.
 """
@@ -117,9 +117,9 @@ def kinetic_diagonal(basis: SectorBasis) -> np.ndarray:
     return basis.occupations @ eigenvalues(basis.k_max)
 
 
-def assemble_interaction(basis: SectorBasis, eps: float) -> np.ndarray:
+def assemble_interaction(basis: SectorBasis, eps: float) -> sparse.coo_array:
     """Second-quantized three-body attraction at kernel range eps on one
-    sector, as a dense real-symmetric matrix in the basis ordering.
+    sector, as a real-symmetric coo_array in the basis ordering.
 
     W = (1/3!) sum V adag_{k1} adag_{k2} adag_{k3} a_{k4} a_{k5} a_{k6} over
     ordered mode sextuples with k1+k2+k3 = k4+k5+k6 and momentum-space
@@ -132,12 +132,12 @@ def assemble_interaction(basis: SectorBasis, eps: float) -> np.ndarray:
     sum C[m, m'] A_m^dag A_m' with A_m = prod_{k in m} a_k and
     C = S^T V S / 3!, S the ordered-triple-to-multiset map.  For each state
     r of sector n - 3, W[r+m, r+m'] += C[m, m'] amp(r, m) amp(r, m') with
-    amp(r, m) = prod_k sqrt((r_k + 1) ... (r_k + m_k)); one bincount sums
-    these over r and the nonzero C[m, m'] in a fixed order.
+    amp(r, m) = prod_k sqrt((r_k + 1) ... (r_k + m_k)): one triplet per r
+    and nonzero C[m, m'], in a fixed order, with duplicates left to sum.
     """
     n, J, dim, k_max = basis.n, basis.J, basis.dim, basis.k_max
     if n < 3:
-        return np.zeros((dim, dim))
+        return sparse.coo_array((dim, dim))
     triples = enumerate_sector(k_max, 3)
     wtab = kernel_fourier(eps * np.arange(-2 * k_max, 2 * k_max + 1))  # index by m + 2*k_max
     pos = np.indices((J, J, J)).reshape(3, -1)  # ordered triples of mode positions
@@ -163,9 +163,8 @@ def assemble_interaction(basis: SectorBasis, eps: float) -> np.ndarray:
     r_tails = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1]
     m_tails = np.cumsum(multi[:, ::-1], axis=1)[:, ::-1]
     up = _lex_rank(n, J, amp.shape, lambda i: r_tails[:, i, None] + m_tails[None, :, i])
-    flat = (up[:, m] * dim + up[:, mp]).ravel()
     vals = (amp[:, m] * amp[:, mp] * C[m, mp]).ravel()
-    return np.bincount(flat, vals, minlength=dim * dim).reshape(dim, dim)
+    return sparse.coo_array((vals, (up[:, m].ravel(), up[:, mp].ravel())), shape=(dim, dim))
 
 
 @lru_cache(maxsize=None)

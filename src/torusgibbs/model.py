@@ -53,9 +53,9 @@ class ModelParams:
              J = 2*k_max + 1.
     n_max  : truncation bound, at least floor(K^2*tau); `build_gibbs`
              raises unless its cutoff vanishes at (n_max + 1)/tau.
-    sector_dim_cap : dense-sector budget; `build_gibbs` raises
-             ResourceLimitError, before it builds anything, when the top
-             sector its cutoff charges has a larger dimension.
+    sector_dim_cap : bound on the top charged sector's dimension (`ladder_gram`
+             densifies its dim x dim eigenvectors); `build_gibbs` raises
+             ResourceLimitError before it builds anything.
 
     K and eta are only validated here.  A state's mass bound, and so its
     sectors, is the `CutoffProfile` passed to `build_gibbs`.

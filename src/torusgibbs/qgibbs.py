@@ -60,8 +60,8 @@ class SectorBlock:
     total-momentum block in ascending order.  Sectors diagonal in the
     occupation basis (free Hamiltonians, and n < 3 with the interaction)
     carry the identity, with energies in basis order.  residual is the largest
-    eigenpair residual ||H v - e v|| measured when the sector was solved,
-    0 for the sectors that need no eigensolve.
+    eigenpair residual ||H v - e v||, on the eigenpair's momentum block, measured
+    when the sector was solved, 0 for the sectors that need no eigensolve.
     """
 
     n: int
@@ -101,40 +101,46 @@ class GibbsStateBlocks:
             yield b.basis, b.boltzmann / self.Z, b.vectors
 
 
-def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
+def _eigendecompose(W: sparse.coo_array, kinetic: np.ndarray, tau: float, momenta: np.ndarray,
                     n: int) -> tuple[np.ndarray, sparse.csc_array, float]:
-    """Eigenpairs of a sector Hamiltonian that conserves total momentum,
-    solved on its momentum blocks: the blocks of one size m form a
-    (B, m, m) stack, and one eigh call solves the stack (LAPACK still runs
-    once per matrix, so every eigenpair is the one a per-block call gives).
-    The vectors keep the blocks in ascending momentum, each block's
-    eigenvectors as columns stored on the block's rows.
+    """Eigenpairs of the sector Hamiltonian kinetic/tau - W/tau^3, formed
+    and solved on its total-momentum blocks only.
 
-    Every eigenpair is checked against the whole sector matrix, with one
-    batched product per stack, so a coupling between blocks would show as
-    a residual too; a residual past 1e-9 * scale * sqrt(m) raises
-    NumericalFailureError naming the sector and the block's momentum.
-    Block sizes are symmetric under k -> -k, so a stack holds a few blocks
-    and its (B, dim, m) product stays a small share of H.  Returns the
-    energies, the vectors and the largest residual.
+    One bincount sums W's triplets, in order, into a packed array of the
+    blocks' m x m matrices, which is divided by -tau^3 before kinetic/tau
+    is added on the block diagonals: a dense sector matrix's operations, so
+    the same floats.  The blocks of one size m form a (B, m, m) stack, one
+    eigh call per stack (LAPACK still runs once per matrix).  The vectors
+    keep the blocks in ascending momentum, each block's eigenvectors as
+    columns stored on the block's rows.  A triplet joining two blocks, or
+    an eigenpair whose residual on its block is past 1e-9 * scale * sqrt(m),
+    raises NumericalFailureError naming the sector.  Returns the energies,
+    the vectors and the largest residual.
     """
     order = np.argsort(momenta, kind="stable")  # rows grouped by ascending momentum
     starts = np.flatnonzero(np.diff(momenta[order], prepend=momenta[order[0]] - 1))
     sizes = np.diff(starts, append=len(order))
-    # block b holds energies [starts[b], +m) and vector data [entries[b], +m^2)
+    # block b holds energies [starts[b], +m), matrix and vectors [entries[b], +m^2)
     entries = np.cumsum(sizes**2) - sizes**2
     energies, data = np.empty(len(order)), np.empty(int(np.sum(sizes**2)))
     indices = np.empty(len(data), dtype=np.int64)
-    scale = max(1.0, float(H.max()), -float(H.min()))
+    block, local = np.empty_like(order), np.empty_like(order)  # each row's block, place in it
+    block[order] = np.repeat(np.arange(len(sizes)), sizes)
+    local[order] = np.arange(len(order)) - np.repeat(starts, sizes)
+    if np.any(block[W.row] != block[W.col]):
+        raise NumericalFailureError(f"interaction couples two momentum blocks in sector n={n}")
+    first = entries[block] + local * sizes[block]  # packed index of each row's first entry
+    packed = np.bincount(first[W.row] + local[W.col], W.data, minlength=len(data)) / -tau**3
+    packed[first + local] += kinetic / tau
+    scale = max(1.0, float(packed.max()), -float(packed.min()))
     residual = 0.0
     for m in np.unique(sizes):
         same = np.flatnonzero(sizes == m)  # the B blocks of size m
         rows = order[starts[same][:, None] + np.arange(m)]  # (B, m)
-        e, v = np.linalg.eigh(H[rows[:, :, None], rows[:, None, :]])
-        # H is symmetric: each block's columns of the whole sector
-        R = np.swapaxes(H[rows], 1, 2) @ v  # (B, dim, m)
-        R[np.arange(len(same))[:, None], rows] -= v * e[:, None, :]
-        res = np.linalg.norm(R, axis=1).max(axis=1)
+        at = entries[same][:, None] + np.arange(m * m)
+        H = packed[at].reshape(len(same), m, m)
+        e, v = np.linalg.eigh(H)
+        res = np.linalg.norm(H @ v - v * e[:, None, :], axis=1).max(axis=1)
         worst = int(np.argmax(res))
         if res[worst] > 1e-9 * scale * math.sqrt(m):
             raise NumericalFailureError(
@@ -143,11 +149,10 @@ def _eigendecompose(H: np.ndarray, momenta: np.ndarray,
             )
         residual = max(residual, float(res[worst]))
         energies[starts[same][:, None] + np.arange(m)] = e
-        at = entries[same][:, None] + np.arange(m * m)
         data[at] = np.swapaxes(v, 1, 2).reshape(len(same), -1)  # column by column
         indices[at] = np.tile(rows, m)  # every column on the block's m rows
     indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, sizes))))
-    V = sparse.csc_array((data, indices, indptr), shape=H.shape)
+    V = sparse.csc_array((data, indices, indptr), shape=W.shape)
     return energies, V, residual
 
 
@@ -169,10 +174,9 @@ class _SpectrumCache:
         if key in self.entries:
             self.entries.move_to_end(key)
             return self.entries[key][:3]
-        H = fock.assemble_interaction(basis, eps)
-        H /= -tau**3
-        H[np.diag_indices(basis.dim)] += fock.kinetic_diagonal(basis) / tau
-        E, V, residual = _eigendecompose(H, basis.momenta, basis.n)
+        E, V, residual = _eigendecompose(fock.assemble_interaction(basis, eps),
+                                         fock.kinetic_diagonal(basis), tau, basis.momenta,
+                                         basis.n)
         arrays = (E, V.data, V.indices, V.indptr)
         for a in arrays:
             a.flags.writeable = False
@@ -308,9 +312,9 @@ def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> fl
     entry, so the small differences of nearly equal logs never cancel
     against O(1) sums.  This relies on each side's columns spanning its
     sector, so that sum_j |O_ij|^2 = 1.  A sector the state carries weight
-    on and the reference does not hold (it lies past the reference
-    cutoff's support) raises SupportMismatchError; sectors where the state
-    itself has zero weight are skipped (0 log 0 = 0).
+    on and the reference does not hold, or holds with cutoff value 0 (it lies
+    past the reference cutoff's support), raises SupportMismatchError; sectors
+    where the state itself has zero weight are skipped (0 log 0 = 0).
     """
     if state.params.k_max != reference.params.k_max:
         raise SupportMismatchError("states live on different mode windows")
@@ -320,7 +324,7 @@ def relative_entropy(state: GibbsStateBlocks, reference: GibbsStateBlocks) -> fl
         if b.weight == 0.0:
             continue
         rb = ref_by_n.get(b.n)
-        if rb is None:
+        if rb is None or rb.cutoff_value == 0.0:
             raise SupportMismatchError(
                 f"state charges sector n={b.n} outside the reference support"
             )

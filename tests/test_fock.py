@@ -147,18 +147,18 @@ LOOP_ORACLE_CASES = [(0.3, 0.5), (0.5, 0.5), (1.0, 0.5), (0.3, 0.3), (1.0, 0.3)]
 class TestInteraction:
     def test_below_three_particles(self):
         for n in (0, 1, 2):
-            W = fock.assemble_interaction(fock.enumerate_sector(1, n), 0.5)
+            W = fock.assemble_interaction(fock.enumerate_sector(1, n), 0.5).toarray()
             assert np.all(W == 0.0)
 
     def test_single_mode_three_particles(self):
-        W = fock.assemble_interaction(fock.enumerate_sector(0, 3), 0.5)
+        W = fock.assemble_interaction(fock.enumerate_sector(0, 3), 0.5).toarray()
         assert W[0, 0] == pytest.approx(1.0, abs=1e-12)
         oracle = three_body_entry_quadrature(fock.enumerate_sector(0, 3), (3,), (3,), 0.5)
         assert W[0, 0] == pytest.approx(oracle.real, abs=1e-8)
 
     def test_every_entry_vs_quadrature_oracle(self):
         basis = fock.enumerate_sector(1, 3)
-        W = fock.assemble_interaction(basis, 0.5)
+        W = fock.assemble_interaction(basis, 0.5).toarray()
         for i in range(basis.dim):
             for j in range(basis.dim):
                 oracle = three_body_entry_quadrature(
@@ -168,7 +168,7 @@ class TestInteraction:
 
     def test_hermitian_and_psd(self):
         for n in (3, 4, 5):
-            W = fock.assemble_interaction(fock.enumerate_sector(1, n), 0.4)
+            W = fock.assemble_interaction(fock.enumerate_sector(1, n), 0.4).toarray()
             assert np.abs(W - W.T).max() <= 1e-10 * max(1.0, np.abs(W).max())
             evals = np.linalg.eigvalsh(W)
             assert evals.min() >= -1e-8 * max(1.0, np.abs(W).max())
@@ -180,13 +180,13 @@ class TestInteraction:
         sectors += [(3, n) for n in range(6)]
         for k_max, n in sectors:
             basis = fock.enumerate_sector(k_max, n)
-            W = fock.assemble_interaction(basis, 2 * a * eps)
+            W = fock.assemble_interaction(basis, 2 * a * eps).toarray()
             oracle = interaction_loop_oracle(basis, 2 * a * eps)
             assert np.abs(W - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max())
 
     def test_momentum_conservation(self):
         basis = fock.enumerate_sector(1, 4)
-        W = fock.assemble_interaction(basis, 0.5)
+        W = fock.assemble_interaction(basis, 0.5).toarray()
         P = np.diag(basis.momenta.astype(float))
         comm = W @ P - P @ W
         assert np.abs(comm).max() <= 1e-10
@@ -196,12 +196,12 @@ class TestInteraction:
         # per-sector norm against n^3 eps^{-2} ||w||_inf^2, ||w||_inf = 1
         eps = 0.5
         for n in range(3, n_top + 1):
-            W = fock.assemble_interaction(fock.enumerate_sector(k_max, n), eps)
+            W = fock.assemble_interaction(fock.enumerate_sector(k_max, n), eps).toarray()
             norm = np.linalg.norm(W, 2)
             assert norm <= n**3 * eps**-2 + 1e-9
 
     def test_operator_norm_bound_kmax2_n8(self):
-        W = fock.assemble_interaction(fock.enumerate_sector(2, 8), 0.5)
+        W = fock.assemble_interaction(fock.enumerate_sector(2, 8), 0.5).toarray()
         assert np.linalg.norm(W, 2) <= 8**3 * 0.5**-2 * 1.0 + 1e-9
 
     def test_quadratic_form_matches_hartree_energy(self, rng):
@@ -210,7 +210,7 @@ class TestInteraction:
         from torusgibbs.semiclassics import _tensor_power_coeffs
 
         basis = fock.enumerate_sector(1, 3)
-        W = fock.assemble_interaction(basis, 0.5)
+        W = fock.assemble_interaction(basis, 0.5).toarray()
         for _ in range(50):
             alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
             c = _tensor_power_coeffs(basis.occupations, alpha)

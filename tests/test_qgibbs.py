@@ -120,7 +120,7 @@ class TestBuild:
             if blk.n < 3:
                 continue
             kin = fock.kinetic_diagonal(blk.basis)
-            W = fock.assemble_interaction(blk.basis, p.eps)
+            W = fock.assemble_interaction(blk.basis, p.eps).toarray()
             dense = np.linalg.eigvalsh(np.diag(kin / tau) - W / tau**3)
             scale = max(1.0, np.abs(dense).max())
             assert np.abs(np.sort(blk.energies) - dense).max() <= 1e-12 * scale
@@ -133,8 +133,9 @@ class TestBuild:
         # one eigh per stack of equal-size blocks gives, bit for bit, the
         # energies and vectors of one eigh per block in ascending momentum
         tau, basis = 17.0, fock.enumerate_sector(2, 6)
-        H = -fock.assemble_interaction(basis, 0.5) / tau**3
-        H[np.diag_indices(basis.dim)] += fock.kinetic_diagonal(basis) / tau
+        W, kin = fock.assemble_interaction(basis, 0.5), fock.kinetic_diagonal(basis)
+        H = -W.toarray() / tau**3
+        H[np.diag_indices(basis.dim)] += kin / tau
         momenta, sizes = np.unique(basis.momenta, return_counts=True)
         assert len(np.unique(sizes)) >= 5
         energies, data, indices = [], [], []
@@ -144,7 +145,7 @@ class TestBuild:
             energies.append(e)
             data.append(v.T.ravel())
             indices.append(np.tile(rows, len(rows)))
-        E, V, _ = qgibbs._eigendecompose(H, basis.momenta, basis.n)
+        E, V, _ = qgibbs._eigendecompose(W, kin, tau, basis.momenta, basis.n)
         assert np.array_equal(E, np.concatenate(energies))
         assert np.array_equal(V.data, np.concatenate(data))
         assert np.array_equal(V.indices, np.concatenate(indices))
@@ -168,6 +169,38 @@ class TestBuild:
         with pytest.raises(NumericalFailureError):
             qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
         assert len(touched) == 1 and len(touched[0]) == 3
+
+    def test_coupling_between_momenta_raises(self, monkeypatch):
+        # a triplet joining two momentum blocks raises however small it is;
+        # a whole-sector residual would see it only above 1e-9 * scale
+        assemble = fock.assemble_interaction
+
+        def leaky(basis, eps):
+            W = assemble(basis, eps)
+            i, j = (np.flatnonzero(basis.momenta == k)[0] for k in (0, 1))
+            return sparse.coo_array((np.append(W.data, 1e-20),
+                                     (np.append(W.row, i), np.append(W.col, j))), shape=W.shape)
+        monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
+        monkeypatch.setattr(fock, "assemble_interaction", leaky)
+        with pytest.raises(NumericalFailureError, match="momentum blocks"):
+            qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
+
+    def test_peak_memory_below_one_dense_sector(self, monkeypatch):
+        # the build forms no dim x dim array: its peak stays below one dense
+        # top-sector matrix (71.4 MB at k_max = 2, tau = 40)
+        import tracemalloc
+
+        p = params(tau=40.0, k_max=2, eta=0.1)
+        monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
+        tracemalloc.start()
+        try:
+            b = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim_top = b.blocks[-1].basis.dim
+        assert dim_top == fock.sector_dimension(2, 14)
+        assert peak < dim_top**2 * 8
 
     def test_table_cutoff_blocks_nonnegative(self):
         # the table vanishes at n = 0, 2 and 3: sectors past the last charged
@@ -286,7 +319,7 @@ class TestSpectrumCache:
             if blk.n < 3:
                 assert blk.residual == 0.0
                 continue
-            W = fock.assemble_interaction(blk.basis, p.eps)
+            W = fock.assemble_interaction(blk.basis, p.eps).toarray()
             H = np.diag(fock.kinetic_diagonal(blk.basis) / tau) - W / tau**3
             widest = np.unique(blk.basis.momenta, return_counts=True)[1].max()
             bound = 1e-9 * max(1.0, np.abs(H).max()) * math.sqrt(widest)
@@ -612,6 +645,17 @@ class TestRelativeEntropy:
         with pytest.raises(SupportMismatchError):
             qgibbs.relative_entropy(wide, tiny)
 
+    def test_reference_sector_with_zero_cutoff(self):
+        # the reference holds n = 1 with cutoff value 0, where the state has weight
+        ref_p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.5, k_max=0, n_max=2)
+        ref = qgibbs.build_gibbs(ref_p, False, table_cutoff([0, .1, .2, .25], [1, 0, 1, 0]))
+        assert [blk.cutoff_value for blk in ref.blocks] == [1.0, 0.0, 1.0]
+        state_p = ModelParams(tau=10.0, eps=0.5, eta=0.004, K=0.44, k_max=0, n_max=2)
+        state = qgibbs.build_gibbs(state_p, False, CutoffProfile.sharp(0.44))
+        assert state.blocks[1].weight > 0.0
+        with pytest.raises(SupportMismatchError, match="n=1"):
+            qgibbs.relative_entropy(state, ref)
+
     def test_variational_identity(self):
         # H(G*, free_ref) - Tr(W_tau G*) = -log(Z_int / Z_free), both with cutoff
         p = params()
@@ -622,7 +666,7 @@ class TestRelativeEntropy:
         for blk in bi.blocks:
             if blk.weight == 0.0 or blk.n < 3:
                 continue
-            W = fock.assemble_interaction(blk.basis, p.eps)
+            W = fock.assemble_interaction(blk.basis, p.eps).toarray()
             pr = blk.boltzmann / bi.Z
             V = blk.vectors.toarray()
             quad = np.einsum("ji,jk,ki->i", V, W, V)
