@@ -5,7 +5,7 @@ measures they approach at high temperature.
 Subpackages:
 
 - `model`        parameters, spectrum, kernel, cutoffs, ground state
-- `fock`         occupation bases and second-quantized sector matrices
+- `fock`         occupation bases, sparse interaction triplets, ladder maps
 - `qgibbs`       quantum Gibbs states, partition functions, entropies
 - `cgibbs`       classical field sampler and importance-sampling estimators
 - `semiclassics` coherent states, lower symbols, moment comparisons

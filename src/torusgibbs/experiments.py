@@ -76,16 +76,17 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{name} must be a nonempty list")
         if self.k_max < 0:
             raise InvalidConfigError("k_max must be >= 0")
-        if min(self.tau_values) <= 0:
-            raise InvalidConfigError("tau_values must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.tau_values):
+            raise InvalidConfigError("tau_values must be finite and positive")
         if self.n_samples < 2:
             raise InvalidConfigError("n_samples must be >= 2")
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
         if self.threads < 1:
             raise InvalidConfigError("threads must be >= 1")
-        if not math.isfinite(self.varsigma):
-            raise InvalidConfigError("varsigma must be finite")
+        for name in ("K", "eta", "varsigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite")
 
 
 def _parse_value(hint, val: str):
@@ -191,31 +192,29 @@ def _tau_sweep(cfg: ExperimentConfig, row, reference=None) -> list:
 
 
 def exp_partition_convergence(cfg: ExperimentConfig) -> list:
-    """Quantum cutoff-partition ratio against the classical reweighted
-    normalization, per tau.  Columns: tau, q_ratio, c_value, c_stderr,
+    """Quantum cutoff-partition ratio Z / Z_0 against the classical reweighted
+    normalization, per tau; Z_0 is the cutoff contracted with the free sector
+    weights, a product over modes.  Columns: tau, q_ratio, c_value, c_stderr,
     abs_diff; the classical columns are the same on every row."""
     def reference(params, cutoff):
         return cgibbs.partition_ratio(params, "hartree", cutoff, cfg.n_samples,
                                       cfg.seed, threads=cfg.threads)
 
     def row(params, cutoff, state, c):
-        q_ratio = state.Z / qgibbs.build_gibbs(params, False, cutoff).Z
+        z = qgibbs.free_sector_weights(params.k_max, params.tau, params.n_max)
+        q_ratio = state.Z / float(cutoff(np.arange(len(z)) / params.tau) @ z)
         return {"q_ratio": q_ratio, "c_value": c.value, "c_stderr": c.stderr,
                 "abs_diff": abs(q_ratio - c.value)}
 
     return _tau_sweep(cfg, row, reference)
 
 
-def _trace_norm(M: np.ndarray) -> float:
-    H = 0.5 * (M + M.conj().T)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(H))))
-
-
 def exp_density_convergence(cfg: ExperimentConfig) -> list:
     """Trace-norm distance between the scaled one-body matrix of the Gibbs
-    state and the classical moment matrix, with jackknife error bars.  The
-    classical matrix is diagonal by translation invariance, so
-    herm_defect_classical is 0 and min_eig_classical its least diagonal mean."""
+    state and the classical moment matrix, with jackknife error bars.  Both
+    are diagonal (one momentum per eigenvector; translation invariance), so
+    each distance is the l1 gap of the diagonals, herm_defect_classical is 0
+    and min_eig_classical the least diagonal mean."""
     def reference(params, cutoff):
         M, _, group_num, group_den = cgibbs.classical_moment_matrix(
             params, "hartree", cutoff, 1, cfg.n_samples, cfg.seed, threads=cfg.threads)
@@ -226,10 +225,10 @@ def exp_density_convergence(cfg: ExperimentConfig) -> list:
     def row(params, cutoff, state, ref):
         M, loo = ref
         Q1 = qgibbs.reduced_density_matrix(state, 1, scaled=True)
-        dist = _trace_norm(Q1 - M)
-        dists = np.array([_trace_norm(Q1 - np.diag(m)) for m in loo])
+        q = Q1.diagonal()
+        dists = np.abs(q - loo).sum(axis=1)
         return {
-            "trace_dist": dist,
+            "trace_dist": float(np.abs(q - M.diagonal()).sum()),
             "trace_dist_stderr": math.sqrt((len(loo) - 1) * float(np.var(dists))),
             "herm_defect_quantum": float(np.abs(Q1 - Q1.conj().T).max()),
             "herm_defect_classical": float(np.abs(M - M.T).max()),
@@ -380,8 +379,10 @@ def run_selftest(seed: int = 20260810) -> list:
                                        40000, seed)
         vals.append(c.value)
     ref = cgibbs.classical_partition(params, "local", sharp, 40000, seed).value
-    gaps = [abs(v - ref) for v in vals]
+    # one seed, n and support K^2 score the same rows, and f_eta rises pointwise
+    # to the sharp indicator as eta falls: rounding keeps the gaps ordered exactly
+    gaps = [ref - v for v in vals]
     check("sharp_cutoff_continuity",
-          all(b <= a + 3e-3 for a, b in zip(gaps, gaps[1:])) and gaps[-1] < gaps[0])
+          all(0.0 <= b <= a for a, b in zip(gaps, gaps[1:])) and gaps[-1] < gaps[0])
 
     return results

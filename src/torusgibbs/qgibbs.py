@@ -253,22 +253,19 @@ def free_sector_weights(k_max: int, tau: float, n_max: int) -> np.ndarray:
     """Z_n = sum over occupations with total n of prod_k e^{-lambda_k n_k / tau},
     for n = 0..n_max.
 
-    Sequential convolution with one geometric series per mode, run as an
-    IIR filter; O(J * n_max) and numerically benign since all q_k < 1.
-    The cutoff-free total is the product prod_k (1 - e^{-lambda_k/tau})^{-1},
-    so a free trace needs no truncated tail.  Raises InvalidConfigError for
-    a tau that is not finite and positive, or a negative k_max or n_max.
+    One geometric series q_k^n, q_k = e^{-lambda_k/tau} < 1, per mode,
+    convolved and truncated: the free trace is a product over modes.  The
+    cutoff-free total is prod_k (1 - q_k)^{-1}, so a free trace needs no
+    truncated tail.  Raises InvalidConfigError for a tau that is not finite
+    and positive, or a negative k_max or n_max.
     """
-    from scipy.signal import lfilter
-
     if not (math.isfinite(tau) and tau > 0.0 and k_max >= 0 and n_max >= 0):
         raise InvalidConfigError(
             f"need finite tau > 0, k_max >= 0 and n_max >= 0, got {tau}, {k_max}, {n_max}")
-    q = np.exp(-eigenvalues(k_max) / tau)
-    z = np.zeros(n_max + 1)
-    z[0] = 1.0
-    for qk in q:
-        z = lfilter([1.0], [1.0, -qk], z)
+    n = np.arange(n_max + 1)
+    z = (n == 0).astype(float)
+    for qk in np.exp(-eigenvalues(k_max) / tau):
+        z = np.convolve(z, qk**n)[: n_max + 1]
     return z
 
 

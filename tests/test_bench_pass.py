@@ -1,4 +1,4 @@
-"""One traced benchmark pass per quantum workload, run as the harness runs it.
+"""One traced benchmark pass per workload, run as the harness runs it.
 
 `tgbench/child.py --mode pass --trace 1` runs the workload, checks its
 outputs against `tgbench/reference.json` and, traced, adds the harness's
@@ -19,7 +19,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["quantum-sweep", "lower-symbol"])
+@pytest.mark.parametrize("workload", ["quantum-sweep", "lower-symbol", "classical-mc"])
 def test_traced_pass_checks_hold(tmp_path, workload):
     result = tmp_path / "r.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),

@@ -51,6 +51,16 @@ class TestParseConfig:
         with pytest.raises(InvalidConfigError, match="varsigma"):
             parse_config(write_config(tmp_path, f"varsigma = {val}\n"))
 
+    @pytest.mark.parametrize("name,val", [("tau_values", [math.nan]),
+                                          ("tau_values", [20.0, math.inf]),
+                                          ("K", math.inf), ("eta", math.nan)],
+                             ids=["tau-nan", "tau-inf", "K-inf", "eta-nan"])
+    def test_nonfinite_sweep_values(self, name, val):
+        # NaN compares false with 0, and the drivers' floor(K^2 tau) has no
+        # value at an infinite tau or K
+        with pytest.raises(InvalidConfigError, match=name):
+            ExperimentConfig(**{name: val})
+
     def test_bad_list_item(self, tmp_path):
         with pytest.raises(InvalidConfigError, match="k_max_values"):
             parse_config(write_config(tmp_path, "k_max_values = 1, two, 3\n"))
@@ -86,9 +96,13 @@ def test_experiments_read_every_config_field():
 
 class TestCli:
     def test_import_loads_no_scipy_stats_or_signal(self):
-        # a fresh interpreter, so modules other tests imported do not count
+        # a fresh interpreter, so modules other tests imported do not count; the
+        # free trace of freerate and partition is a product over modes, no filter
         src = os.path.dirname(os.path.dirname(torusgibbs.__file__))
-        code = ("import sys, torusgibbs; print(sorted(m for m in sys.modules"
+        code = ("import sys; from torusgibbs import experiments as ex\n"
+                "cfg = ex.ExperimentConfig(tau_values=[10.0], n_samples=3000)\n"
+                "ex.exp_free_state_rate(cfg); ex.exp_partition_convergence(cfg)\n"
+                "print(sorted(m for m in sys.modules"
                 " if m.startswith(('scipy.stats', 'scipy.signal'))))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout
@@ -101,13 +115,17 @@ class TestCli:
         (["freerate"], "k_max = -1\n"),
         (["freerate"], "tau_values = -5\n"),
         (["partition", "--config", os.path.join("no-such-dir", "run.cfg")], None),
+        (["partition"], "tau_values = nan\n"),
+        (["partition"], "tau_values = inf\n"),
+        (["partition"], "K = inf\n"),
     ], ids=["threads-0", "seed-negative", "unknown-key", "k_max-negative",
-            "tau-nonpositive", "missing-config"])
+            "tau-nonpositive", "missing-config", "tau-nan", "tau-inf", "K-inf"])
     def test_invalid_input_exits_1(self, argv, config, tmp_path, capsys):
         if config is not None:
             argv = argv + ["--config", write_config(tmp_path, config)]
         assert cli_main(argv + ["--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not os.path.exists(os.path.join(tmp_path, f"{argv[0]}.csv"))
 
     @pytest.mark.parametrize("command", ["partition", "density", "tail"])

@@ -1,18 +1,19 @@
 """Convergence-sweep drivers: the classical reference is estimated once per
-sweep, each tau's Gibbs states are built once, and the density distance of
-diagonal matrices is the l1 gap of their diagonals."""
+sweep, each tau's interacting state is built once and no free state at all,
+and the density distance of diagonal matrices is the l1 gap of their
+diagonals.  The selftest's sharp-cutoff gaps are ordered with no slack."""
 
 import numpy as np
 import pytest
 
 from torusgibbs import cgibbs, experiments, qgibbs
 from torusgibbs.experiments import ExperimentConfig
-from torusgibbs.model import CutoffProfile
+from torusgibbs.model import CutoffProfile, ModelParams
 
 # sweep: (classical estimator or None, driver, columns shared by every row,
 #         the interacting flags of the Gibbs states built per tau, in order)
 SWEEPS = {"partition": ("partition_ratio", experiments.exp_partition_convergence,
-                        ("c_value", "c_stderr"), [True, False]),
+                        ("c_value", "c_stderr"), [True]),
           "density": ("classical_moment_matrix", experiments.exp_density_convergence,
                       ("herm_defect_classical", "min_eig_classical"), [True]),
           "tail": (None, experiments.exp_tail_decay, ("R",), [True])}
@@ -62,3 +63,18 @@ def test_diagonal_trace_distance_is_l1_gap(monkeypatch):
                                               rel=0, abs=1e-15)
     assert row["herm_defect_classical"] == 0.0
     assert row["min_eig_classical"] == np.diag(M).min()
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_sharp_cutoff_gaps_are_ordered_exactly(seed):
+    # the selftest's sharp_cutoff_continuity estimates: one seed, n and support
+    # K^2 score the same rows, and f_eta rises pointwise to the sharp indicator
+    # as eta falls, so the gaps to the sharp value shrink with no slack
+    params = ModelParams(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=6)
+
+    def value(cutoff):
+        return cgibbs.classical_partition(params, "local", cutoff, 40000, seed).value
+
+    ref = value(CutoffProfile.sharp(0.6))
+    gaps = [ref - value(CutoffProfile.smooth(0.6, eta)) for eta in (0.16, 0.08, 0.04)]
+    assert 0.0 <= gaps[2] <= gaps[1] <= gaps[0] and gaps[2] < gaps[0]

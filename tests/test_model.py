@@ -61,6 +61,11 @@ class TestModelParams:
         dict(tau=10.0, eps=0.5, eta=0.2, K=0.6, k_max=1, n_max=4),   # eta >= K^2/2
         dict(tau=10.0, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=2),   # below K^2*tau
         dict(tau=10.0, eps=0.0, eta=0.1, K=0.6, k_max=1, n_max=4),
+        # floor(K^2 tau) has no value at an infinite tau or K
+        dict(tau=math.inf, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=4),
+        dict(tau=math.nan, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=4),
+        dict(tau=10.0, eps=0.5, eta=0.1, K=math.inf, k_max=1, n_max=4),
+        dict(tau=10.0, eps=0.5, eta=math.inf, K=0.6, k_max=1, n_max=4),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfigError):
@@ -140,7 +145,11 @@ class TestCutoff:
         (dict(kind="sharp"), "needs K > 0"),
         (dict(kind="sharp", K=0.0), "needs K > 0"),
         (dict(kind="smooth", K=0.6), "eta"),
-    ], ids=["table", "sharp_without_K", "sharp_K0", "smooth_without_eta"])
+        (dict(kind="smooth", K=math.inf, eta=0.1), "needs K > 0"),
+        (dict(kind="sharp", K=math.nan), "needs K > 0"),
+        (dict(kind="smooth", K=0.6, eta=math.inf), "eta"),
+    ], ids=["table", "sharp_without_K", "sharp_K0", "smooth_without_eta", "smooth_K_inf",
+            "sharp_K_nan", "smooth_eta_inf"])
     def test_constructor_rejects(self, kwargs, match):
         with pytest.raises(InvalidConfigError, match=match):
             CutoffProfile(**kwargs)

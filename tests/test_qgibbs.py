@@ -387,11 +387,14 @@ class TestRelativePartition:
 
 class TestFreeProductState:
     # the free state as a product over modes: sector weights, no bases
-    def test_cutoff_expectation_matches_dense(self):
-        tau = 10.0
+    # k_max = 2 at tau = 80 charges a sector past the cap
+    @pytest.mark.parametrize("k_max,tau", [(k, t) for k in (0, 1, 2) for t in (20.0, 40.0, 80.0)
+                                           if (k, t) != (2, 80.0)],
+                             ids=lambda v: f"{v:g}")
+    def test_cutoff_expectation_matches_dense(self, k_max, tau):
         cut = CutoffProfile.smooth(0.6, 0.05)
-        p = params(tau=tau)
-        z = qgibbs.free_sector_weights(1, tau, p.n_max)
+        p = params(tau=tau, k_max=k_max)
+        z = qgibbs.free_sector_weights(k_max, tau, p.n_max)
         dense = qgibbs.build_gibbs(p, False, cut)
         assert float(cut(np.arange(p.n_max + 1) / tau) @ z) == pytest.approx(dense.Z, rel=1e-12)
 
