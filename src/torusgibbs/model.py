@@ -74,8 +74,8 @@ class ModelParams:
             raise InvalidConfigError(f"tau must be finite and positive, got {self.tau}")
         if not 0 < self.eps <= 1:
             raise InvalidConfigError(f"eps must lie in (0, 1], got {self.eps}")
-        if not (math.isfinite(self.K) and self.K > 0):
-            raise InvalidConfigError(f"K must be finite and positive, got {self.K}")
+        if not (math.isfinite(self.K * self.K) and self.K > 0):
+            raise InvalidConfigError(f"K must be positive with K^2 finite, got {self.K}")
         if not 0 < self.eta < 0.5 * self.K**2:
             raise InvalidConfigError(
                 f"eta must lie in (0, K^2/2) = (0, {0.5 * self.K ** 2}), got {self.eta}"
@@ -138,8 +138,9 @@ class CutoffProfile:
     def __post_init__(self):
         if self.kind not in ("smooth", "sharp"):
             raise InvalidConfigError(f"unknown cutoff kind {self.kind!r}")
-        if not (self.K is not None and math.isfinite(self.K) and self.K > 0):
-            raise InvalidConfigError(f"{self.kind} cutoff needs K > 0 and finite, got {self.K}")
+        if not (self.K is not None and math.isfinite(self.K * self.K) and self.K > 0):
+            raise InvalidConfigError(
+                f"{self.kind} cutoff needs K > 0 with K^2 finite, got {self.K}")
         if self.kind != "smooth":
             return
         K, eta = self.K, self.eta

@@ -13,12 +13,11 @@ mass, exponentiated from its logarithm.  The sampler scores the tensor-power
 coefficients directly, assembled in log space on an array of occupation rows.
 Eigenvectors are stored as one sparse array per sector and contracted on
 the state's own sectors: no coherent vector is built or truncated.
-`sample_husimi` draws in product form for eigenstates that are single
-occupation states and by batched rejection for the others.  A rejection
-proposal is the product-form draw of one row of its eigenvector's
-total-momentum block, so it is accepted with probability 1/width of that
-block, not 1/dim of the sector, and a batch is one kernel call over the
-block width.
+`sample_husimi` draws by one rejection path.  A proposal is the
+product-form draw of one row of its eigenvector's total-momentum block, so
+it is accepted with probability 1/width of that block, not 1/dim of the
+sector, and always for an occupation eigenstate, a block of width 1.  The
+draws of one width are batched, and a batch is one kernel call.
 """
 
 from __future__ import annotations
@@ -162,34 +161,20 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Exact draws from the lower symbol of a block state.
 
-    Every draw first picks an eigenstate with its Gibbs weight, all picks at
-    once; within a sector the eigenstates are listed by their first stored
-    row, which is basis order for occupation eigenstates.  An eigenstate
-    whose column has one stored entry is an occupation state nu (all of the
-    free state, the sectors n < 3 of an interacting one, and its 1 x 1
-    momentum blocks).  Those picks sample in product form, all in one step:
-    each |v_j|^2 is Gamma(nu_j + 1) with a uniform phase, and
-    u = sqrt(varsigma) v.
-
-    The other picks sample by rejection from their eigenvector psi's
-    total-momentum block B, the w rows its column stores.  A proposal picks
-    a row nu of B uniformly and draws v in the product form above; it is
-    accepted with probability a(v) = |sum_B psi_nu c_nu(v)|^2 / sum_B
-    |c_nu(v)|^2, c_nu(v) = e^{-|v|^2/2} v^nu / sqrt(nu!) the coherent
-    amplitudes, and then u = sqrt(varsigma) v.  This is exact: the proposal
-    density is q = w^{-1} sum_B pi^{-J} |c_nu(v)|^2, the target is
-    p = pi^{-J} |<psi, xi(v)>|^2 = w a q, and a <= 1 by Cauchy-Schwarz, so
-    a proposal is accepted with probability 1/w.  Numerator and denominator
-    of a are homogeneous of the same degree in v, so a is scored on the
-    direction v/|v| with the tensor-power coefficients; under every row's
-    product form the radius |v|^2 ~ Gamma(n + J) is independent of that
-    direction, so the accepted draws keep the target's mass law.  Each
-    pending draw of a sector gets as many proposals at a time as the widest
-    block among the sector's pending draws, and keeps its first accepted
-    one.  A batch pads its blocks to that width, (rows, L) amplitudes on
-    (rows, L, J) occupations, and is scored by one kernel call.  The
-    columns and rows are those of one block-diagonal array of all the
-    state's eigenvectors.
+    Every draw picks an eigenstate psi with its Gibbs weight, then samples
+    by rejection from psi's total-momentum block B, the w rows its column
+    stores.  A proposal picks a row nu of B uniformly and draws v in product
+    form, |v_j|^2 ~ Gamma(nu_j + 1) with a uniform phase; it is accepted with
+    probability a(v) = |sum_B psi_nu c_nu(v)|^2 / sum_B |c_nu(v)|^2, c_nu(v)
+    the coherent amplitudes, and then u = sqrt(varsigma) v.  The proposal
+    density q is the mean of pi^{-J} |c_nu|^2 over B, the target is
+    p = w a q, and a <= 1 by Cauchy-Schwarz, so this is exact and accepts
+    with probability 1/w.  A column with one stored entry (an occupation
+    state) has |psi_nu| = 1, so a = 1 and its draw is the product form.  The
+    ratio a is homogeneous of degree 0 in v and is scored on the direction
+    v/|v|, independent of the radius |v|^2 ~ Gamma(n + J).  The draws of one
+    width w go in batches, w proposals each, of which a draw keeps the first
+    accepted, and a batch is one kernel call.
     Raises InvalidConfigError for a varsigma that is not finite and
     positive or a negative n_samples, and QuadratureFailureError when a
     draw stalls, having spent _MAX_WIDTHS times its block width in proposals.
@@ -202,51 +187,30 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     # every eigenvector as one column, on the sectors' rows stacked
     V = sparse.block_diag([b.vectors for b in sectors], format="csc")
     occupations = np.concatenate([b.basis.occupations for b in sectors])
-    ptr, stored = V.indptr, np.diff(V.indptr)
-    head = V.indices[ptr[:-1]]  # first stored row of each column
-    order = np.argsort(head, kind="stable")
-    probs = np.concatenate([b.boltzmann for b in sectors])[order] / blocks.Z
-    probs = probs / probs.sum()
-    column = order[rng.choice(len(probs), size=n_samples, p=probs)]
-    sector = np.repeat(np.arange(len(sectors)), [b.vectors.shape[1] for b in sectors])[column]
+    probs = np.concatenate([b.boltzmann for b in sectors]) / blocks.Z
+    column = rng.choice(len(probs), size=n_samples, p=probs / probs.sum())
+    width = np.diff(V.indptr)[column]
     out = np.empty((n_samples, J), dtype=complex)
-
-    single = stored[column] == 1
-    nu = occupations[head[column[single]]]
-    radii_sq = rng.gamma(shape=nu + 1.0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
-    out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
-
     tries = np.zeros(n_samples, dtype=np.int64)
-    for k in range(len(sectors)):
-        pending = np.flatnonzero((sector == k) & ~single)
+    for w in np.unique(width):
+        pending = np.flatnonzero(width == w)
         while pending.size:
-            # a proposal is accepted with probability 1/width, so each draw
-            # gets as many proposals as the sector's widest pending block has rows
-            width = stored[column[pending]].max()
-            rows = pending[:max(1, _PROPOSAL_ENTRIES // width**2)]
-            cols = column[rows]
-            shape = (rows.size, width)
-            # each column's stored rows, padded to the widest with zero
-            # amplitudes on its last row, so every row stays in its block
-            inside = np.arange(width) < stored[cols, None]
-            at = ptr[cols, None] + np.minimum(np.arange(width), stored[cols, None] - 1)
-            psi = np.where(inside, V.data[at], 0.0)
-            pick = ptr[cols, None] + rng.integers(stored[cols, None], size=shape)
+            rows = pending[:max(1, _PROPOSAL_ENTRIES // w**2)]
+            at = V.indptr[column[rows], None] + np.arange(w)  # each column's stored entries
+            pick = at[:, :1] + rng.integers(w, size=(rows.size, w))
             radii_sq = rng.gamma(shape=occupations[V.indices[pick]] + 1.0)
-            uniform = rng.random(shape + (J + 1,))  # J phases and the accept draw
+            uniform = rng.random((rows.size, w, J + 1))  # J phases and the accept draw
             v = np.sqrt(radii_sq) * np.exp(2j * np.pi * uniform[..., :J])
             coeffs = _tensor_power_coeffs(occupations[V.indices[at]],
                                           v / np.linalg.norm(v, axis=-1, keepdims=True))
-            overlap = np.einsum("rql,rl->rq", coeffs, psi)
-            norm_sq = np.einsum("rql,rl->rq", np.abs(coeffs) ** 2, inside.astype(float))
+            overlap = np.einsum("rql,rl->rq", coeffs, V.data[at])
+            norm_sq = np.sum(np.abs(coeffs) ** 2, axis=-1)
             accept = uniform[..., J] * norm_sq < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
-            first = accept.argmax(axis=1)[hit]
-            out[rows[hit]] = math.sqrt(varsigma) * v[hit, first]
-            tries[rows] += width
+            out[rows[hit]] = math.sqrt(varsigma) * v[hit, accept.argmax(axis=1)[hit]]
+            tries[rows] += w
             missed = rows[~hit]
-            if np.any(tries[missed] >= _MAX_WIDTHS * stored[column[missed]]):
+            if np.any(tries[missed] >= _MAX_WIDTHS * w):
                 raise QuadratureFailureError("husimi rejection sampler stalled")
             pending = np.concatenate((pending[rows.size:], missed))
     return out

@@ -40,12 +40,14 @@ Gate evaluations per run, by test:
             (exact mean and variance, KS against the exact CDF)
         TestSampler::test_pure_eigenstate_anti_normal_moments        9
             (3 means of |u_i|^2, 6 of |u_i|^2 |u_j|^2 with i <= j)
+        TestSampler::test_mixed_state_anti_normal_moments            9
+            (the same nine means, over every eigenstate of a mixed state)
         TestDeFinetti::test_husimi_moment_matches_mc                 3
         TestBerezinLieb::test_identical_states                       1
         TestBerezinLieb::test_two_free_states (one-sided)            1
         TestBerezinLieb::test_diagonal_pair_sweep (one-sided)       30
                                                                    ---
-                                                                   116
+                                                                   125
 
 Adding a seeded gate, or changing how often one is evaluated, means updating
 N_GATES and this tally in the same change; the gate widths then follow.
@@ -65,7 +67,7 @@ from torusgibbs.cgibbs import _GROUPS, _SHARD
 from torusgibbs.model import CutoffProfile
 
 SUITE_ALPHA = 1e-3
-N_GATES = 116
+N_GATES = 125
 GATE_ALPHA = SUITE_ALPHA / N_GATES
 GATE_Z = float(norm.isf(GATE_ALPHA / 2.0))
 GATE_R = math.sqrt(math.log(1.0 / GATE_ALPHA))
@@ -235,26 +237,6 @@ def rng():
     return np.random.default_rng(20260810)
 
 
-def husimi_product_form_oracle(blocks, varsigma, n_samples, rng):
-    """Lower-symbol draws of an occupation-diagonal block state in product
-    form alone: pick an occupation vector nu with its Gibbs weight, then per
-    mode a Gamma(nu_j + 1) squared radius and a uniform phase.  The sampler
-    must reproduce these draws bit for bit on such states."""
-    atoms, weights = [], []
-    for b in blocks.blocks:
-        if b.weight == 0.0:
-            continue
-        atoms.append(b.basis.occupations)
-        weights.append(b.boltzmann / blocks.Z)
-    occs = np.concatenate(atoms, axis=0)
-    probs = np.concatenate(weights)
-    probs = probs / probs.sum()
-    nu = occs[rng.choice(len(probs), size=n_samples, p=probs)]
-    radii_sq = rng.gamma(shape=nu + 1.0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
-    return np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
-
-
 def tensor_power_oracle(basis, v):
     """Coefficients sqrt(n!/prod nu!) * prod v_j^{nu_j} of v^{tensor n}, one
     complex power and one product per basis state."""
@@ -285,74 +267,66 @@ def husimi_density_oracle(blocks, varsigma, us):
     return out / (varsigma * math.pi) ** blocks.params.J
 
 
-def husimi_eigenstate_picks(blocks, n_samples, rng):
-    """The sampler's first draw: an eigenstate per sample with its Gibbs
-    weight, each sector's eigenstates listed by their first stored row.
-    Returns, per sample, the index of its sector among the live ones and its
-    column there, whether that column has one stored entry, and, for those
-    that do, the occupation row it stores."""
-    live = [b for b in blocks.blocks if b.weight != 0.0]
-    heads = [b.vectors.indices[b.vectors.indptr[:-1]] for b in live]
-    order = [np.argsort(h, kind="stable") for h in heads]
-    probs = np.concatenate([b.boltzmann[o] / blocks.Z for b, o in zip(live, order)])
-    probs = probs / probs.sum()
-    picks = rng.choice(len(probs), size=n_samples, p=probs)
-    starts = np.cumsum([0] + [b.basis.dim for b in live])
-    which = np.searchsorted(starts, picks, side="right") - 1
-    column = np.concatenate(order)[picks]
-    single = np.concatenate([np.diff(b.vectors.indptr)[o] == 1
-                             for b, o in zip(live, order)])[picks]
-    nu = np.concatenate([b.basis.occupations[h[o]]
-                         for b, h, o in zip(live, heads, order)])[picks[single]]
-    return which, column, single, nu
-
-
 def husimi_dense_scoring_oracle(blocks, varsigma, n_samples, rng):
-    """Lower-symbol draws of any block state, each rejection proposal read
-    off its eigenvector's momentum block B, the rows of the sector whose
-    total momentum is the eigenvector's.  A proposal picks a row nu of B
+    """Lower-symbol draws of any block state.  Each draw picks an
+    eigenstate psi with its Gibbs weight, then samples by rejection from
+    psi's block B.  In a sector whose Hamiltonian is diagonal (a free state,
+    or n < 3) B is the eigenvector's one occupation row; otherwise it is the
+    rows of the sector whose total momentum is that of the eigenvector's
+    largest amplitude, in basis order.  A proposal picks a row nu of B
     uniformly, draws v with |v_j|^2 ~ Gamma(nu_j + 1) and a uniform phase,
     and is accepted with probability |<psi, c(v)>|^2 / sum_B |c_nu(v)|^2.
     The numerator is contracted over all dim amplitudes of the sector,
     through the dense eigenvector matrix, and the denominator is summed over
-    the rows of B found from basis.momenta.  It consumes the generator
-    exactly as the sampler does, so the sampler, which reads B off its
-    sparse layout, must reproduce these draws bit for bit.  The amplitudes
-    come from the library's kernel, which test_batched_tensor_power_coeffs
-    holds to tensor_power_oracle."""
+    the rows of B found from basis.momenta.  The draws of one width |B| go
+    in batches of max(1, _PROPOSAL_ENTRIES // |B|^2), |B| proposals each,
+    widths in ascending order.  It consumes the generator exactly as the
+    sampler does, so the sampler, which reads B off its sparse layout, must
+    reproduce these draws bit for bit.  The amplitudes come from the
+    library's kernel, which test_batched_tensor_power_coeffs holds to
+    tensor_power_oracle."""
     J = blocks.params.J
-    live = [b for b in blocks.blocks if b.weight != 0.0]
-    which, column, single, nu = husimi_eigenstate_picks(blocks, n_samples, rng)
-    out = np.empty((n_samples, J), dtype=complex)
-    radii_sq = rng.gamma(shape=nu + 1.0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=nu.shape)
-    out[single] = np.sqrt(varsigma * radii_sq) * np.exp(1j * phases)
-
-    for k, b in enumerate(live):
-        pending = np.flatnonzero((which == k) & ~single)
+    # an eigenstate per draw with its Gibbs weight, listed sector by sector
+    probs = np.concatenate([b.boltzmann / blocks.Z for b in blocks.blocks])
+    picks = rng.choice(len(probs), size=n_samples, p=probs / probs.sum())
+    starts = np.cumsum([0] + [b.basis.dim for b in blocks.blocks])
+    which = np.searchsorted(starts, picks, side="right") - 1
+    column = picks - starts[which]
+    dense, in_block = [], []
+    for b in blocks.blocks:
         V = b.vectors.toarray()
-        # each column's block: the rows whose total momentum is that of its
-        # largest amplitude, listed first in basis order
-        in_block = b.basis.momenta == b.basis.momenta[np.argmax(np.abs(V), axis=0)][:, None]
-        block_rows = np.argsort(~in_block, axis=1, kind="stable")
+        lead = np.argmax(np.abs(V), axis=0)
+        if blocks.interacting and b.n >= 3:
+            in_block.append(b.basis.momenta == b.basis.momenta[lead][:, None])
+        else:
+            in_block.append(np.arange(b.basis.dim) == lead[:, None])
+        dense.append(V)
+    block_occ = [blocks.blocks[k].basis.occupations[in_block[k][c]]
+                 for k, c in zip(which, column)]
+    width = np.array([len(occ) for occ in block_occ], dtype=int)
+    out = np.empty((n_samples, J), dtype=complex)
+    for w in np.unique(width):
+        pending = np.flatnonzero(width == w)
         while pending.size:
-            width = in_block[column[pending]].sum(axis=1).max()
-            rows = pending[:max(1, sc._PROPOSAL_ENTRIES // width**2)]
-            cols = column[rows]
-            shape = (rows.size, width)
-            pick = rng.integers(in_block[cols].sum(axis=1)[:, None], size=shape)
-            nu = b.basis.occupations[np.take_along_axis(block_rows[cols], pick, axis=1)]
-            radii_sq = rng.gamma(shape=nu + 1.0)
-            uniform = rng.random(shape + (J + 1,))
+            rows = pending[:max(1, sc._PROPOSAL_ENTRIES // w**2)]
+            pick = rng.integers(w, size=(rows.size, w))
+            occ = np.stack([block_occ[r] for r in rows])  # (rows, w, J)
+            radii_sq = rng.gamma(shape=np.take_along_axis(occ, pick[..., None], axis=1) + 1.0)
+            uniform = rng.random((rows.size, w, J + 1))
             v = np.sqrt(radii_sq) * np.exp(2j * np.pi * uniform[..., :J])
-            coeffs = sc._tensor_power_coeffs(b.basis.occupations,
-                                             v / np.linalg.norm(v, axis=-1, keepdims=True))
-            overlap = np.einsum("rqd,dr->rq", coeffs, V[:, cols])
-            norm_sq = np.einsum("rqd,rd->rq", np.abs(coeffs) ** 2, in_block[cols].astype(float))
+            d = v / np.linalg.norm(v, axis=-1, keepdims=True)
+            overlap = np.empty((rows.size, w), dtype=complex)
+            norm_sq = np.empty((rows.size, w))
+            for k in np.unique(which[rows]):
+                sel = which[rows] == k
+                cols = column[rows[sel]]
+                coeffs = sc._tensor_power_coeffs(blocks.blocks[k].basis.occupations, d[sel])
+                overlap[sel] = np.einsum("rqd,dr->rq", coeffs, dense[k][:, cols])
+                norm_sq[sel] = np.einsum("rqd,rd->rq", np.abs(coeffs) ** 2,
+                                         in_block[k][cols].astype(float))
             accept = uniform[..., J] * norm_sq < np.abs(overlap) ** 2
             hit = accept.any(axis=1)
-            first = accept.argmax(axis=1)[hit]
-            out[rows[hit]] = math.sqrt(varsigma) * v[hit, first]
+            out[rows[hit]] = math.sqrt(varsigma) * v[hit, accept.argmax(axis=1)[hit]]
             pending = np.concatenate((pending[rows.size:], rows[~hit]))
     return out
 

@@ -10,7 +10,8 @@ Its estimator counters read the call arguments and results, so they must
 accept what the estimators take and return, and the estimators must look the
 energy batches up in `cgibbs` at each call, so the rebound wrappers count
 their rows.  Its generator proxy counts the rows of sized `uniform` calls as
-the sampler's product-form draws.
+the sampler's product-form draws; the sampler draws every sample by
+rejection and makes no such call, so its acceptance ratio counts every draw.
 The harness source is read and executed in memory; nothing under tgbench/
 is written.
 """
@@ -24,7 +25,6 @@ import types
 import numpy as np
 import pytest
 
-from conftest import husimi_eigenstate_picks
 from torusgibbs import cgibbs, qgibbs, semiclassics
 from torusgibbs.model import CutoffProfile, ModelParams
 
@@ -103,15 +103,26 @@ def test_energies_reached_through_module_attributes(estimator, monkeypatch):
     assert all(count == 0 for name, count in rows.items() if name != attr)
 
 
-def test_phase_rows_count_product_form_draws():
-    # accept_ratio = (draws - product-form draws) / proposals: the sampler
-    # takes one sized uniform row per draw from a single-entry column and no
-    # sized uniform call in its rejection loop
+def test_phase_rows_count_product_form_draws(monkeypatch):
+    # accept_ratio = (draws - product-form draws) / proposals, the harness
+    # counting the returned rows as draws and one proposal per kernel call
+    # inside the sampler: the sampler makes no sized uniform call, so every
+    # draw is a rejection draw
     params = ModelParams(tau=20.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=7)
     blocks = qgibbs.build_gibbs(params, True, CutoffProfile.smooth(0.6, 0.05))
     tracer = HARNESS.Tracer()
-    sampler = tracer.wrap(semiclassics.sample_husimi, "semiclassics.sample_husimi")
+    sampler = tracer.wrap(semiclassics.sample_husimi, "semiclassics.sample_husimi",
+                          lambda args, kwargs, result: {"draws": len(result)})
+    kernel, calls = semiclassics._tensor_power_coeffs, []
+
+    def counted(occ, v):
+        calls.append(1)
+        tracer.count(tracer.enclosing("semiclassics.sample_husimi"), "proposals")
+        return kernel(occ, v)
+
+    monkeypatch.setattr(semiclassics, "_tensor_power_coeffs", counted)
     sampler(blocks, 0.05, 400, HARNESS._PhaseCountingRng(tracer, np.random.default_rng(9)))
-    single = husimi_eigenstate_picks(blocks, 400, np.random.default_rng(9))[2]
-    assert 0 < single.sum() < 400
-    assert tracer.layer_metrics()["semiclassics.sample_husimi.product_draws"] == single.sum()
+    metrics = tracer.layer_metrics()
+    assert metrics["semiclassics.sample_husimi.product_draws"] == 0
+    assert len(calls) > 1
+    assert metrics["semiclassics.sample_husimi.accept_ratio"] == 400 / len(calls)

@@ -118,8 +118,12 @@ class TestCli:
         (["partition"], "tau_values = nan\n"),
         (["partition"], "tau_values = inf\n"),
         (["partition"], "K = inf\n"),
+        # finite, but K^2 overflows
+        (["partition"], "K = 1e200\n"),
+        (["blowup"], "K_blowup = 1e200\n"),
     ], ids=["threads-0", "seed-negative", "unknown-key", "k_max-negative",
-            "tau-nonpositive", "missing-config", "tau-nan", "tau-inf", "K-inf"])
+            "tau-nonpositive", "missing-config", "tau-nan", "tau-inf", "K-inf",
+            "K-1e200", "K_blowup-1e200"])
     def test_invalid_input_exits_1(self, argv, config, tmp_path, capsys):
         if config is not None:
             argv = argv + ["--config", write_config(tmp_path, config)]
@@ -209,8 +213,8 @@ class TestCli:
         assert [r["check"] for r in rows] == ["subcritical_moment_kmax0",
                                               "subcritical_moment_kmax1"]
         for r in rows:
+            assert list(r) == ["check", "value", "value_stderr"]
             assert float(r["value"]) > 0.0 and float(r["value_stderr"]) > 0.0
-            assert math.isnan(float(r["target"]))
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         def failing_build(*args, **kwargs):

@@ -66,6 +66,8 @@ class TestModelParams:
         dict(tau=math.nan, eps=0.5, eta=0.1, K=0.6, k_max=1, n_max=4),
         dict(tau=10.0, eps=0.5, eta=0.1, K=math.inf, k_max=1, n_max=4),
         dict(tau=10.0, eps=0.5, eta=math.inf, K=0.6, k_max=1, n_max=4),
+        # finite, but K^2 overflows
+        dict(tau=10.0, eps=0.5, eta=0.1, K=1e200, k_max=1, n_max=4),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfigError):
@@ -148,8 +150,9 @@ class TestCutoff:
         (dict(kind="smooth", K=math.inf, eta=0.1), "needs K > 0"),
         (dict(kind="sharp", K=math.nan), "needs K > 0"),
         (dict(kind="smooth", K=0.6, eta=math.inf), "eta"),
+        (dict(kind="sharp", K=1e200), "K\\^2 finite"),
     ], ids=["table", "sharp_without_K", "sharp_K0", "smooth_without_eta", "smooth_K_inf",
-            "sharp_K_nan", "smooth_eta_inf"])
+            "sharp_K_nan", "smooth_eta_inf", "sharp_K_square_overflows"])
     def test_constructor_rejects(self, kwargs, match):
         with pytest.raises(InvalidConfigError, match=match):
             CutoffProfile(**kwargs)

@@ -9,7 +9,7 @@ import pytest
 from scipy import sparse, special, stats
 
 from conftest import (GATE_ALPHA, GATE_R, GATE_Z, husimi_dense_scoring_oracle,
-                      husimi_density_oracle, husimi_product_form_oracle,
+                      husimi_density_oracle,
                       random_momentum_eigenvectors, sharp_through, table_cutoff,
                       tensor_power_oracle)
 from torusgibbs import fock, qgibbs, semiclassics as sc
@@ -216,15 +216,17 @@ class TestHusimi:
 
 
 class TestSampler:
-    def test_free_draws_match_product_form_oracle(self):
+    def test_free_draws_match_dense_oracle(self):
+        # every column is an occupation state, a block of width 1, whose one
+        # proposal is the product-form draw and is always accepted
         b = qgibbs.build_gibbs(params(tau=20.0), False, CutoffProfile.smooth(0.6, 0.05))
         got = sc.sample_husimi(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
-        want = husimi_product_form_oracle(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
+        want = husimi_dense_scoring_oracle(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
         assert np.array_equal(got, want)
 
-    def test_signed_permutation_draws_match_product_form_oracle(self):
+    def test_signed_permutation_draws_match_dense_oracle(self):
         # eigenvectors that are signed occupation states, listed in a shuffled
-        # order, sample in product form exactly as the same state in basis order
+        # order, are read off their one stored row whatever its sign and place
         b = qgibbs.build_gibbs(params(tau=20.0), False, CutoffProfile.smooth(0.6, 0.05))
         shuffle = np.random.default_rng(5)
         blocks = []
@@ -242,7 +244,8 @@ class TestSampler:
         assert any(not np.array_equal(blk.vectors.indices, np.arange(blk.basis.dim))
                    for blk in blocks if blk.basis.dim > 1)
         got = sc.sample_husimi(shuffled, 1.0 / 20.0, 3000, np.random.default_rng(17))
-        want = husimi_product_form_oracle(b, 1.0 / 20.0, 3000, np.random.default_rng(17))
+        want = husimi_dense_scoring_oracle(shuffled, 1.0 / 20.0, 3000,
+                                           np.random.default_rng(17))
         assert np.array_equal(got, want)
 
     def test_stalled_rejection_raises(self, monkeypatch):
@@ -296,11 +299,45 @@ class TestSampler:
                 col_ij = mass[:, i] * mass[:, j]
                 assert abs(np.mean(col_ij) - pred) <= GATE_Z * np.std(col_ij) / math.sqrt(len(us))
 
+    def test_mixed_state_anti_normal_moments(self, rng):
+        """The whole interacting state at tau=20, k_max=1: its sectors n < 3
+        and its 1 x 1 momentum blocks draw at width 1, its other blocks at
+        width > 1.  The sampled moments are the anti-normal ones summed over
+        the eigenstates psi with their Gibbs weights p: E|u_i|^2 =
+        varsigma sum p ||adag_i psi||^2 and E|u_i|^2 |u_j|^2 =
+        varsigma^2 sum p ||adag_j adag_i psi||^2, each adag the transpose of
+        an annihilation map.  Nine means, each gated at GATE_Z."""
+        tau, k_max = 20.0, 1
+        b = interacting_state(tau=tau, k_max=k_max)
+        widths = np.concatenate([np.diff(blk.vectors.indptr) for blk in b.blocks])
+        assert widths.min() == 1 and widths.max() > 1
+        vs = 1.0 / tau
+        us = sc.sample_husimi(b, vs, 50000, rng)
+        mass = np.abs(us) ** 2
+        first, second = np.zeros(3), np.zeros((3, 3))
+        for blk in b.blocks:
+            p = blk.boltzmann / b.Z
+            up = [fock.annihilation_map(k_max, blk.n + 1, i).T @ blk.vectors.toarray()
+                  for i in range(3)]
+            for i in range(3):
+                first[i] += p @ np.sum(up[i] ** 2, axis=0)
+                for j in range(i, 3):
+                    upup = fock.annihilation_map(k_max, blk.n + 2, j).T @ up[i]
+                    second[i, j] += p @ np.sum(upup ** 2, axis=0)
+        for i in range(3):
+            col_i, pred = mass[:, i], vs * first[i]
+            assert abs(np.mean(col_i) - pred) <= GATE_Z * np.std(col_i) / math.sqrt(len(us))
+            for j in range(i, 3):
+                col_ij, pred = mass[:, i] * mass[:, j], vs**2 * second[i, j]
+                assert abs(np.mean(col_ij) - pred) <= GATE_Z * np.std(col_ij) / math.sqrt(len(us))
+
     @pytest.mark.parametrize("tau,k_max", [(20.0, 1), (17.0, 2)])
     def test_proposals_scored_on_one_momentum_block(self, monkeypatch, tau, k_max):
         b = interacting_state(tau=tau, k_max=k_max)
-        largest = {blk.n: np.unique(blk.basis.momenta, return_counts=True)[1].max()
-                   for blk in b.blocks}
+        # the size of each momentum block, per sector; a diagonal sector n < 3
+        # solves each occupation row on its own
+        sizes = [dict(zip(*np.unique(blk.basis.momenta, return_counts=True)))
+                 for blk in b.blocks]
         scored = []
         kernel = sc._tensor_power_coeffs
 
@@ -326,11 +363,14 @@ class TestSampler:
         assert scored
         assert len(scored) == rng.batches
         for occ in scored:
-            momenta = occ @ mode_numbers(k_max)  # (rows, L), padding included
+            width = occ.shape[1]
+            momenta = occ @ mode_numbers(k_max)  # (rows, width)
             assert np.all(momenta == momenta[:, :1])
-            n = np.unique(occ.sum(axis=-1))
-            assert n.size == 1
-            assert occ.shape[1] <= largest[int(n[0])]
+            ns = occ.sum(axis=-1)
+            assert np.all(ns == ns[:, :1])
+            # every row of a call has the call's width, its own block's size
+            for n, k in zip(ns[:, 0], momenta[:, 0]):
+                assert width == (sizes[n][k] if n >= 3 else 1)
 
     @pytest.mark.parametrize("k_max,n", [(0, 5), (1, 4), (2, 3)])
     def test_batched_tensor_power_coeffs(self, rng, k_max, n):
