@@ -15,6 +15,12 @@ a = b = 0 (b = 1 where the denominator is the plain count).  The rows that
 carry weight are exact free draws, so error bars are honest, and
 reproducibility is bit-exact for a fixed (seed, n_samples, params).
 
+The shards run on min(threads, full shards) threads, the caller's among
+them, `threads` defaulting to every usable core (USABLE_CORES); the pool
+lives for one call, and a call of at most one full shard runs serially.  Each shard's generator
+is spawned from the seed and the shards are merged in order, so every
+estimate is bit-identical for any thread count.
+
 Both sextic energies are trigonometric polynomials of degree 6*k_max in x,
 so the mean over M = 6*k_max + 1 grid points integrates them exactly.  The
 smeared density w_eps * |u|^2 on that grid is |u|^2 times a real M x M
@@ -24,6 +30,9 @@ coefficients at range eps, at the 4*k_max + 1 modes of |u|^2.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +52,10 @@ __all__ = [
     "capped_partition",
     "subcritical_moment",
 ]
+
+# the cores this process may run on: the default pool size of every estimator
+USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -99,10 +112,14 @@ def sample_free_fields(k_max: int, n_samples: int, rng: np.random.Generator,
 # interaction energies (exact quadrature for trigonometric polynomials)
 # ------------------------------------------------------------------
 
+_ENERGY_ROWS = 4096  # rows per block of _sextic_energy: bounds each thread's working set
+
+
 def _sextic_energy(coeffs: np.ndarray, w_hat=None) -> np.ndarray:
     """(1/6) * mean over M grid points of conv^2 * rho, rho = |u|^2, with
     conv = rho @ C, C[x, y] = (1/M) sum_{|m| <= 2k_max} w_hat(m) cos(2 pi m (x - y)).
 
+    The rows are evaluated in blocks of _ENERGY_ROWS, each row by itself.
     w_hat=None is w_hat = 1, for which conv = rho.  Raises InvalidConfigError
     unless coeffs is one row or a stack of rows of 2k_max+1 mode coefficients.
     """
@@ -114,14 +131,18 @@ def _sextic_energy(coeffs: np.ndarray, w_hat=None) -> np.ndarray:
     k_max = (coeffs.shape[1] - 1) // 2
     M = 6 * k_max + 1
     x = np.arange(M) / M
-    u = coeffs @ np.exp(2j * np.pi * np.outer(mode_numbers(k_max), x))
-    rho = u.real**2 + u.imag**2
-    conv = rho
+    waves = np.exp(2j * np.pi * np.outer(mode_numbers(k_max), x))
+    circ = None
     if w_hat is not None:
         m = np.arange(-2 * k_max, 2 * k_max + 1)
         circ = np.cos(2.0 * np.pi * np.subtract.outer(x, x)[..., None] * m) @ w_hat(m) / M
-        conv = rho @ circ
-    return np.einsum("ij,ij,ij->i", conv, conv, rho) / (6.0 * M)
+    out = np.empty(len(coeffs))
+    for lo in range(0, len(coeffs), _ENERGY_ROWS):
+        u = coeffs[lo:lo + _ENERGY_ROWS] @ waves
+        rho = u.real**2 + u.imag**2
+        conv = rho if circ is None else rho @ circ
+        out[lo:lo + _ENERGY_ROWS] = np.einsum("ij,ij,ij->i", conv, conv, rho)
+    return out / (6.0 * M)
 
 
 def local_energy_batch(coeffs: np.ndarray) -> np.ndarray:
@@ -153,19 +174,38 @@ def _map_shards(seed: int, n_samples: int, fn, threads: int = 1) -> list:
     """Run fn(size, rng) over shards of at most _SHARD rows, each with its
     own generator spawned from `seed`.
 
-    Results come back in shard order whatever the execution order, so the
-    merged estimate is identical for any thread count.
+    The shards run on min(threads, full shards) threads, and serially in
+    this thread when that is at most one: a single full shard leaves a
+    second thread nothing to overlap.  This thread is one of them and takes
+    shards from the same queue as a pool of the others that lives for this
+    call only; its malloc arena is warm from before the call, where a pool
+    thread's grows a shard's arrays anew.  Results come back in shard order
+    whatever the execution order, so the merged estimate is bit-identical
+    for any thread count.
     """
     full, rem = divmod(n_samples, _SHARD)
     sizes = [_SHARD] * full + ([rem] if rem else [])
     seqs = np.random.SeedSequence(seed).spawn(len(sizes))
     jobs = [(size, np.random.default_rng(sq)) for size, sq in zip(sizes, seqs)]
-    if threads <= 1 or len(jobs) <= 1:
+    workers = min(threads, full)
+    if workers <= 1:
         return [fn(size, rng) for size, rng in jobs]
-    from concurrent.futures import ThreadPoolExecutor
+    results, pending, lock = [None] * len(jobs), iter(range(len(jobs))), threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
+    def work():
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            results[i] = fn(*jobs[i])
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _interaction_energy(interaction: str, eps: float):
@@ -284,7 +324,7 @@ def _mc_estimate(seed: int, n_samples: int, draw, threads: int) -> MCEstimate:
 
 
 def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffProfile,
-                        n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
+                        n_samples: int, seed: int, threads: int = USABLE_CORES) -> MCEstimate:
     """Importance-sampling estimate of E_mu0[ e^{energy} * cutoff(mass) ].
 
     interaction: "none" (weight e^0), "hartree" (range-eps energy), or
@@ -296,7 +336,7 @@ def classical_partition(params: ModelParams, interaction: str, cutoff: CutoffPro
 
 
 def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile,
-                    n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
+                    n_samples: int, seed: int, threads: int = USABLE_CORES) -> MCEstimate:
     """Normalized partition value E[e^W f] / E[f] on shared samples.
 
     This is the classical quantity matched by the quantum ratio of
@@ -310,7 +350,7 @@ def partition_ratio(params: ModelParams, interaction: str, cutoff: CutoffProfile
 
 def classical_moment_matrix(params: ModelParams, interaction: str,
                             cutoff: CutoffProfile, k: int, n_samples: int,
-                            seed: int, threads: int = 1):
+                            seed: int, threads: int = USABLE_CORES):
     """First moment matrix M[i,j] = E_mu[ alpha_i * conj(alpha_j) ] of the
     reweighted measure, which is invariant under the translations
     alpha_k -> e^{2 pi i k y} alpha_k: M is diagonal, its off-diagonal
@@ -367,7 +407,7 @@ def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------
 
 def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
-                     n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
+                     n_samples: int, seed: int, threads: int = USABLE_CORES) -> MCEstimate:
     """E_mu0[ e^{min(hartree energy, R_cap)} * cutoff(mass) ].
 
     A monotone-in-R_cap lower bound for the uncapped partition value; the
@@ -383,7 +423,7 @@ def capped_partition(params: ModelParams, R_cap: float, cutoff: CutoffProfile,
 
 
 def subcritical_moment(params: ModelParams, K_s: float, varsigma: float,
-                       n_samples: int, seed: int, threads: int = 1) -> MCEstimate:
+                       n_samples: int, seed: int, threads: int = USABLE_CORES) -> MCEstimate:
     """E_mu0[ exp((1+varsigma)/6 * ||u||_L6^6) * 1_{mass <= K_s^2} ] on the
     mode window; finite uniformly in the window size when K_s is below the
     mass threshold.  The weight is (1+varsigma) times the local energy under

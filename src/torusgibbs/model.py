@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidConfigError
 
@@ -100,7 +98,8 @@ class ModelParams:
 # mass-cutoff profiles
 # ------------------------------------------------------------------
 
-_BUMP_NORM = integrate.quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1, 1)[0]
+# integral of exp(-1/(1 - t^2)) over (-1, 1), as scipy.integrate.quad returns it
+_BUMP_NORM = 0.44399381616807865
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -112,28 +111,83 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integral of the samples y from x[0] to each x[i] (0 at i = 0), by the
+    unequal-interval Simpson rule of scipy.integrate.cumulative_simpson in
+    its operation order, so the table is the same to the bit: each interval
+    is integrated over the quadratic through it and its right neighbour,
+    every second one through its left neighbour instead, and the last one
+    that way too."""
+    def first_intervals(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          - x21x21_x31x32 * y[2:])
+
+    dx = np.diff(x)
+    left, right = first_intervals(y, dx), first_intervals(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(len(dx))
+    parts[:-1:2], parts[1::2], parts[-1] = left[::2], right[::2], right[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
+def _pchip_edge_slope(h0, h1, m0, m1) -> float:
+    """PCHIP's one-sided three-point end slope, cut to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, len(x) - 1) coefficients, constant term first, of the monotone
+    cubic Hermite interpolant through (x, y): scipy.interpolate's
+    PchipInterpolator in its operation order.  Inner slopes are the weighted
+    harmonic mean of the neighbouring secants, 0 where they change sign or
+    one vanishes."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """Mass-cutoff weight f applied as f(n/tau) quantum-side, f(||u||^2)
     classically.
 
     kind = "smooth":  f = 1 on [0, K^2 - eta], f = 0 above K^2, and a
-        mollified monotone ramp in between, tabulated on 4096 points with
-        monotone cubic interpolation.  The ramp is the convolution of the
-        step 1_{(-inf, K^2 - eta/2]} with a bump of width eta/2, so all
+        mollified monotone ramp in between, tabulated on 4096 points by a
+        cumulative Simpson rule and read off by monotone cubic (PCHIP)
+        interpolation, both numpy copies of scipy's that give its values to
+        the bit.  The ramp is the convolution of the step
+        1_{(-inf, K^2 - eta/2]} with a bump of width eta/2, so all
         derivative bounds scale like powers of 1/eta.
     kind = "sharp":   indicator of [0, K^2].
 
     Both kinds are non-increasing and vanish above K^2.
 
-    Equality and hashing read (kind, K, eta); the smooth ramp's interpolant
-    is a function of (K, eta) alone.
+    Equality and hashing read (kind, K, eta); the smooth ramp's table is a
+    function of (K, eta) alone.
     """
 
     kind: str
     K: float | None = None
     eta: float | None = None
-    _interp: object = field(default=None, init=False, repr=False, compare=False)
+    # the smooth ramp: its nodes and their _pchip_coeffs
+    _ramp: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("smooth", "sharp"):
@@ -148,10 +202,10 @@ class CutoffProfile:
             raise InvalidConfigError(f"need 0 < eta < K^2/2, got eta={eta}, K={K}")
         # f(x) = 1 - Theta(z), z = 2(x - K^2)/eta + 1, Theta the bump CDF on [-1, 1].
         z = np.linspace(-1.0, 1.0, 4096)
-        cdf = integrate.cumulative_simpson(_bump(z), x=z, initial=0.0)
+        cdf = _cumulative_simpson(_bump(z), z)
         cdf /= cdf[-1]  # kill the ~1e-14 quadrature residue so endpoints are exact
         x = K**2 + 0.5 * eta * (z - 1.0)
-        object.__setattr__(self, "_interp", PchipInterpolator(x, 1.0 - cdf))
+        object.__setattr__(self, "_ramp", (x, _pchip_coeffs(x, 1.0 - cdf)))
 
     @staticmethod
     def smooth(K: float, eta: float) -> "CutoffProfile":
@@ -177,7 +231,13 @@ class CutoffProfile:
             lo, hi = self.K**2 - self.eta, self.K**2
             out[s > hi] = 0.0
             mid = (s > lo) & (s <= hi)
-            out[mid] = np.clip(self._interp(s[mid]), 0.0, 1.0)
+            x, c = self._ramp
+            s = s[mid]
+            i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+            t = s - x[i]
+            c = c[:, i]
+            # the powers of t summed in the order of scipy's PPoly evaluation
+            out[mid] = np.clip(c[0] + c[1] * t + c[2] * (t * t) + c[3] * (t * t * t), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
 

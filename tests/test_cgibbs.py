@@ -1,6 +1,10 @@
 """Free-field sampler, interaction energies, estimators, and the mass law."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy import integrate, special, stats
 from conftest import GATE_ALPHA, GATE_R, GATE_Z, box_periodized, full_row_mc_ratio
 from torusgibbs import cgibbs
 from torusgibbs.errors import InvalidConfigError, NumericalFailureError
+from torusgibbs.experiments import ExperimentConfig
 from torusgibbs.model import (
     CutoffProfile,
     ModelParams,
@@ -176,6 +181,23 @@ class TestEnergies:
                          if -m1 - m2 in rho_hat) / 6.0
             assert abs(oracle.imag) < 1e-12 * abs(oracle)
             assert value == pytest.approx(oracle.real, rel=1e-12)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kernel_id", ["local", "hartree"])
+    def test_blocks_match_unblocked_product(self, k_max, kernel_id, rng):
+        # two full blocks and a short one, against the whole batch in one product
+        n, J, M, eps = 2 * cgibbs._ENERGY_ROWS + 7, 2 * k_max + 1, 6 * k_max + 1, 0.5
+        coeffs = rng.normal(size=(n, J)) + 1j * rng.normal(size=(n, J))
+        x = np.arange(M) / M
+        u = coeffs @ np.exp(2j * np.pi * np.outer(np.arange(-k_max, k_max + 1), x))
+        rho = np.abs(u) ** 2
+        if kernel_id == "local":
+            got, conv = cgibbs.local_energy_batch(coeffs), rho
+        else:
+            m = np.arange(-2 * k_max, 2 * k_max + 1)
+            circ = np.cos(2 * np.pi * np.subtract.outer(x, x)[..., None] * m) @ np.sinc(eps * m)
+            got, conv = cgibbs.hartree_energy_batch(coeffs, eps), rho @ (circ / M)
+        np.testing.assert_allclose(got, np.mean(conv**2 * rho, axis=1) / 6.0, rtol=1e-14, atol=0)
 
     def test_hartree_to_local_pathwise(self, rng):
         for _ in range(8):
@@ -352,6 +374,52 @@ class TestMCCore:
             assert one == three
         else:
             assert all(np.array_equal(a, b) for a, b in zip(one, three, strict=True))
+
+    @pytest.mark.parametrize("n,threads,workers", [
+        (cgibbs._SHARD, 4, None), (cgibbs._SHARD + 1000, 4, None), (3 * cgibbs._SHARD, 1, None),
+        (2 * cgibbs._SHARD, 2, 2), (3 * cgibbs._SHARD + 5, 2, 2), (3 * cgibbs._SHARD + 5, 8, 3),
+    ])
+    def test_pool_only_for_two_full_shards(self, n, threads, workers, monkeypatch):
+        # serial with at most one full shard; else min(threads, full shards)
+        # workers: the calling thread and a pool of the others
+        built, ran = [], []
+        executor = cgibbs.ThreadPoolExecutor
+
+        def spy(max_workers):
+            built.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        def shard(size, rng):
+            ran.append(threading.get_ident())
+            time.sleep(0.01)  # long enough for every worker to take a shard
+            return size
+
+        monkeypatch.setattr(cgibbs, "ThreadPoolExecutor", spy)
+        sizes = cgibbs._map_shards(7, n, shard, threads)
+        assert sum(sizes) == n
+        assert built == ([] if workers is None else [workers - 1])
+        assert threading.get_ident() in ran
+        assert len(set(ran)) <= (workers or 1)
+
+    def test_shard_queue_under_fast_switching(self):
+        # more workers than cores, switching every microsecond: a shard run
+        # twice or lost would change the ordered results
+        def shard(size, rng):
+            return int(rng.integers(1 << 62))
+
+        n = 40 * cgibbs._SHARD
+        want = cgibbs._map_shards(3, n, shard, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [cgibbs._map_shards(3, n, shard, 8) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(want)) == 40 and all(g == want for g in got)
+
+    def test_default_threads_are_usable_cores(self):
+        assert cgibbs.USABLE_CORES == len(os.sched_getaffinity(0))
+        assert ExperimentConfig().threads == cgibbs.USABLE_CORES
 
     @pytest.mark.parametrize("estimator", sorted(MC_ESTIMATORS))
     def test_cutoff_evaluated_only_within_support(self, estimator, monkeypatch):

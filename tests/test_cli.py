@@ -25,12 +25,13 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 class TestParseConfig:
     def test_every_field_round_trips(self, tmp_path):
+        # threads defaults to the usable-core count, so any fixed value may equal it
+        default = ExperimentConfig()
         cfg = ExperimentConfig(
             experiment="blowup", tau_values=[12.5, 30.0], eps_values=[0.25, 1.0],
             eta=0.05, K=0.7, k_max=2, k_max_values=[0, 4], n_samples=1234,
-            seed=99, out_dir="elsewhere", threads=2, K_blowup=1.9, R_cap=3.5,
-            R_offset=0.25, varsigma=0.125)
-        default = ExperimentConfig()
+            seed=99, out_dir="elsewhere", threads=default.threads + 1, K_blowup=1.9,
+            R_cap=3.5, R_offset=0.25, varsigma=0.125)
         assert len(dataclasses.fields(cfg)) == 15
         assert all(getattr(cfg, f.name) != getattr(default, f.name)
                    for f in dataclasses.fields(cfg))
@@ -95,15 +96,16 @@ def test_experiments_read_every_config_field():
 
 
 class TestCli:
-    def test_import_loads_no_scipy_stats_or_signal(self):
+    def test_import_loads_no_scipy_stats_signal_integrate_interpolate_or_optimize(self):
         # a fresh interpreter, so modules other tests imported do not count; the
-        # free trace of freerate and partition is a product over modes, no filter
+        # free trace of freerate and partition is a product over modes, no filter,
+        # and the cutoff's table and freerate's integral are numpy Simpson rules
         src = os.path.dirname(os.path.dirname(torusgibbs.__file__))
         code = ("import sys; from torusgibbs import experiments as ex\n"
                 "cfg = ex.ExperimentConfig(tau_values=[10.0], n_samples=3000)\n"
                 "ex.exp_free_state_rate(cfg); ex.exp_partition_convergence(cfg)\n"
-                "print(sorted(m for m in sys.modules"
-                " if m.startswith(('scipy.stats', 'scipy.signal'))))")
+                "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats',"
+                " 'scipy.signal', 'scipy.integrate', 'scipy.interpolate', 'scipy.optimize'))))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "[]"

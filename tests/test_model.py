@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from conftest import shooting_norms
+from torusgibbs import model
 from torusgibbs.errors import InvalidConfigError
 from torusgibbs.model import (
     CutoffProfile,
@@ -74,7 +76,48 @@ class TestModelParams:
             ModelParams(**kwargs)
 
 
+def bump_integrand(t):
+    return math.exp(-1.0 / (1.0 - t * t))
+
+
+def scipy_smooth_cutoff(K, eta, s):
+    """The smooth cutoff at s built by scipy: PchipInterpolator over a
+    cumulative_simpson table of the bump normalized by quad."""
+    z = np.linspace(-1.0, 1.0, 4096)
+    bump = np.zeros_like(z)
+    inside = np.abs(z) < 1.0
+    bump[inside] = (np.exp(-1.0 / (1.0 - z[inside] ** 2))
+                    / integrate.quad(bump_integrand, -1, 1)[0])
+    cdf = integrate.cumulative_simpson(bump, x=z, initial=0.0)
+    cdf /= cdf[-1]
+    ramp = PchipInterpolator(K**2 + 0.5 * eta * (z - 1.0), 1.0 - cdf)
+    out = np.ones_like(s)
+    mid = (s > K**2 - eta) & (s <= K**2)
+    out[mid] = np.clip(ramp(s[mid]), 0.0, 1.0)
+    out[s > K**2] = 0.0
+    return out
+
+
 class TestCutoff:
+    def test_bump_norm_is_quad_value(self):
+        assert model._BUMP_NORM == integrate.quad(bump_integrand, -1, 1)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.floats(0.1, 3.0), frac=st.floats(0.01, 0.49),
+           points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_ramp_is_scipy_pchip_bitwise(self, K, frac, points):
+        # the numpy table and interpolant against scipy's, at drawn points of the
+        # ramp and on a dense grid across it and past both ends
+        eta = frac * K**2
+        s = np.concatenate([K**2 - eta * np.array(points),
+                            np.linspace(K**2 - 1.1 * eta, 1.1 * K**2, 4001)])
+        assert np.array_equal(CutoffProfile.smooth(K, eta)(s), scipy_smooth_cutoff(K, eta, s))
+
+    @pytest.mark.parametrize("K,eta", [(0.6, 0.1), (0.6, 0.05), (1.0, 0.2), (1.8, 0.648)])
+    def test_ramp_is_scipy_pchip_bitwise_on_dense_grid(self, K, eta):
+        s = np.linspace(K**2 - eta, K**2, 300001)
+        assert np.array_equal(CutoffProfile.smooth(K, eta)(s), scipy_smooth_cutoff(K, eta, s))
+
     def test_plateau_and_zero(self):
         prof = CutoffProfile.smooth(1.0, 0.2)
         assert prof(0.5) == 1.0
