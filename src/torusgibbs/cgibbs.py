@@ -266,6 +266,15 @@ def _group_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_n_samples(n, least: int) -> None:
+    """Raise InvalidConfigError unless the sample count n is an int (or a
+    numpy integer) of at least `least`."""
+    if not isinstance(n, (int, np.integer)):
+        raise InvalidConfigError(f"n_samples must be an integer, got {n!r}")
+    if n < least:
+        raise InvalidConfigError(f"n_samples must be >= {least}, got {n}")
+
+
 def _mc_ratio(seed: int, n: int, draw, threads: int):
     """The estimator core: derived-seed shards -> row-group sums -> delta method.
 
@@ -285,10 +294,7 @@ def _mc_ratio(seed: int, n: int, draw, threads: int):
     InvalidConfigError for a non-integer n, n < 2 or threads < 1, and
     NumericalFailureError for a zero mean b.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise InvalidConfigError(f"n_samples must be an integer, got {n!r}")
-    if n < 2:
-        raise InvalidConfigError(f"n_samples must be >= 2, got {n}")
+    check_n_samples(n, 2)
     if not threads >= 1:
         raise InvalidConfigError(f"threads must be >= 1, got {threads}")
 
@@ -374,6 +380,9 @@ def classical_moment_matrix(params: ModelParams, interaction: str,
 # exact mass law of the free measure
 # ------------------------------------------------------------------
 
+_EXP_UNDERFLOW = 1075 * np.log(2.0)  # e^{-y} rounds to 0 for every y above this
+
+
 def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
     """Density of the field mass on the mode window under the free measure.
 
@@ -383,11 +392,15 @@ def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
     density is sum_j e^{-r_j x} (a_j + b_j x) on x >= 0.  With
     c_j = r_j^{m_j} prod_{i != j} (r_i/(r_i - r_j))^{m_i}: a_0 = c_0, b_0 = 0
     at the simple pole, and b_j = c_j, a_j = -c_j sum_{i != j} m_i/(r_i - r_j)
-    at the double ones.  Raises InvalidConfigError for k_max < 0.
+    at the double ones.  The density is exactly 0 where e^{-lambda_0 x}
+    underflows, x = inf included.  Raises InvalidConfigError for k_max < 0
+    and for a NaN point.
     """
     if k_max < 0:
         raise InvalidConfigError(f"k_max must be >= 0, got {k_max}")
     x = np.asarray(x_grid, dtype=float)
+    if np.isnan(x).any():
+        raise InvalidConfigError("mass density evaluated at a NaN point")
     r = eigenvalues(k_max)[k_max:]  # lambda_0, lambda_1, ..., lambda_{k_max}
     m = np.full(len(r), 2.0)
     m[0] = 1.0
@@ -396,8 +409,9 @@ def mass_density_charfn(k_max: int, x_grid: np.ndarray) -> np.ndarray:
     c = r**m * np.prod(np.where(off, r / d, 1.0) ** m, axis=1)
     a = c * np.where(m == 2.0, -np.sum(off * m / d, axis=1), 1.0)
     b = np.where(m == 2.0, c, 0.0)
-    xc = np.clip(x, 0.0, None)[..., None]
-    dens = np.sum(np.exp(-r * xc) * (a + b * xc), axis=-1) * (x >= 0)
+    live = (x >= 0) & (r[0] * x <= _EXP_UNDERFLOW)
+    xc = np.where(live, x, 0.0)[..., None]
+    dens = np.sum(np.exp(-r * xc) * (a + b * xc), axis=-1) * live
     # the partial fractions cancel to rounding near x = 0
     return np.clip(dens, 0.0, None)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cgibbs, qgibbs, semiclassics
 from .errors import InvalidConfigError
-from .model import CutoffProfile, ModelParams, eigenvalues
+from .model import CutoffProfile, ModelParams, eigenvalues, panel_integrals
 
 __all__ = [
     "ExperimentConfig",
@@ -280,12 +280,13 @@ def exp_free_state_rate(cfg: ExperimentConfig) -> list:
     quantum side contracts the cutoff with the geometric sector weights and
     divides by the exact free trace prod_k (1 - e^{-lambda_k/tau})^{-1}, the
     classical side integrates the cutoff against the exact mass density by
-    the composite Simpson rule on 1024 equal intervals."""
+    `panel_integrals` on 256 equal panels each side of the ramp's start."""
     cutoff = CutoffProfile.smooth(cfg.K, cfg.eta)
-    # the mass law does not depend on tau: evaluate once, reuse across the sweep
-    grid = np.linspace(0.0, cfg.K**2, 1025)
-    y = cgibbs.mass_density_charfn(cfg.k_max, grid) * cutoff(grid)
-    cside = float((grid[-1] / 1024) / 3.0 * np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
+    # the mass law does not depend on tau: integrate once, reuse across the sweep
+    lo = cfg.K**2 - cfg.eta
+    edges = np.append(np.linspace(0.0, lo, 257), np.linspace(lo, cfg.K**2, 257)[1:])
+    cside = float(panel_integrals(
+        lambda x: cgibbs.mass_density_charfn(cfg.k_max, x) * cutoff(x), edges).sum())
     rows = []
     for tau in cfg.tau_values:
         n_max = math.floor(cfg.K**2 * tau)

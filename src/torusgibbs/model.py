@@ -4,8 +4,10 @@ The one-body Hamiltonian is fixed as h = (1/2)(-d^2/dx^2 + 1) on the unit
 torus, diagonal in the plane-wave basis e^{2*pi*i*k*x}.  The three-body
 kernel is w_eps = eps^{-1} w(./eps) with w = 1 on [-1/2, 1/2], so its range
 eps is its only parameter, and a state's mass bound is the support of the
-`CutoffProfile` it is built with.  Everything downstream (Fock sectors,
-Gibbs weights, Gaussian field samplers) consumes the data defined here.
+`CutoffProfile` it is built with.  The smooth cutoff is tabulated by
+`panel_integrals`, a Gauss-Legendre panel rule in numpy alone, on the bump
+it mollifies with.  Everything downstream (Fock sectors, Gibbs weights,
+Gaussian field samplers) consumes the data defined here.
 """
 
 from __future__ import annotations
@@ -98,69 +100,26 @@ class ModelParams:
 # mass-cutoff profiles
 # ------------------------------------------------------------------
 
-# integral of exp(-1/(1 - t^2)) over (-1, 1), as scipy.integrate.quad returns it
-_BUMP_NORM = 0.44399381616807865
+# the 4-node Gauss-Legendre rule on [-1, 1] as (node, weight) pairs of its
+# mirrored nodes +-x, the roots of P_4, in closed form: leggauss would run
+# an eigensolve, and numpy's LAPACK set-up, at import
+_GAUSS_PAIRS = tuple((math.sqrt(3.0 / 7.0 - s * 2.0 / 7.0 * math.sqrt(1.2)),
+                      (18.0 + s * math.sqrt(30.0)) / 36.0) for s in (1.0, -1.0))
+
+
+def panel_integrals(fn, edges: np.ndarray) -> np.ndarray:
+    """Integral of fn over each panel [edges[i], edges[i + 1]] by the 4-node
+    Gauss-Legendre rule, exact for degree 7; fn is called once per node,
+    on one point per panel."""
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    return half * sum(w * (fn(mid - x * half) + fn(mid + x * half)) for x, w in _GAUSS_PAIRS)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    """Standard normalized bump on (-1, 1)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2)) / _BUMP_NORM
-    return out
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Integral of the samples y from x[0] to each x[i] (0 at i = 0), by the
-    unequal-interval Simpson rule of scipy.integrate.cumulative_simpson in
-    its operation order, so the table is the same to the bit: each interval
-    is integrated over the quadratic through it and its right neighbour,
-    every second one through its left neighbour instead, and the last one
-    that way too."""
-    def first_intervals(y, dx):
-        x21, x32 = dx[:-1], dx[1:]
-        x21_x31 = x21 / (x21 + x32)
-        x21x21_x31x32 = x21_x31 * (x21 / x32)
-        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                          - x21x21_x31x32 * y[2:])
-
-    dx = np.diff(x)
-    left, right = first_intervals(y, dx), first_intervals(y[::-1], dx[::-1])[::-1]
-    parts = np.empty(len(dx))
-    parts[:-1:2], parts[1::2], parts[-1] = left[::2], right[::2], right[-1]
-    return np.concatenate(([0.0], np.cumsum(parts)))
-
-
-def _pchip_edge_slope(h0, h1, m0, m1) -> float:
-    """PCHIP's one-sided three-point end slope, cut to keep the data's shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(4, len(x) - 1) coefficients, constant term first, of the monotone
-    cubic Hermite interpolant through (x, y): scipy.interpolate's
-    PchipInterpolator in its operation order.  Inner slopes are the weighted
-    harmonic mean of the neighbouring secants, 0 where they change sign or
-    one vanishes."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    sm = np.sign(m)
-    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][~flat] = 1.0 / whmean[~flat]
-    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+    """The bump exp(-1/(1 - t^2)) on [-1, 1], 0 at both ends."""
+    with np.errstate(divide="ignore"):
+        return np.exp(-1.0 / (1.0 - t * t))
 
 
 @dataclass(frozen=True)
@@ -168,16 +127,20 @@ class CutoffProfile:
     """Mass-cutoff weight f applied as f(n/tau) quantum-side, f(||u||^2)
     classically.
 
-    kind = "smooth":  f = 1 on [0, K^2 - eta], f = 0 above K^2, and a
-        mollified monotone ramp in between, tabulated on 4096 points by a
-        cumulative Simpson rule and read off by monotone cubic (PCHIP)
-        interpolation, both numpy copies of scipy's that give its values to
-        the bit.  The ramp is the convolution of the step
+    kind = "smooth":  f = 1 on [0, K^2 - eta], f = 0 from K^2 on, and a
+        mollified monotone ramp in between: the convolution of the step
         1_{(-inf, K^2 - eta/2]} with a bump of width eta/2, so all
-        derivative bounds scale like powers of 1/eta.
+        derivative bounds scale like powers of 1/eta.  In z = 2(x - K^2)/eta
+        + 1 the ramp is the bump's integral over (z, 1) over its total,
+        tabulated on 4096 equal nodes by `panel_integrals` summed from the
+        right (so values near K^2 keep their relative precision), and read
+        off by the cubic Hermite interpolant with the exact slopes, -bump
+        over the total, kept monotone on each interval and clipped there to
+        the bracket of its end values.  It is within 1e-13 of quadrature.
     kind = "sharp":   indicator of [0, K^2].
 
-    Both kinds are non-increasing and vanish above K^2.
+    Both kinds are non-increasing and vanish above K^2.  A NaN mass raises
+    InvalidConfigError.
 
     Equality and hashing read (kind, K, eta); the smooth ramp's table is a
     function of (K, eta) alone.
@@ -186,7 +149,7 @@ class CutoffProfile:
     kind: str
     K: float | None = None
     eta: float | None = None
-    # the smooth ramp: its nodes and their _pchip_coeffs
+    # the smooth ramp: its nodes, values and Hermite coefficients
     _ramp: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -200,12 +163,19 @@ class CutoffProfile:
         K, eta = self.K, self.eta
         if eta is None or not 0 < eta < 0.5 * K**2:
             raise InvalidConfigError(f"need 0 < eta < K^2/2, got eta={eta}, K={K}")
-        # f(x) = 1 - Theta(z), z = 2(x - K^2)/eta + 1, Theta the bump CDF on [-1, 1].
         z = np.linspace(-1.0, 1.0, 4096)
-        cdf = _cumulative_simpson(_bump(z), z)
-        cdf /= cdf[-1]  # kill the ~1e-14 quadrature residue so endpoints are exact
+        tail = np.append(np.cumsum(panel_integrals(_bump, z)[::-1])[::-1], 0.0)
         x = K**2 + 0.5 * eta * (z - 1.0)
-        object.__setattr__(self, "_ramp", (x, _pchip_coeffs(x, 1.0 - cdf)))
+        y = tail / tail[0]
+        slope = _bump(z) * (-2.0 / eta / tail[0])
+        h = np.diff(x)
+        secant = np.diff(y) / h
+        # slopes within [3 secant, 0] keep each cubic monotone (Fritsch-Carlson);
+        # the bump outgrows that only where f is within 1e-30 of 0 or 1
+        left, right = np.maximum(slope[:-1], 3.0 * secant), np.maximum(slope[1:], 3.0 * secant)
+        c3 = (left + right - 2.0 * secant) / h
+        coeffs = np.stack((y[:-1], left, (secant - left) / h - c3, c3 / h))
+        object.__setattr__(self, "_ramp", (x, y, coeffs))
 
     @staticmethod
     def smooth(K: float, eta: float) -> "CutoffProfile":
@@ -222,23 +192,18 @@ class CutoffProfile:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        if self.kind == "sharp":
-            out = (s <= self.K**2).astype(float)
-        else:  # smooth
-            out = np.ones_like(s)
-            lo, hi = self.K**2 - self.eta, self.K**2
-            out[s > hi] = 0.0
-            mid = (s > lo) & (s <= hi)
-            x, c = self._ramp
+        if np.isnan(s).any():
+            raise InvalidConfigError("cutoff evaluated at a NaN mass")
+        out = np.asarray(s <= self.K**2, dtype=float)
+        if self.kind == "smooth":
+            x, y, c = self._ramp
+            mid = (s > x[0]) & (s <= x[-1])
             s = s[mid]
-            i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+            i = np.searchsorted(x, s) - 1  # s in (x[i], x[i + 1]]
             t = s - x[i]
-            c = c[:, i]
-            # the powers of t summed in the order of scipy's PPoly evaluation
-            out[mid] = np.clip(c[0] + c[1] * t + c[2] * (t * t) + c[3] * (t * t * t), 0.0, 1.0)
-        return float(out[0]) if scalar else out
+            out[mid] = np.clip(c[0, i] + t * (c[1, i] + t * (c[2, i] + t * c[3, i])),
+                               y[i + 1], y[i])
+        return float(out) if out.ndim == 0 else out
 
 
 # ------------------------------------------------------------------

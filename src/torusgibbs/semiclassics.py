@@ -36,7 +36,7 @@ from .errors import (
     SupportViolationError,
     UnsupportedOrderError,
 )
-from .cgibbs import MCEstimate
+from .cgibbs import MCEstimate, check_n_samples
 from .qgibbs import GibbsStateBlocks, reduced_density_matrix, relative_entropy
 
 __all__ = [
@@ -176,12 +176,12 @@ def sample_husimi(blocks: GibbsStateBlocks, varsigma: float, n_samples: int,
     width w go in batches, w proposals each, of which a draw keeps the first
     accepted, and a batch is one kernel call.
     Raises InvalidConfigError for a varsigma that is not finite and
-    positive or a negative n_samples, and QuadratureFailureError when a
-    draw stalls, having spent _MAX_WIDTHS times its block width in proposals.
+    positive or an n_samples that is not an integer >= 0, and
+    QuadratureFailureError when a draw stalls, having spent _MAX_WIDTHS
+    times its block width in proposals.
     """
     _check_varsigma(varsigma)
-    if n_samples < 0:
-        raise InvalidConfigError(f"n_samples must be >= 0, got {n_samples}")
+    check_n_samples(n_samples, 0)
     J = blocks.params.J
     sectors = blocks.blocks
     # every eigenvector as one column, on the sectors' rows stacked
@@ -285,12 +285,11 @@ def berezin_lieb_check(state: GibbsStateBlocks, reference: GibbsStateBlocks,
 
     Returns (MCEstimate for the classical side, quantum value); the
     classical side must not exceed the quantum one beyond noise.  Raises
-    InvalidConfigError for fewer than two samples, which give no stderr,
-    and, through the sampler, for a varsigma that is not finite and
-    positive.
+    InvalidConfigError for an n_samples that is not an integer >= 2 (one
+    sample gives no stderr) and, through the sampler, for a varsigma that
+    is not finite and positive.
     """
-    if n_samples < 2:
-        raise InvalidConfigError(f"n_samples must be >= 2 for a stderr, got {n_samples}")
+    check_n_samples(n_samples, 2)
     h_quantum = relative_entropy(state, reference)
     rng = np.random.default_rng(seed)
     us = sample_husimi(state, varsigma, n_samples, rng)

@@ -535,6 +535,19 @@ class TestMassDensity:
         with pytest.raises(InvalidConfigError):
             cgibbs.mass_density_charfn(-1, np.array([0.5]))
 
+    @pytest.mark.parametrize("k_max", [0, 1, 3])
+    def test_exactly_zero_where_the_exponentials_underflow(self, k_max):
+        # b_j x overflows at 1e308; past e^{-lambda_0 x} = 0 no term is formed
+        x = np.array([1e4, 1e308, math.inf, -math.inf])
+        dens = cgibbs.mass_density_charfn(k_max, x)
+        assert np.array_equal(dens, np.zeros(4))
+        assert cgibbs.mass_density_charfn(k_max, math.inf) == 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+    def test_nan_point_rejected(self, x):
+        with pytest.raises(InvalidConfigError, match="NaN"):
+            cgibbs.mass_density_charfn(1, x)
+
     def test_integrates_to_one(self):
         x1 = np.linspace(0.0, 2.0, 257)
         x2 = np.linspace(2.0, 40.0, 257)

@@ -99,7 +99,7 @@ class TestCli:
     def test_import_loads_no_scipy_stats_signal_integrate_interpolate_or_optimize(self):
         # a fresh interpreter, so modules other tests imported do not count; the
         # free trace of freerate and partition is a product over modes, no filter,
-        # and the cutoff's table and freerate's integral are numpy Simpson rules
+        # and the cutoff's table and freerate's integral are numpy Gauss-Legendre panels
         src = os.path.dirname(os.path.dirname(torusgibbs.__file__))
         code = ("import sys; from torusgibbs import experiments as ex\n"
                 "cfg = ex.ExperimentConfig(tau_values=[10.0], n_samples=3000)\n"

@@ -1,10 +1,14 @@
 """Convergence-sweep drivers: the classical reference is estimated once per
 sweep, each tau's interacting state is built once and no free state at all,
 and the density distance of diagonal matrices is the l1 gap of their
-diagonals.  The selftest's sharp-cutoff gaps are ordered with no slack."""
+diagonals.  The selftest's sharp-cutoff gaps are ordered with no slack, and
+freerate's classical side matches adaptive quadrature."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from torusgibbs import cgibbs, experiments, qgibbs
 from torusgibbs.experiments import ExperimentConfig
@@ -78,3 +82,31 @@ def test_sharp_cutoff_gaps_are_ordered_exactly(seed):
     ref = value(CutoffProfile.sharp(0.6))
     gaps = [ref - value(CutoffProfile.smooth(0.6, eta)) for eta in (0.16, 0.08, 0.04)]
     assert 0.0 <= gaps[2] <= gaps[1] <= gaps[0] and gaps[2] < gaps[0]
+
+
+def bump(t):
+    return math.exp(-1.0 / (1.0 - t * t))
+
+
+def bump_normalized_integral(z0):
+    """The normalized bump's integral over (z0, 1), by quad."""
+    return (integrate.quad(bump, z0, 1.0, epsabs=1e-15, epsrel=1e-13)[0]
+            / integrate.quad(bump, -1.0, 1.0, epsabs=1e-15, epsrel=1e-13)[0])
+
+
+@pytest.mark.parametrize("K,eta,k_max", [(0.6, 0.1, 1), (1.2, 0.05, 2), (1.8, 0.648, 1)])
+def test_freerate_classical_side_matches_quad(K, eta, k_max):
+    # oracle: adaptive quadrature of the mass density against the ramp made
+    # by its own quadrature of the bump, split where the ramp starts
+    def density(x):
+        return float(cgibbs.mass_density_charfn(k_max, x))
+
+    def ramp(x):
+        return bump_normalized_integral((x - K**2) * 2.0 / eta + 1.0)
+
+    lo = K**2 - eta
+    exact = (integrate.quad(density, 0.0, lo, epsabs=0.0, epsrel=1e-13)[0]
+             + integrate.quad(lambda x: density(x) * ramp(x), lo, K**2,
+                              epsabs=0.0, epsrel=1e-13)[0])
+    cfg = ExperimentConfig(K=K, eta=eta, k_max=k_max, tau_values=[10.0])
+    assert experiments.exp_free_state_rate(cfg)[0]["classical"] == pytest.approx(exact, rel=1e-13, abs=0.0)

@@ -419,6 +419,8 @@ class TestBadInput:
         lambda b: sc.husimi_density_batch(b, 0.05, np.array([0.0, 1j, math.inf])),
         lambda b: sc.definetti_gap(b, -0.05, 1),
         lambda b: sc.definetti_gap(b, math.nan, 2),
+        lambda b: sc.sample_husimi(b, 0.05, 2.5, np.random.default_rng(0)),
+        lambda b: sc.berezin_lieb_check(b, b, 0.05, 10.0, 0),
     ], ids=["sample_negative_varsigma", "sample_zero_varsigma", "sample_nan_varsigma",
             "sample_inf_varsigma", "sample_negative_count", "density_negative_varsigma",
             "density_zero_varsigma", "density_inf_varsigma", "density_wrong_mode_count",
@@ -426,7 +428,7 @@ class TestBadInput:
             "density_normalization_underflow", "density_normalization_overflow",
             "berezin_lieb_one_sample", "berezin_lieb_no_samples", "berezin_lieb_zero_varsigma",
             "density_nan_field", "density_inf_field", "definetti_negative_varsigma",
-            "definetti_nan_varsigma"])
+            "definetti_nan_varsigma", "sample_fractional_count", "berezin_lieb_float_count"])
     def test_raises_invalid_config(self, call):
         with pytest.raises(InvalidConfigError):
             call(interacting_state(tau=20.0, k_max=1))
