@@ -117,6 +117,26 @@ def kinetic_diagonal(basis: SectorBasis) -> np.ndarray:
     return basis.occupations @ eigenvalues(basis.k_max)
 
 
+@lru_cache(maxsize=None)
+def _multiset_vertex(k_max: int, eps: float) -> tuple:
+    """The 3-mode multisets' occupations and the nonzero entries (m, m', C[m, m'])
+    of `assemble_interaction`'s vertex C, built on first use."""
+    J = 2 * k_max + 1
+    triples = enumerate_sector(k_max, 3)
+    wtab = kernel_fourier(eps * np.arange(-2 * k_max, 2 * k_max + 1))  # index by m + 2*k_max
+    pos = np.indices((J, J, J)).reshape(3, -1)  # ordered triples of mode positions
+    V = (wtab[pos[1][None, :] - pos[1][:, None] + 2 * k_max]
+         * wtab[pos[2][None, :] - pos[2][:, None] + 2 * k_max])
+    total = pos.sum(axis=0)
+    V[total[:, None] != total[None, :]] = 0.0  # momentum conservation
+    triple_occ = np.eye(J, dtype=np.int64)[pos].sum(axis=0)  # occupations of each triple
+    S = np.eye(triples.dim)[triples.rank(triple_occ)]  # ordered triple -> multiset
+    C = S.T @ V @ S / 6.0
+    C = 0.5 * (C + C.T)  # exactly symmetric, whatever the BLAS summation order
+    m, mp = np.nonzero(C)
+    return triples.occupations, m, mp, C[m, mp]
+
+
 def assemble_interaction(basis: SectorBasis, eps: float) -> sparse.coo_array:
     """Second-quantized three-body attraction at kernel range eps on one
     sector, as a real-symmetric coo_array in the basis ordering.
@@ -130,28 +150,17 @@ def assemble_interaction(basis: SectorBasis, eps: float) -> sparse.coo_array:
 
     Grouped by 3-mode multisets m (the rows of the n = 3 basis), W is
     sum C[m, m'] A_m^dag A_m' with A_m = prod_{k in m} a_k and
-    C = S^T V S / 3!, S the ordered-triple-to-multiset map.  For each state
-    r of sector n - 3, W[r+m, r+m'] += C[m, m'] amp(r, m) amp(r, m') with
+    C = S^T V S / 3!, S the ordered-triple-to-multiset map, built once per
+    (k_max, eps).  For each state r of sector n - 3,
+    W[r+m, r+m'] += C[m, m'] amp(r, m) amp(r, m') with
     amp(r, m) = prod_k sqrt((r_k + 1) ... (r_k + m_k)): one triplet per r
     and nonzero C[m, m'], in a fixed order, with duplicates left to sum.
     """
     n, J, dim, k_max = basis.n, basis.J, basis.dim, basis.k_max
     if n < 3:
         return sparse.coo_array((dim, dim))
-    triples = enumerate_sector(k_max, 3)
-    wtab = kernel_fourier(eps * np.arange(-2 * k_max, 2 * k_max + 1))  # index by m + 2*k_max
-    pos = np.indices((J, J, J)).reshape(3, -1)  # ordered triples of mode positions
-    V = (wtab[pos[1][None, :] - pos[1][:, None] + 2 * k_max]
-         * wtab[pos[2][None, :] - pos[2][:, None] + 2 * k_max])
-    total = pos.sum(axis=0)
-    V[total[:, None] != total[None, :]] = 0.0  # momentum conservation
-    triple_occ = np.eye(J, dtype=np.int64)[pos].sum(axis=0)  # occupations of each triple
-    S = np.eye(triples.dim)[triples.rank(triple_occ)]  # ordered triple -> multiset
-    C = S.T @ V @ S / 6.0
-    C = 0.5 * (C + C.T)  # exactly symmetric, whatever the BLAS summation order
-    m, mp = np.nonzero(C)
+    multi, m, mp, c = _multiset_vertex(k_max, eps)
     lower = enumerate_sector(k_max, n - 3).occupations  # states r
-    multi = triples.occupations
     # rising[x, c] = (x + 1) ... (x + c): the squared amplitude of c raisings
     rising = np.cumprod(np.arange(n + 1.0)[:, None] + np.arange(1, 4), axis=1)
     rising = np.hstack([np.ones((n + 1, 1)), rising])
@@ -163,7 +172,7 @@ def assemble_interaction(basis: SectorBasis, eps: float) -> sparse.coo_array:
     r_tails = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1]
     m_tails = np.cumsum(multi[:, ::-1], axis=1)[:, ::-1]
     up = _lex_rank(n, J, amp.shape, lambda i: r_tails[:, i, None] + m_tails[None, :, i])
-    vals = (amp[:, m] * amp[:, mp] * C[m, mp]).ravel()
+    vals = (amp[:, m] * amp[:, mp] * c).ravel()
     return sparse.coo_array((vals, (up[:, m].ravel(), up[:, mp].ravel())), shape=(dim, dim))
 
 

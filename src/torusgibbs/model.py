@@ -122,6 +122,9 @@ def _bump(t: np.ndarray) -> np.ndarray:
         return np.exp(-1.0 / (1.0 - t * t))
 
 
+_CUTOFF_POINTS = 1 << 16  # points per block of CutoffProfile.__call__, an MC shard's rows
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """Mass-cutoff weight f applied as f(n/tau) quantum-side, f(||u||^2)
@@ -140,7 +143,7 @@ class CutoffProfile:
     kind = "sharp":   indicator of [0, K^2].
 
     Both kinds are non-increasing and vanish above K^2.  A NaN mass raises
-    InvalidConfigError.
+    InvalidConfigError.  A call works on _CUTOFF_POINTS points at a time.
 
     Equality and hashing read (kind, K, eta); the smooth ramp's table is a
     function of (K, eta) alone.
@@ -192,17 +195,20 @@ class CutoffProfile:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        if np.isnan(s).any():
-            raise InvalidConfigError("cutoff evaluated at a NaN mass")
-        out = np.asarray(s <= self.K**2, dtype=float)
-        if self.kind == "smooth":
-            x, y, c = self._ramp
-            mid = (s > x[0]) & (s <= x[-1])
-            s = s[mid]
-            i = np.searchsorted(x, s) - 1  # s in (x[i], x[i + 1]]
-            t = s - x[i]
-            out[mid] = np.clip(c[0, i] + t * (c[1, i] + t * (c[2, i] + t * c[3, i])),
-                               y[i + 1], y[i])
+        out, points = np.empty(s.shape), s.reshape(-1)
+        for lo in range(0, s.size, _CUTOFF_POINTS):
+            mass, f = points[lo:lo + _CUTOFF_POINTS], out.reshape(-1)[lo:lo + _CUTOFF_POINTS]
+            if np.isnan(mass).any():
+                raise InvalidConfigError("cutoff evaluated at a NaN mass")
+            f[:] = mass <= self.K**2
+            if self.kind == "smooth":
+                x, y, c = self._ramp
+                mid = (mass > x[0]) & (mass <= x[-1])
+                mass = mass[mid]
+                i = np.searchsorted(x, mass) - 1  # mass in (x[i], x[i + 1]]
+                t = mass - x[i]
+                f[mid] = np.clip(c[0, i] + t * (c[1, i] + t * (c[2, i] + t * c[3, i])),
+                                 y[i + 1], y[i])
         return float(out) if out.ndim == 0 else out
 
 

@@ -5,10 +5,14 @@ commutes with the number operator.  Each block is stored through its
 eigendecomposition; Gibbs weights are exp(-E) * cutoff(n/tau) with E the
 spectrum of H_tau = H_0/tau - W/tau^3 restricted to the sector.  H_tau also
 conserves total momentum, so each sector is diagonalized on its momentum
-blocks, the blocks of one size stacked into one eigh call, and its
-eigenvectors are stored as one sparse array whose columns hold their
-block's rows only.  Every eigenvector then has one total momentum, which
-makes the one-body matrix diagonal.
+blocks, and its eigenvectors are stored as one sparse array whose columns
+hold their block's rows only.  Every eigenvector then has one total
+momentum, which makes the one-body matrix diagonal.
+
+A build solves the interacting sectors n >= 3 it misses in the cache
+together: their blocks go into batches of at most _BATCH_ENTRIES = 2^16
+packed entries, each with one eigh call per distinct block size (15 for
+the 26 sectors at k_max = 1, tau = 80).
 
 Each interacting sector n >= 3 is solved once per process.  Its spectrum
 depends only on (k_max, n, tau, eps), not on the cutoff or n_max,
@@ -16,10 +20,10 @@ so solved sectors are kept in an LRU cache under that key: a hit skips the
 assembly, the eigensolve and the residual check, and returns the energies,
 vectors and residual measured when the sector was solved.  The cache holds
 at most _CACHE_BYTES = 256 MiB of stored arrays (energies plus the vectors'
-data, indices and indptr) and evicts the least recently used sectors past
-that; a sector larger than the whole budget is returned uncached.  The
-arrays are shared between states, so they are read-only: writing to them
-raises ValueError.
+data, indices and indptr), each owning its memory, and evicts the least
+recently used sectors past that; a sector larger than the whole budget is
+returned uncached.  The arrays are shared between states, so they are
+read-only: writing to them raises ValueError.
 """
 
 from __future__ import annotations
@@ -101,59 +105,99 @@ class GibbsStateBlocks:
             yield b.basis, b.boltzmann / self.Z, b.vectors
 
 
-def _eigendecompose(W: sparse.coo_array, kinetic: np.ndarray, tau: float, momenta: np.ndarray,
-                    n: int) -> tuple[np.ndarray, sparse.csc_array, float]:
-    """Eigenpairs of the sector Hamiltonian kinetic/tau - W/tau^3, formed
-    and solved on its total-momentum blocks only.
+_BATCH_ENTRIES = 1 << 16  # packed block entries of the sectors one batch solves
 
-    One bincount sums W's triplets, in order, into a packed array of the
-    blocks' m x m matrices, which is divided by -tau^3 before kinetic/tau
-    is added on the block diagonals: a dense sector matrix's operations, so
-    the same floats.  The blocks of one size m form a (B, m, m) stack, one
-    eigh call per stack (LAPACK still runs once per matrix).  The vectors
-    keep the blocks in ascending momentum, each block's eigenvectors as
-    columns stored on the block's rows.  A triplet joining two blocks, or
-    an eigenpair whose residual on its block is past 1e-9 * scale * sqrt(m),
-    raises NumericalFailureError naming the sector.  Returns the energies,
-    the vectors and the largest residual.
+
+def _eigendecompose(bases, tau: float, eps: float) -> list:
+    """(energies, vectors, residual) of each sector's Hamiltonian
+    kinetic/tau - W/tau^3, solved on its total-momentum blocks only.
+
+    The sectors go in order into batches of at most _BATCH_ENTRIES packed
+    block entries, a larger sector into a batch of its own.  A batch sums
+    each sector's triplets W in turn, in order, by one bincount into a
+    packed array of its blocks' m x m matrices, which is divided by -tau^3
+    before kinetic/tau is added on the block diagonals: a dense sector
+    matrix's operations, so the same floats.  Its blocks of one size m,
+    whatever their sector, form a (B, m, m) stack, one eigh call per stack
+    (LAPACK still runs once per matrix).  The vectors keep each sector's
+    blocks in ascending momentum, each block's eigenvectors as columns
+    stored on the block's rows, and residual is the sector's largest.  A
+    batch of several sectors is copied out, so that every array owns its
+    memory.  A triplet joining two blocks, or an eigenpair whose residual
+    on its block is past 1e-9 * scale * sqrt(m), scale the largest entry of
+    its sector's matrix, raises NumericalFailureError naming the sector.
     """
-    order = np.argsort(momenta, kind="stable")  # rows grouped by ascending momentum
-    starts = np.flatnonzero(np.diff(momenta[order], prepend=momenta[order[0]] - 1))
+    solved, batch, entries = [], [], 0
+    for basis in bases:
+        size = int(np.sum(np.bincount(basis.momenta - basis.momenta.min()) ** 2))
+        if batch and entries + size > _BATCH_ENTRIES:
+            solved, batch, entries = solved + _solve_batch(batch, tau, eps), [], 0
+        batch, entries = batch + [basis], entries + size
+    return solved + _solve_batch(batch, tau, eps) if batch else solved
+
+
+def _solve_batch(bases, tau: float, eps: float) -> list:
+    """One batch of `_eigendecompose`, its rows the sectors' rows in turn."""
+    offset = np.cumsum([0] + [basis.dim for basis in bases])  # each sector's first row
+    sector = np.repeat(np.arange(len(bases)), np.diff(offset))  # of each row
+    momenta = np.concatenate([basis.momenta for basis in bases])
+    key = sector * (2 * int(np.abs(momenta).max()) + 1) + momenta  # (sector, momentum)
+    order = np.argsort(key, kind="stable")  # rows by sector, then ascending momentum
+    starts = np.flatnonzero(np.diff(key[order], prepend=key[order[0]] - 1))
     sizes = np.diff(starts, append=len(order))
     # block b holds energies [starts[b], +m), matrix and vectors [entries[b], +m^2)
     entries = np.cumsum(sizes**2) - sizes**2
-    energies, data = np.empty(len(order)), np.empty(int(np.sum(sizes**2)))
-    indices = np.empty(len(data), dtype=np.int64)
     block, local = np.empty_like(order), np.empty_like(order)  # each row's block, place in it
     block[order] = np.repeat(np.arange(len(sizes)), sizes)
     local[order] = np.arange(len(order)) - np.repeat(starts, sizes)
-    if np.any(block[W.row] != block[W.col]):
-        raise NumericalFailureError(f"interaction couples two momentum blocks in sector n={n}")
     first = entries[block] + local * sizes[block]  # packed index of each row's first entry
-    packed = np.bincount(first[W.row] + local[W.col], W.data, minlength=len(data)) / -tau**3
-    packed[first + local] += kinetic / tau
-    scale = max(1.0, float(packed.max()), -float(packed.min()))
-    residual = 0.0
+    bounds = np.searchsorted(starts, offset)  # each sector's first block, and the end
+    ends = np.append(entries, np.sum(sizes**2))[bounds]  # its first packed entry, and the end
+    packed = []
+    for s, basis in enumerate(bases):
+        W = fock.assemble_interaction(basis, eps)
+        own = slice(*offset[s:s + 2])  # the sector's rows, indexed by its triplets
+        if np.any(block[own][W.row] != block[own][W.col]):
+            raise NumericalFailureError(
+                f"interaction couples two momentum blocks in sector n={basis.n}")
+        packed.append(np.bincount(first[own][W.row] + local[own][W.col] - ends[s],
+                                  W.data, minlength=ends[s + 1] - ends[s]))
+        del W  # one sector's triplets at a time
+    packed = np.concatenate(packed)
+    packed /= -tau**3
+    packed[first + local] += np.concatenate([fock.kinetic_diagonal(b) for b in bases]) / tau
+    scale = np.maximum(1.0, np.maximum(np.maximum.reduceat(packed, ends[:-1]),
+                                       -np.minimum.reduceat(packed, ends[:-1])))
+    energies, data = np.empty(len(order)), np.empty(len(packed))
+    indices = np.empty(len(data), dtype=np.int64)
+    residuals = np.zeros(len(bases))
     for m in np.unique(sizes):
         same = np.flatnonzero(sizes == m)  # the B blocks of size m
         rows = order[starts[same][:, None] + np.arange(m)]  # (B, m)
+        owner = sector[rows[:, 0]]
         at = entries[same][:, None] + np.arange(m * m)
         H = packed[at].reshape(len(same), m, m)
         e, v = np.linalg.eigh(H)
         res = np.linalg.norm(H @ v - v * e[:, None, :], axis=1).max(axis=1)
-        worst = int(np.argmax(res))
-        if res[worst] > 1e-9 * scale * math.sqrt(m):
+        tol = 1e-9 * scale[owner] * math.sqrt(m)
+        worst = int(np.argmax(res - tol))  # past its tolerance if any block is
+        if res[worst] > tol[worst]:
             raise NumericalFailureError(
-                f"eigensolve residual {res[worst]:.2e} in sector n={n}, "
-                f"momentum {momenta[rows[worst, 0]]} (scale {scale:.2e})"
-            )
-        residual = max(residual, float(res[worst]))
+                f"eigensolve residual {res[worst]:.2e} in sector n={bases[owner[worst]].n}, "
+                f"momentum {momenta[rows[worst, 0]]} (scale {scale[owner[worst]]:.2e})")
+        np.maximum.at(residuals, owner, res)
         energies[starts[same][:, None] + np.arange(m)] = e
         data[at] = np.swapaxes(v, 1, 2).reshape(len(same), -1)  # column by column
-        indices[at] = np.tile(rows, m)  # every column on the block's m rows
-    indptr = np.concatenate(([0], np.cumsum(np.repeat(sizes, sizes))))
-    V = sparse.csc_array((data, indices, indptr), shape=W.shape)
-    return energies, V, residual
+        indices[at] = np.tile(rows - offset[owner][:, None], m)  # on the block's m rows
+    del packed
+    keep = np.copy if len(bases) > 1 else np.asarray  # each sector's arrays own their memory
+    out = []
+    for s, basis in enumerate(bases):
+        span, w = slice(*ends[s:s + 2]), sizes[slice(*bounds[s:s + 2])]
+        V = sparse.csc_array((keep(data[span]), keep(indices[span]),
+                              np.append(0, np.cumsum(np.repeat(w, w)))), shape=(basis.dim,) * 2)
+        out.append((keep(energies[slice(*offset[s:s + 2])]), V, float(residuals[s])))
+    return out
 
 
 _CACHE_BYTES = 256 << 20  # stored bytes of solved sectors kept per process
@@ -162,31 +206,34 @@ _CACHE_BYTES = 256 << 20  # stored bytes of solved sectors kept per process
 class _SpectrumCache:
     """Solved interacting sectors, least recently used first, keyed by
     (k_max, n, tau, eps); `nbytes` counts the stored arrays and
-    stays within _CACHE_BYTES."""
+    stays within _CACHE_BYTES.  The sectors one call misses are solved
+    together, by one `_eigendecompose` call."""
 
     def __init__(self):
         self.entries = OrderedDict()  # key -> (energies, vectors, residual, nbytes)
         self.nbytes = 0
 
-    def spectrum(self, basis: fock.SectorBasis, tau: float,
-                 eps: float) -> tuple[np.ndarray, sparse.csc_array, float]:
-        key = (basis.k_max, basis.n, tau, eps)
-        if key in self.entries:
-            self.entries.move_to_end(key)
-            return self.entries[key][:3]
-        E, V, residual = _eigendecompose(fock.assemble_interaction(basis, eps),
-                                         fock.kinetic_diagonal(basis), tau, basis.momenta,
-                                         basis.n)
-        arrays = (E, V.data, V.indices, V.indptr)
-        for a in arrays:
-            a.flags.writeable = False
-        size = sum(a.nbytes for a in arrays)
-        if size <= _CACHE_BYTES:
-            self.entries[key] = (E, V, residual, size)
-            self.nbytes += size
-            while self.nbytes > _CACHE_BYTES:
-                self.nbytes -= self.entries.popitem(last=False)[1][3]
-        return E, V, residual
+    def spectra(self, bases, tau: float, eps: float) -> list:
+        """(energies, vectors, residual) of each sector, in the order given."""
+        keys = [(basis.k_max, basis.n, tau, eps) for basis in bases]
+        found = {key: self.entries[key][:3] for key in keys if key in self.entries}
+        missing = {key: basis for key, basis in zip(keys, bases) if key not in found}
+        found.update(zip(missing, _eigendecompose(list(missing.values()), tau, eps)))
+        for key in keys:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                continue
+            E, V, residual = found[key]
+            arrays = (E, V.data, V.indices, V.indptr)
+            for a in arrays:
+                a.flags.writeable = False
+            size = sum(a.nbytes for a in arrays)
+            if size <= _CACHE_BYTES:
+                self.entries[key] = (E, V, residual, size)
+                self.nbytes += size
+                while self.nbytes > _CACHE_BYTES:
+                    self.nbytes -= self.entries.popitem(last=False)[1][3]
+        return [found[key] for key in keys]
 
 
 _SPECTRA = _SpectrumCache()
@@ -209,9 +256,11 @@ def build_gibbs(params: ModelParams, interacting: bool,
     Interacting sectors n >= 3 come from the per-process spectrum cache,
     keyed by (k_max, n, tau, eps): a second state at the same tau and eps,
     whatever its cutoff or n_max, re-solves none of the sectors it shares
-    with the first.  Their energies and vectors are read-only and shared
-    between the states; the cache keeps at most 256 MiB of them (see the
-    module docstring).
+    with the first.  The sectors the cache misses are solved together, in
+    batches with one eigh call per block size (see `_eigendecompose`).
+    Their energies and vectors are read-only and shared between the
+    states; the cache keeps at most 256 MiB of them (see the module
+    docstring).
     """
     tau = params.tau
     fvals = cutoff(np.arange(params.n_max + 2) / tau)
@@ -226,19 +275,14 @@ def build_gibbs(params: ModelParams, interacting: bool,
             f"sector (k_max={params.k_max}, n={n_top}) has dimension {dim_top} "
             f"> cap {params.sector_dim_cap}"
         )
-    blocks = []
-    Z = 0.0
-    for n in range(n_top + 1):
-        basis = fock.enumerate_sector(params.k_max, n)
-        if interacting and n >= 3:
-            E, V, residual = _SPECTRA.spectrum(basis, tau, params.eps)
-        else:
-            E, V = fock.kinetic_diagonal(basis) / tau, sparse.eye_array(basis.dim, format="csc")
-            residual = 0.0
-        blk = SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=float(fvals[n]),
+    bases = [fock.enumerate_sector(params.k_max, n) for n in range(n_top + 1)]
+    diagonal = 3 if interacting else len(bases)  # the sectors the occupation basis diagonalizes
+    spectra = [(fock.kinetic_diagonal(b) / tau, sparse.eye_array(b.dim, format="csc"), 0.0)
+               for b in bases[:diagonal]] + _SPECTRA.spectra(bases[diagonal:], tau, params.eps)
+    blocks = [SectorBlock(n=n, basis=basis, energies=E, vectors=V, cutoff_value=float(fvals[n]),
                           residual=residual)
-        blocks.append(blk)
-        Z += blk.weight
+              for n, (basis, (E, V, residual)) in enumerate(zip(bases, spectra))]
+    Z = sum(blk.weight for blk in blocks)
     if not Z > 0:
         raise NumericalFailureError("Gibbs normalization vanished; check the cutoff")
     return GibbsStateBlocks(params=params, interacting=interacting, cutoff=cutoff,

@@ -121,9 +121,25 @@ class TestCutoff:
         K, eta = 1.0, 0.2
         prof = CutoffProfile.smooth(K, eta)
         s = np.linspace(K**2 - eta, K**2, 4000001)
-        steps = np.diff(np.concatenate([prof(part) for part in np.array_split(s, 8)]))
+        steps = np.diff(prof(s))
         assert steps.max() <= 2.3e-16
         assert np.all(steps[s[1:] > K**2 - 0.015 * eta] <= 0.0)
+
+    def test_memory_of_one_call_is_its_input_and_output(self):
+        # the points are evaluated in fixed-size blocks: one call on the
+        # 4,000,001-point ramp holds its input, its output and a bounded
+        # working set, not a dozen full-length temporaries
+        import tracemalloc
+
+        prof = CutoffProfile.smooth(1.0, 0.2)
+        tracemalloc.start()
+        try:
+            s = np.linspace(0.8, 1.0, 4000001)
+            out = prof(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.nbytes + out.nbytes + (8 << 20)
 
     @pytest.mark.parametrize("prof", [CutoffProfile.smooth(0.6, 0.1), CutoffProfile.sharp(0.6)],
                              ids=["smooth", "sharp"])

@@ -1,6 +1,9 @@
 """Gibbs state construction, partition functions, reduced matrices, entropy."""
 
+import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +27,22 @@ def params(tau=10.0, eps=0.5, eta=0.05, K=0.6, k_max=1, n_max=None, **kw):
     if n_max is None:
         n_max = max(1, math.floor(K**2 * tau))
     return ModelParams(tau=tau, eps=eps, eta=eta, K=K, k_max=k_max, n_max=n_max, **kw)
+
+
+def per_block_eigh(basis, tau, eps):
+    """Energies, vector data and row indices of one eigh call per momentum
+    block of the dense sector Hamiltonian, blocks in ascending momentum."""
+    W, kin = fock.assemble_interaction(basis, eps), fock.kinetic_diagonal(basis)
+    H = -W.toarray() / tau**3
+    H[np.diag_indices(basis.dim)] += kin / tau
+    energies, data, indices = [], [], []
+    for k in np.unique(basis.momenta):
+        rows = np.flatnonzero(basis.momenta == k)
+        e, v = np.linalg.eigh(H[np.ix_(rows, rows)])
+        energies.append(e)
+        data.append(v.T.ravel())
+        indices.append(np.tile(rows, len(rows)))
+    return np.concatenate(energies), np.concatenate(data), np.concatenate(indices)
 
 
 class TestBuild:
@@ -130,25 +149,42 @@ class TestBuild:
         assert checked >= 3
 
     def test_stacked_solve_matches_per_block_eigh(self):
-        # one eigh per stack of equal-size blocks gives, bit for bit, the
-        # energies and vectors of one eigh per block in ascending momentum
-        tau, basis = 17.0, fock.enumerate_sector(2, 6)
-        W, kin = fock.assemble_interaction(basis, 0.5), fock.kinetic_diagonal(basis)
-        H = -W.toarray() / tau**3
-        H[np.diag_indices(basis.dim)] += kin / tau
-        momenta, sizes = np.unique(basis.momenta, return_counts=True)
-        assert len(np.unique(sizes)) >= 5
-        energies, data, indices = [], [], []
-        for k in momenta:
-            rows = np.flatnonzero(basis.momenta == k)
-            e, v = np.linalg.eigh(H[np.ix_(rows, rows)])
-            energies.append(e)
-            data.append(v.T.ravel())
-            indices.append(np.tile(rows, len(rows)))
-        E, V, _ = qgibbs._eigendecompose(W, kin, tau, basis.momenta, basis.n)
-        assert np.array_equal(E, np.concatenate(energies))
-        assert np.array_equal(V.data, np.concatenate(data))
-        assert np.array_equal(V.indices, np.concatenate(indices))
+        # one eigh per block size over a batch of two sectors gives each
+        # sector, bit for bit, the energies and vectors of one eigh per block
+        # in ascending momentum
+        tau, bases = 17.0, [fock.enumerate_sector(2, n) for n in (5, 6)]
+        sizes = [set(np.unique(b.momenta, return_counts=True)[1]) for b in bases]
+        assert len(sizes[0] & sizes[1]) >= 5 and len(sizes[1]) >= 5
+        solved = qgibbs._eigendecompose(bases, tau, 0.5)
+        assert len(solved) == 2
+        for basis, (E, V, _) in zip(bases, solved):
+            energies, data, indices = per_block_eigh(basis, tau, 0.5)
+            assert np.array_equal(E, energies)
+            assert np.array_equal(V.data, data)
+            assert np.array_equal(V.indices, indices)
+
+    def test_sector_past_the_batch_cap(self, monkeypatch):
+        # a sector past _BATCH_ENTRIES is solved in a batch of its own, with
+        # the same bits as inside a batch; each batch makes one eigh call per
+        # distinct block size
+        tau, bases = 17.0, [fock.enumerate_sector(2, n) for n in (5, 6)]
+        sizes = [np.unique(b.momenta, return_counts=True)[1] for b in bases]
+        eigh, calls = np.linalg.eigh, []
+
+        def spy(H):
+            calls.append(H.shape[-1])
+            return eigh(H)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        together = qgibbs._eigendecompose(bases, tau, 0.5)
+        assert sorted(calls) == sorted(set(sizes[0]) | set(sizes[1]))
+        calls.clear()
+        monkeypatch.setattr(qgibbs, "_BATCH_ENTRIES", int(np.sum(sizes[0] ** 2)))
+        alone = qgibbs._eigendecompose(bases, tau, 0.5)
+        assert len(calls) == len(set(sizes[0])) + len(set(sizes[1]))
+        for (E, V, r), (E1, V1, r1) in zip(together, alone):
+            assert np.array_equal(E, E1) and r == r1
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(V, attr), getattr(V1, attr))
 
     def test_perturbed_eigenvector_raises(self, monkeypatch):
         # every eigenpair is checked: one bad vector in one block is enough,
@@ -170,6 +206,32 @@ class TestBuild:
             qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
         assert len(touched) == 1 and len(touched[0]) == 3
 
+    def test_perturbed_eigenvector_names_its_sector(self, monkeypatch):
+        # the stack of 2 x 2 blocks holds blocks of every sector n = 3..7
+        # (k_max = 1); a bad vector in its middle matrix is reported with
+        # that matrix's sector and momentum, not the batch's first sector's
+        p = params(tau=20.0, eta=0.1)
+        stack = [(n, k) for n in range(3, 8)
+                 for k, m in zip(*np.unique(fock.enumerate_sector(1, n).momenta,
+                                            return_counts=True)) if m == 2]
+        j = len(stack) // 2
+        assert stack[0][0] == 3 and stack[j][0] > 3
+        eigh = np.linalg.eigh
+
+        def perturbed(H):
+            E, V = eigh(H)
+            if H.shape[-1] != 2:
+                return E, V
+            assert len(H) == len(stack)
+            V = V.copy()
+            V[j, :, -1] += 1e-3 * V[j, :, 0]
+            return E, V
+        monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        n, k = stack[j]
+        with pytest.raises(NumericalFailureError, match=f"sector n={n}, momentum {k} "):
+            qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
+
     def test_coupling_between_momenta_raises(self, monkeypatch):
         # a triplet joining two momentum blocks raises however small it is;
         # a whole-sector residual would see it only above 1e-9 * scale
@@ -184,6 +246,23 @@ class TestBuild:
         monkeypatch.setattr(fock, "assemble_interaction", leaky)
         with pytest.raises(NumericalFailureError, match="momentum blocks"):
             qgibbs.build_gibbs(params(), True, CutoffProfile.smooth(0.6, 0.05))
+
+    def test_coupling_in_a_later_sector_names_it(self, monkeypatch):
+        # sectors n = 3..7 share one batch; a leaky triplet in n = 6 alone
+        # is reported as n = 6
+        assemble = fock.assemble_interaction
+
+        def leaky(basis, eps):
+            W = assemble(basis, eps)
+            if basis.n != 6:
+                return W
+            i, j = (np.flatnonzero(basis.momenta == k)[0] for k in (0, 1))
+            return sparse.coo_array((np.append(W.data, 1e-20),
+                                     (np.append(W.row, i), np.append(W.col, j))), shape=W.shape)
+        monkeypatch.setattr(qgibbs, "_SPECTRA", qgibbs._SpectrumCache())
+        monkeypatch.setattr(fock, "assemble_interaction", leaky)
+        with pytest.raises(NumericalFailureError, match="momentum blocks in sector n=6$"):
+            qgibbs.build_gibbs(params(tau=20.0, eta=0.1), True, CutoffProfile.smooth(0.6, 0.1))
 
     def test_peak_memory_below_one_dense_sector(self, monkeypatch):
         # the build forms no dim x dim array: its peak stays below one dense
@@ -255,6 +334,10 @@ def solved_sectors(state):
     return [b for b in state.blocks if b.n >= 3]
 
 
+def stored_arrays(blk):
+    return blk.energies, blk.vectors.data, blk.vectors.indices, blk.vectors.indptr
+
+
 class TestSpectrumCache:
     # each interacting sector is solved once per (k_max, n, tau, eps)
     def test_second_build_solves_nothing(self, spectra, solves):
@@ -270,6 +353,37 @@ class TestSpectrumCache:
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(x.vectors, attr), getattr(y.vectors, attr))
             assert x.residual == y.residual
+
+    def test_one_eigh_per_block_size(self, spectra, solves):
+        # a cold build at tau = 80 solves its 26 interacting sectors in one
+        # batch: one eigh call per distinct block size, 15 of them
+        p = params(tau=80.0, eta=0.1)
+        first = qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
+        sizes = set()
+        for blk in solved_sectors(first):
+            sizes |= set(np.unique(blk.basis.momenta, return_counts=True)[1])
+        assert len(solved_sectors(first)) == 26 and len(sizes) == 15
+        assert solves.count("eigh") == 15
+        assert solves.count("assemble_interaction") == 26
+        solves.clear()
+        qgibbs.build_gibbs(p, True, CutoffProfile.smooth(0.6, 0.1))
+        assert solves == []
+
+    def test_vertex_built_once_per_kernel(self, spectra, monkeypatch):
+        # the multiset vertex depends on (k_max, eps) alone: a sweep over tau
+        # builds it once per pair, whatever the number of sectors
+        built, build = [], fock._multiset_vertex.__wrapped__
+
+        def spy(k_max, eps):
+            built.append((k_max, eps))
+            return build(k_max, eps)
+        monkeypatch.setattr(fock, "_multiset_vertex", functools.lru_cache(maxsize=None)(spy))
+        for k_max in (1, 2):
+            for eps in (0.5, 0.3):
+                for tau in (10.0, 20.0):
+                    qgibbs.build_gibbs(params(tau=tau, eps=eps, eta=0.1, k_max=k_max), True,
+                                       CutoffProfile.smooth(0.6, 0.1))
+        assert sorted(built) == [(1, 0.3), (1, 0.5), (2, 0.3), (2, 0.5)]
 
     def test_cutoffs_share_sectors(self, spectra, solves):
         p = params(tau=20.0, eta=0.1)
@@ -292,6 +406,14 @@ class TestSpectrumCache:
         with pytest.raises(ValueError):
             blk.vectors.data *= 2.0
 
+    def test_cached_arrays_own_their_memory(self, spectra):
+        # each sector's arrays are copied out of the batch: none is a view
+        # of a larger buffer that would outlive its eviction
+        b = qgibbs.build_gibbs(params(tau=40.0, eta=0.1), True, CutoffProfile.smooth(0.6, 0.1))
+        for blk in solved_sectors(b):
+            for array in stored_arrays(blk):
+                assert array.base is None or array.base.nbytes == array.nbytes
+
     def test_eviction_bounds_stored_bytes(self, spectra, monkeypatch):
         p, cut = params(tau=40.0, eta=0.1), CutoffProfile.smooth(0.6, 0.1)
         full = qgibbs.build_gibbs(p, True, cut)
@@ -310,6 +432,14 @@ class TestSpectrumCache:
         # the most recently solved sectors that fit are the ones kept
         fitting = [n for n in sorted(sizes) if sizes[n] <= budget]
         assert kept == fitting[len(fitting) - len(kept):]
+        # all sectors were solved in one batch; once the state is gone, the
+        # memory of the evicted ones is freed, that of the kept ones is not
+        owners = {blk.n: [weakref.ref(a if a.base is None else a.base)
+                          for a in stored_arrays(blk)] for blk in solved_sectors(b)}
+        del b
+        gc.collect()
+        for n, refs in owners.items():
+            assert [r() is not None for r in refs] == [n in kept] * 4
 
     def test_residuals(self, spectra):
         tau = 20.0
